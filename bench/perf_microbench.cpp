@@ -3,11 +3,16 @@
 // latency, thread-scaling of the parallel substrate, Mode-B volume
 // throughput (serial vs. parallel vs. feature-cached), and serving-layer
 // throughput (blocking submit vs. micro-batched SegmentService). The
-// main() also emits out/BENCH_volume.json, out/BENCH_serve.json and
-// out/BENCH_obs.json — one machine-readable record per run so successive
-// PRs accumulate a perf trajectory. (out/BENCH_tiff.json moved to
-// `tools/tiff_corpus --bench`, which measures against real files.)
+// main() also emits out/BENCH_gemm.json, out/BENCH_volume.json,
+// out/BENCH_serve.json, out/BENCH_obs.json and out/BENCH_cache.json —
+// each only when --benchmark_filter selects the family it belongs to
+// (BM_Gemm/BM_GemmInt8, BM_VolumeSegment, BM_ServeThroughput,
+// BM_TraceOverhead, BM_CacheContention), so successive PRs accumulate a
+// perf trajectory and a narrow run never overwrites unrelated records.
+// (out/BENCH_tiff.json moved to `tools/tiff_corpus --bench`, which
+// measures against real files.)
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -15,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +28,7 @@
 #include "exp_common.hpp"
 #include "zenesis/cache/sharded_lru.hpp"
 #include "zenesis/core/pipeline.hpp"
+#include "zenesis/cv/filters.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/io/report.hpp"
 #include "zenesis/io/tiff.hpp"
@@ -210,6 +217,71 @@ void BM_SamPredictBox(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SamPredictBox);
+
+/// Box-prompt decode alone (every candidate, no selection) on a centered
+/// square box. Arg 0: box side. Real time: the decoder fans its
+/// candidates out over the global pool.
+void BM_SamPredictBoxCandidates(benchmark::State& state) {
+  const image::ImageF32 img = bench_slice(256);
+  const models::SamModel sam;
+  const models::SamEncoded enc = sam.encode(img);
+  const std::int64_t side = state.range(0);
+  const image::Box box{(256 - side) / 2, (256 - side) / 2, side, side};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sam.predict_box_candidates(enc, box));
+  }
+  // Stage breakdown: mean per decode of each sub-span's summed wall time
+  // (over every scale/candidate task), from a separate traced pass.
+  constexpr int kTraced = 10;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::TraceCollector::global().clear();
+  for (int i = 0; i < kTraced; ++i) {
+    benchmark::DoNotOptimize(sam.predict_box_candidates(enc, box));
+  }
+  const std::string prefix = "sam.decode.";
+  for (const auto& [stage, st] : obs::TraceCollector::global().aggregate()) {
+    if (stage.rfind(prefix, 0) != 0) continue;
+    state.counters[stage.substr(prefix.size()) + "_ms"] = st.total_us / 1e3 / kTraced;
+  }
+  obs::set_enabled(was_enabled);
+  obs::TraceCollector::global().clear();
+}
+BENCHMARK(BM_SamPredictBoxCandidates)
+    ->Arg(64)
+    ->Arg(160)
+    ->Arg(256)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// The decoder's context median over a 160x160 box of a 256^2 slice.
+/// Arg 0: radius; arg 1: masked (the background refit, excluding the
+/// bright phase a first pass would find) or plain. Items = box pixels.
+void BM_MedianFilterLarge(benchmark::State& state) {
+  const image::ImageF32 img = bench_slice(256);
+  const int radius = static_cast<int>(state.range(0));
+  const bool masked = state.range(1) != 0;
+  const image::Box box{48, 48, 160, 160};
+  image::Mask exclude(box.w, box.h);
+  for (std::int64_t y = 0; y < box.h; ++y) {
+    for (std::int64_t x = 0; x < box.w; ++x) {
+      exclude.at(x, y) = img.at(box.x + x, box.y + y) > 0.6f ? 1 : 0;
+    }
+  }
+  const image::ImageF32 fallback = cv::median_filter_large(img, radius, box);
+  for (auto _ : state) {
+    if (masked) {
+      benchmark::DoNotOptimize(cv::median_filter_large_masked(
+          img, radius, exclude, {box.x, box.y}, box, &fallback));
+    } else {
+      benchmark::DoNotOptimize(cv::median_filter_large(img, radius, box));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * box.area());
+}
+BENCHMARK(BM_MedianFilterLarge)
+    ->ArgsProduct({{8, 20, 48, 96}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SamOnlyAutoMask(benchmark::State& state) {
   const image::ImageF32 img = bench_slice(256);
@@ -570,7 +642,7 @@ double time_volume_pass(const core::ZenesisPipeline& pipe,
 
 /// Standalone serial-vs-parallel-vs-cached volume measurement, persisted
 /// as out/BENCH_volume.json so future PRs have a perf trajectory to
-/// compare against. Runs regardless of --benchmark_filter.
+/// compare against. Written when the filter selects BM_VolumeSegment.
 void write_volume_record() {
   const fibsem::SyntheticVolume vol = bench_volume();
   const auto hw = static_cast<std::size_t>(
@@ -623,7 +695,7 @@ void write_volume_record() {
 
 /// Standalone serial-submit vs micro-batched-service measurement on
 /// cache-hot repeated-slice traffic, persisted as out/BENCH_serve.json.
-/// Runs regardless of --benchmark_filter.
+/// Written when the filter selects BM_ServeThroughput.
 void write_serve_record() {
   const std::vector<image::AnyImage> traffic = serve_traffic();
   constexpr int kReps = 3;
@@ -694,8 +766,8 @@ void write_serve_record() {
 /// request emits, relative to that request's wall time. The end-to-end
 /// off-vs-on serve delta is also measured and recorded, but on small or
 /// loaded machines it is noise-dominated (single-digit req/sec), so it
-/// is reference data, not the criterion. Runs regardless of
-/// --benchmark_filter.
+/// is reference data, not the criterion. Written when the filter selects
+/// BM_TraceOverhead.
 void write_obs_record() {
   const bool was_enabled = obs::enabled();
   const std::vector<image::AnyImage> traffic = serve_traffic();
@@ -794,7 +866,7 @@ void write_obs_record() {
 /// tracked trajectory. For each thread count, both topologies run the
 /// identical mixed get/put workload (best of kReps); the headline
 /// `speedup_16t` is sharded ops/sec over single-shard ops/sec at 16
-/// threads. Runs regardless of --benchmark_filter.
+/// threads. Written when the filter selects BM_CacheContention.
 void write_cache_record() {
   constexpr int kReps = 3;
   constexpr std::size_t kShardedShards = 64;
@@ -852,7 +924,7 @@ void write_cache_record() {
 /// fast backend over the scalar reference, plus int8 GOP/s of the
 /// dynamic-quantization matmul_nt path and its ratio over the same
 /// backend's fp32 matmul_nt (the quantization acceptance headline).
-/// Runs regardless of --benchmark_filter.
+/// Written when the filter selects BM_Gemm or BM_GemmInt8.
 void write_gemm_record() {
   const std::vector<std::int64_t> sizes = {256, 512, 1024};
   const std::vector<std::string> ops = {"matmul", "matmul_nt", "linear"};
@@ -977,18 +1049,64 @@ void write_gemm_record() {
   std::printf("gemm perf record written to %s\n", path.c_str());
 }
 
+/// Display reporter (console, or --benchmark_format=json) that also
+/// notes which benchmark families ran, so main() rewrites only the
+/// out/BENCH_*.json records whose family --benchmark_filter selected.
+class FamilyRecorder : public benchmark::BenchmarkReporter {
+ public:
+  explicit FamilyRecorder(const std::string& format) {
+    if (format == "json") {
+      display_ = std::make_unique<benchmark::JSONReporter>();
+    } else {
+      display_ = std::make_unique<benchmark::ConsoleReporter>(
+          isatty(fileno(stdout)) ? benchmark::ConsoleReporter::OO_Color
+                                 : benchmark::ConsoleReporter::OO_None);
+    }
+  }
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      const std::string name = run.benchmark_name();
+      families_.insert(name.substr(0, name.find('/')));
+    }
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  bool ran(const std::string& family) const { return families_.count(family) != 0; }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
+  std::set<std::string> families_;
+};
+
+/// The --benchmark_format value (read before benchmark::Initialize
+/// consumes the flag).
+std::string format_flag(int argc, char** argv) {
+  const std::string prefix = "--benchmark_format=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
+  }
+  return "console";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  FamilyRecorder reporter(format_flag(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   register_kernel_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  write_gemm_record();
-  write_volume_record();
-  write_serve_record();
-  write_obs_record();
-  write_cache_record();
+  if (reporter.ran("BM_Gemm") || reporter.ran("BM_GemmInt8")) write_gemm_record();
+  if (reporter.ran("BM_VolumeSegment")) write_volume_record();
+  if (reporter.ran("BM_ServeThroughput")) write_serve_record();
+  if (reporter.ran("BM_TraceOverhead")) write_obs_record();
+  if (reporter.ran("BM_CacheContention")) write_cache_record();
   return 0;
 }

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "zenesis/cv/morphology.hpp"
 #include "zenesis/cv/threshold.hpp"
 #include "zenesis/image/roi.hpp"
 #include "zenesis/io/tiff_stream.hpp"
@@ -250,8 +249,9 @@ SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
       cfg_.mask_cache.enabled && cfg_.mask_cache.capacity != 0;
   cache::Key128 key;
   if (memoize) {
-    key = slice_request_key(ready, prompt, decode_fingerprint_);
+    // The key hashes the whole image, so deriving it is lookup work.
     obs::Span span("cache.mask_lookup", 0);
+    key = slice_request_key(ready, prompt, decode_fingerprint_);
     if (const auto hit = mask_cache_->get(key)) {
       span.set_arg(1);
       return *hit;
@@ -264,6 +264,7 @@ SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
   }();
   SliceResult res = assemble(ready, std::move(g));
   if (memoize) {
+    obs::Span span("cache.mask_store");
     mask_cache_->put(key, std::make_shared<const SliceResult>(res),
                      slice_result_bytes(res));
   }
@@ -283,8 +284,8 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
       cfg_.mask_cache.enabled && cfg_.mask_cache.capacity != 0;
   cache::Key128 key;
   if (memoize) {
-    key = box_request_key(ready, box, opts, decode_fingerprint_);
     obs::Span span("cache.mask_lookup", 0);
+    key = box_request_key(ready, box, opts, decode_fingerprint_);
     if (const auto hit = mask_cache_->get(key)) {
       span.set_arg(1);
       return *hit;
@@ -299,6 +300,7 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
     return assemble(ready, std::move(g));
   }();
   if (memoize) {
+    obs::Span span("cache.mask_store");
     mask_cache_->put(key, std::make_shared<const SliceResult>(res),
                      slice_result_bytes(res));
   }
@@ -411,26 +413,14 @@ SliceResult ZenesisPipeline::assemble(image::ImageF32 ready,
         scores[c] = scorer.score(candidates[c].mask);
         smax = std::max(smax, scores[c]);
       }
-      const auto boundary_adherence = [&](const image::Mask& mask) {
-        const image::Mask boundary = cv::boundary_gradient(mask);
-        double sum = 0.0;
-        std::int64_t count = 0;
-        for (std::int64_t y = 0; y < boundary.height(); ++y) {
-          for (std::int64_t x = 0; x < boundary.width(); ++x) {
-            if (boundary.at(x, y) == 0) continue;
-            sum += enc.maps.channels[models::kEdge].at(x, y);
-            ++count;
-          }
-        }
-        return count > 0 ? sum / static_cast<double>(count) : 0.0;
-      };
       double best_adherence = -1.0;
       std::size_t best_idx = candidates.size();
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         const bool shortlisted =
             smax > 0.0 ? scores[c] >= 0.7 * smax : scores[c] == smax;
         if (!shortlisted) continue;
-        const double adherence = boundary_adherence(candidates[c].mask);
+        const double adherence = sam_.boundary_adherence(
+            enc, candidates[c].mask, grounding.boxes[i].box);
         if (adherence > best_adherence) {
           best_adherence = adherence;
           best_idx = c;

@@ -44,44 +44,52 @@ Labeling label_components(const image::Mask& mask, bool eight_connected) {
   DisjointSet ds;
   ds.make();  // label 0 = background
 
-  // First pass: provisional labels from already-visited neighbours.
+  // First pass: provisional labels from already-visited neighbours, with
+  // the decision tree of Wu, Otoo & Suzuki (2009): neighbours that are
+  // adjacent to each other were joined when the later of them was
+  // visited, so at most one union per pixel is needed. (The final ids
+  // depend only on the components and raster order, not on which
+  // provisional label a pixel took.)
+  std::int32_t* const labels = out.labels.pixels().data();
   for (std::int64_t y = 0; y < h; ++y) {
+    std::int32_t* row = labels + y * w;
+    const std::int32_t* prev = y > 0 ? row - w : row;  // read only when y > 0
     for (std::int64_t x = 0; x < w; ++x) {
       if (mask.at(x, y) == 0) continue;
-      std::int32_t left = x > 0 ? out.labels.at(x - 1, y) : 0;
-      std::int32_t up = y > 0 ? out.labels.at(x, y - 1) : 0;
-      std::int32_t ul = (eight_connected && x > 0 && y > 0)
-                            ? out.labels.at(x - 1, y - 1) : 0;
-      std::int32_t ur = (eight_connected && x + 1 < w && y > 0)
-                            ? out.labels.at(x + 1, y - 1) : 0;
+      const std::int32_t left = x > 0 ? row[x - 1] : 0;
+      const std::int32_t up = y > 0 ? prev[x] : 0;
       std::int32_t lab = 0;
-      for (std::int32_t n : {left, up, ul, ur}) {
-        if (n != 0 && (lab == 0 || n < lab)) lab = n;
-      }
-      if (lab == 0) {
-        lab = ds.make();
-      } else {
-        for (std::int32_t n : {left, up, ul, ur}) {
-          if (n != 0) ds.unite(lab, n);
+      if (eight_connected) {
+        const std::int32_t ul = x > 0 && y > 0 ? prev[x - 1] : 0;
+        const std::int32_t ur = x + 1 < w && y > 0 ? prev[x + 1] : 0;
+        if (up != 0) {
+          lab = up;
+        } else if (ur != 0) {
+          lab = ur;
+          if (ul != 0) ds.unite(lab, ul);
+          else if (left != 0) ds.unite(lab, left);
+        } else {
+          lab = ul != 0 ? ul : left;
         }
+      } else {
+        lab = up != 0 ? up : left;
+        if (up != 0 && left != 0) ds.unite(up, left);
       }
-      out.labels.at(x, y) = lab;
+      row[x] = lab != 0 ? lab : ds.make();
     }
   }
 
   // Second pass: compress to dense 1..count ids.
   std::vector<std::int32_t> remap(ds.size(), 0);
   std::int32_t next = 0;
-  for (std::int64_t y = 0; y < h; ++y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      std::int32_t lab = out.labels.at(x, y);
-      if (lab == 0) continue;
-      const std::int32_t root = ds.find(lab);
-      if (remap[static_cast<std::size_t>(root)] == 0) {
-        remap[static_cast<std::size_t>(root)] = ++next;
-      }
-      out.labels.at(x, y) = remap[static_cast<std::size_t>(root)];
+  for (std::int64_t i = 0; i < w * h; ++i) {
+    const std::int32_t lab = labels[i];
+    if (lab == 0) continue;
+    const std::int32_t root = ds.find(lab);
+    if (remap[static_cast<std::size_t>(root)] == 0) {
+      remap[static_cast<std::size_t>(root)] = ++next;
     }
+    labels[i] = remap[static_cast<std::size_t>(root)];
   }
   out.count = next;
   return out;
@@ -156,47 +164,56 @@ image::Mask largest_component(const image::Mask& mask) {
 image::Mask remove_small_components(const image::Mask& mask,
                                     std::int64_t min_area) {
   const Labeling lab = label_components(mask);
-  const auto comps = component_stats(lab);
+  const std::int32_t* const labels = lab.labels.pixels().data();
+  const std::int64_t n = mask.width() * mask.height();
+  std::vector<std::int64_t> area(static_cast<std::size_t>(lab.count) + 1, 0);
+  for (std::int64_t i = 0; i < n; ++i) ++area[static_cast<std::size_t>(labels[i])];
   image::Mask out(mask.width(), mask.height());
-  for (std::int64_t y = 0; y < mask.height(); ++y) {
-    for (std::int64_t x = 0; x < mask.width(); ++x) {
-      const std::int32_t l = lab.labels.at(x, y);
-      if (l != 0 && comps[static_cast<std::size_t>(l - 1)].area >= min_area) {
-        out.at(x, y) = 1;
-      }
-    }
+  std::uint8_t* const dst = out.pixels().data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t l = labels[i];
+    if (l != 0 && area[static_cast<std::size_t>(l)] >= min_area) dst[i] = 1;
   }
   return out;
 }
 
 image::Mask fill_holes(const image::Mask& mask) {
-  // Label the background; any background component that never touches the
-  // border is a hole.
-  const image::Mask inverted = [&] {
-    image::Mask inv(mask.width(), mask.height());
-    for (std::int64_t y = 0; y < mask.height(); ++y) {
-      for (std::int64_t x = 0; x < mask.width(); ++x) {
-        inv.at(x, y) = mask.at(x, y) == 0 ? 1 : 0;
-      }
-    }
-    return inv;
-  }();
-  const Labeling lab = label_components(inverted, /*eight_connected=*/false);
-  std::vector<bool> touches_border(static_cast<std::size_t>(lab.count + 1), false);
+  // A hole is a background region (4-connected) that never touches the
+  // border: flood the background in from every border pixel, then fill
+  // whatever the flood did not reach.
   const std::int64_t w = mask.width(), h = mask.height();
+  if (w == 0 || h == 0) return mask;
+  std::vector<std::uint8_t> reached(static_cast<std::size_t>(w * h), 0);
+  std::vector<std::int64_t> stack;
+  const auto seed = [&](std::int64_t x, std::int64_t y) {
+    const std::int64_t i = y * w + x;
+    if (mask.at(x, y) != 0 || reached[static_cast<std::size_t>(i)] != 0) return;
+    reached[static_cast<std::size_t>(i)] = 1;
+    stack.push_back(i);
+  };
   for (std::int64_t x = 0; x < w; ++x) {
-    touches_border[static_cast<std::size_t>(lab.labels.at(x, 0))] = true;
-    if (h > 0) touches_border[static_cast<std::size_t>(lab.labels.at(x, h - 1))] = true;
+    seed(x, 0);
+    seed(x, h - 1);
   }
   for (std::int64_t y = 0; y < h; ++y) {
-    touches_border[static_cast<std::size_t>(lab.labels.at(0, y))] = true;
-    if (w > 0) touches_border[static_cast<std::size_t>(lab.labels.at(w - 1, y))] = true;
+    seed(0, y);
+    seed(w - 1, y);
+  }
+  while (!stack.empty()) {
+    const std::int64_t i = stack.back();
+    stack.pop_back();
+    const std::int64_t x = i % w, y = i / w;
+    if (x > 0) seed(x - 1, y);
+    if (x + 1 < w) seed(x + 1, y);
+    if (y > 0) seed(x, y - 1);
+    if (y + 1 < h) seed(x, y + 1);
   }
   image::Mask out = mask;
   for (std::int64_t y = 0; y < h; ++y) {
     for (std::int64_t x = 0; x < w; ++x) {
-      const std::int32_t l = lab.labels.at(x, y);
-      if (l != 0 && !touches_border[static_cast<std::size_t>(l)]) out.at(x, y) = 1;
+      if (mask.at(x, y) == 0 && reached[static_cast<std::size_t>(y * w + x)] == 0) {
+        out.at(x, y) = 1;
+      }
     }
   }
   return out;

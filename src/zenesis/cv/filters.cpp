@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "zenesis/image/roi.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
 
 namespace zenesis::cv {
@@ -48,9 +49,9 @@ double sat_sum(const std::vector<double>& sat, std::int64_t w, std::int64_t x0,
 
 }  // namespace
 
-ImageF32 gaussian_blur(const ImageF32& img, float sigma) {
+ImageF32 gaussian_blur(const ImageF32& img, float sigma, const image::Box& roi_in) {
   require_gray(img, "gaussian_blur: single channel required");
-  if (sigma <= 0.0f || img.pixel_count() == 0) return img;
+  if (sigma <= 0.0f || img.pixel_count() == 0) return image::crop(img, roi_in);
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
   std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
   float sum = 0.0f;
@@ -62,28 +63,37 @@ ImageF32 gaussian_blur(const ImageF32& img, float sigma) {
   for (float& v : kernel) v /= sum;
 
   const std::int64_t w = img.width(), h = img.height();
-  ImageF32 tmp(w, h, 1), out(w, h, 1);
-  parallel::parallel_for(0, h, [&](std::int64_t y) {
-    for (std::int64_t x = 0; x < w; ++x) {
+  const image::Box roi = roi_in.clipped(w, h);
+  if (roi.empty()) return ImageF32(0, 0, 1);
+  // Horizontal pass over every row the vertical taps of the ROI reach.
+  const std::int64_t ty0 = clampi(roi.y - radius, 0, h - 1);
+  const std::int64_t ty1 = clampi(roi.bottom() - 1 + radius, 0, h - 1);
+  ImageF32 tmp(roi.w, ty1 - ty0 + 1, 1), out(roi.w, roi.h, 1);
+  parallel::parallel_for(ty0, ty1 + 1, [&](std::int64_t y) {
+    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
       float acc = 0.0f;
       for (int i = -radius; i <= radius; ++i) {
         acc += kernel[static_cast<std::size_t>(i + radius)] *
                img.at(clampi(x + i, 0, w - 1), y);
       }
-      tmp.at(x, y) = acc;
+      tmp.at(x - roi.x, y - ty0) = acc;
     }
   });
-  parallel::parallel_for(0, h, [&](std::int64_t y) {
-    for (std::int64_t x = 0; x < w; ++x) {
+  parallel::parallel_for(roi.y, roi.bottom(), [&](std::int64_t y) {
+    for (std::int64_t x = 0; x < roi.w; ++x) {
       float acc = 0.0f;
       for (int i = -radius; i <= radius; ++i) {
         acc += kernel[static_cast<std::size_t>(i + radius)] *
-               tmp.at(x, clampi(y + i, 0, h - 1));
+               tmp.at(x, clampi(y + i, 0, h - 1) - ty0);
       }
-      out.at(x, y) = acc;
+      out.at(x, y - roi.y) = acc;
     }
   });
   return out;
+}
+
+ImageF32 gaussian_blur(const ImageF32& img, float sigma) {
+  return gaussian_blur(img, sigma, {0, 0, img.width(), img.height()});
 }
 
 ImageF32 box_filter(const ImageF32& img, int radius) {
@@ -133,121 +143,242 @@ ImageF32 median_filter(const ImageF32& img, int radius) {
 namespace {
 
 constexpr int kMedianBins = 256;
+constexpr int kSegBins = 16;  ///< fine bins per coarse bucket
+constexpr int kSegments = kMedianBins / kSegBins;
 
-/// Pre-quantized bin plane covering the rectangle the sliding windows can
-/// reach: each pixel is binned once up front instead of once per
-/// add/del-column touch (a pixel is re-binned ~2·(2r+1) times per output
-/// row in the naive form — the float clamp/scale was the hottest
-/// instruction in the decode profile).
+/// Bin value of a pixel the masked filter leaves out of every window.
+constexpr std::uint16_t kExcludedBin = kMedianBins;
+
+/// Pre-quantized bin plane covering the rectangle the windows can reach
+/// (row-major: every sliding step reads one whole plane row). Each pixel
+/// is binned once up front; excluded pixels carry kExcludedBin.
 struct BinPlane {
-  std::vector<std::uint8_t> bins;
+  std::vector<std::uint16_t> bins;
   std::int64_t x0 = 0, y0 = 0, stride = 0;
 
-  std::uint8_t at(std::int64_t x, std::int64_t y) const {
-    return bins[static_cast<std::size_t>((y - y0) * stride + (x - x0))];
+  const std::uint16_t* row(std::int64_t y) const {
+    return bins.data() + (y - y0) * stride;
   }
 };
 
-BinPlane quantize_plane(const ImageF32& img, std::int64_t x0, std::int64_t x1,
-                        std::int64_t y0, std::int64_t y1) {
+BinPlane quantize_plane(const ImageF32& img, const image::Box& rect,
+                        const image::Mask* exclude, image::Point exclude_origin) {
   BinPlane p;
-  p.x0 = x0;
-  p.y0 = y0;
-  p.stride = x1 - x0 + 1;
-  p.bins.resize(static_cast<std::size_t>(p.stride * (y1 - y0 + 1)));
-  parallel::parallel_for(y0, y1 + 1, [&](std::int64_t y) {
-    std::uint8_t* row = p.bins.data() + (y - y0) * p.stride;
-    for (std::int64_t x = x0; x <= x1; ++x) {
+  p.x0 = rect.x;
+  p.y0 = rect.y;
+  p.stride = rect.w;
+  p.bins.resize(static_cast<std::size_t>(rect.area()));
+  const image::Box ex =
+      exclude != nullptr
+          ? image::Box{exclude_origin.x, exclude_origin.y, exclude->width(),
+                       exclude->height()}
+          : image::Box{};
+  for (std::int64_t y = rect.y; y < rect.bottom(); ++y) {
+    std::uint16_t* row = p.bins.data() + (y - rect.y) * p.stride;
+    for (std::int64_t x = rect.x; x < rect.right(); ++x) {
+      if (ex.contains({x, y}) &&
+          exclude->at(x - exclude_origin.x, y - exclude_origin.y) != 0) {
+        row[x - rect.x] = kExcludedBin;
+        continue;
+      }
       const float v = std::clamp(img.at(x, y), 0.0f, 1.0f);
-      row[x - x0] = static_cast<std::uint8_t>(std::clamp(
+      row[x - rect.x] = static_cast<std::uint16_t>(std::clamp(
           static_cast<int>(v * kMedianBins), 0, kMedianBins - 1));
     }
-  });
+  }
   return p;
 }
 
-/// Two-level (16 coarse / 256 fine) histogram: median lookup walks ~16+16
-/// buckets instead of ~128 fine bins, at the cost of one extra increment
-/// per window update. Selects exactly the same bin as a linear scan.
-struct MedianHist {
-  std::array<std::int32_t, kMedianBins / 16> coarse{};
-  std::array<std::int32_t, kMedianBins> fine{};
+/// Two-level (16-bucket coarse / 256-bin fine) histogram. Column
+/// histograms (16-bit counts: a column holds at most one window height)
+/// and the kernel's row-start histogram are kept in this form.
+template <typename Count>
+struct Hist {
+  std::array<Count, kMedianBins> fine{};
+  std::array<Count, kSegments> coarse{};
+  Count count = 0;
 
-  void add(std::uint8_t b) {
+  void add(std::uint16_t b) {
     ++fine[b];
-    ++coarse[static_cast<std::size_t>(b >> 4)];
+    ++coarse[static_cast<std::size_t>(b / kSegBins)];
+    ++count;
   }
-  void del(std::uint8_t b) {
+  void del(std::uint16_t b) {
     --fine[b];
-    --coarse[static_cast<std::size_t>(b >> 4)];
-  }
-  int median_bin(std::int64_t count) const {
-    const std::int64_t half = (count + 1) / 2;
-    std::int64_t seen = 0;
-    std::size_t c = 0;
-    for (; c + 1 < coarse.size(); ++c) {
-      if (seen + coarse[c] >= half) break;
-      seen += coarse[c];
-    }
-    int b = static_cast<int>(c << 4);
-    for (;; ++b) {
-      seen += fine[static_cast<std::size_t>(b)];
-      if (seen >= half) break;
-    }
-    return b;
+    --coarse[static_cast<std::size_t>(b / kSegBins)];
+    --count;
   }
 };
+
+/// Constant-time sliding median (Perreault & Hébert 2007) over rows
+/// [ya, yb) and columns [roi.x, roi.right()) of `plane`, windows clamped
+/// to the w×h image. One histogram per plane column covers the window's
+/// rows and slides down one row per output row; the kernel histogram
+/// slides right by adding/removing whole column histograms — coarse
+/// buckets eagerly, fine segments lazily, only for the bucket the median
+/// lands in. Every window holds exactly the multiset the direct O(r)
+/// scan collects, so the selected bin is identical. `emit(x, y, bin)`
+/// receives each median bin; a window whose valid count falls below a
+/// quarter of its size gets bin -1 (the masked filter's fallback rule).
+template <typename Emit>
+void sliding_median_rows(const BinPlane& plane, std::int64_t w, std::int64_t h,
+                         int radius, const image::Box& roi, std::int64_t ya,
+                         std::int64_t yb, bool sparse_rule, Emit&& emit) {
+  const std::int64_t ncols = plane.stride;
+  std::vector<Hist<std::uint16_t>> cols(static_cast<std::size_t>(ncols));
+  // Kernel window of the row's first output pixel, maintained alongside
+  // the column histograms so each row starts without re-summing them.
+  const std::int64_t start_lo = clampi(roi.x - radius, 0, w - 1);
+  const std::int64_t start_hi = clampi(roi.x + radius, 0, w - 1);
+  Hist<std::int32_t> start;
+  const auto slide_row = [&](std::int64_t yy, bool add) {
+    const std::uint16_t* row = plane.row(yy);
+    for (std::int64_t c = 0; c < ncols; ++c) {
+      const std::uint16_t b = row[c];
+      if (b == kExcludedBin) continue;
+      Hist<std::uint16_t>& col = cols[static_cast<std::size_t>(c)];
+      add ? col.add(b) : col.del(b);
+    }
+    for (std::int64_t x = start_lo; x <= start_hi; ++x) {
+      const std::uint16_t b = row[x - plane.x0];
+      if (b == kExcludedBin) continue;
+      add ? start.add(b) : start.del(b);
+    }
+  };
+  for (std::int64_t yy = clampi(ya - radius, 0, h - 1);
+       yy <= clampi(ya + radius, 0, h - 1); ++yy) {
+    slide_row(yy, true);
+  }
+
+  const auto col = [&](std::int64_t x) -> const Hist<std::uint16_t>& {
+    return cols[static_cast<std::size_t>(x - plane.x0)];
+  };
+  std::array<std::int32_t, kMedianBins> fine{};
+  std::array<std::int64_t, kSegments> seg_lo{}, seg_hi{};
+  for (std::int64_t y = ya; y < yb; ++y) {
+    if (y > ya) {
+      if (y - radius - 1 >= 0) slide_row(y - radius - 1, false);
+      if (y + radius < h) slide_row(y + radius, true);
+    }
+    const std::int64_t rows = clampi(y + radius, 0, h - 1) -
+                              clampi(y - radius, 0, h - 1) + 1;
+    std::array<std::int32_t, kSegments> coarse = start.coarse;
+    std::int32_t count = start.count;
+    fine = start.fine;
+    seg_lo.fill(start_lo);
+    seg_hi.fill(start_hi);
+    std::int64_t lo = start_lo, hi = start_hi;
+    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+      if (x > roi.x) {
+        if (x + radius < w) {
+          hi = x + radius;
+          const auto& in = col(hi);
+          for (int s = 0; s < kSegments; ++s) coarse[s] += in.coarse[s];
+          count += in.count;
+        }
+        if (x - radius - 1 >= 0) {
+          const auto& gone = col(x - radius - 1);
+          for (int s = 0; s < kSegments; ++s) coarse[s] -= gone.coarse[s];
+          count -= gone.count;
+          lo = x - radius;
+        }
+      }
+      if (sparse_rule && static_cast<std::int64_t>(count) * 4 < rows * (hi - lo + 1)) {
+        emit(x, y, -1);
+        continue;
+      }
+      const std::int32_t half = (count + 1) / 2;
+      std::int32_t seen = 0;
+      int s = 0;
+      for (; s + 1 < kSegments; ++s) {
+        if (seen + coarse[static_cast<std::size_t>(s)] >= half) break;
+        seen += coarse[static_cast<std::size_t>(s)];
+      }
+      // Bring fine segment s from its last column range to [lo, hi]:
+      // whichever is cheaper of rebuilding and exchanging the columns
+      // that left/entered (ranges only ever move right within a row).
+      std::int32_t* seg = fine.data() + s * kSegBins;
+      const auto fold = [&](std::int64_t xa, std::int64_t xb, bool add) {
+        for (std::int64_t xx = xa; xx <= xb; ++xx) {
+          const std::uint16_t* src = col(xx).fine.data() + s * kSegBins;
+          if (add) {
+            for (int b = 0; b < kSegBins; ++b) seg[b] += src[b];
+          } else {
+            for (int b = 0; b < kSegBins; ++b) seg[b] -= src[b];
+          }
+        }
+      };
+      std::int64_t& slo = seg_lo[static_cast<std::size_t>(s)];
+      std::int64_t& shi = seg_hi[static_cast<std::size_t>(s)];
+      if (slo != lo || shi != hi) {
+        if (shi < lo || (lo - slo) + (hi - shi) > hi - lo + 1) {
+          std::fill(seg, seg + kSegBins, 0);
+          fold(lo, hi, true);
+        } else {
+          fold(slo, lo - 1, false);
+          fold(shi + 1, hi, true);
+        }
+        slo = lo;
+        shi = hi;
+      }
+      int b = 0;
+      for (; b + 1 < kSegBins; ++b) {
+        seen += seg[b];
+        if (seen >= half) break;
+      }
+      emit(x, y, s * kSegBins + b);
+    }
+  }
+}
+
+/// Shared body of both median filters: ROI-local output (roi clipped to
+/// the image), rows split into bands when the ROI is tall enough to
+/// repay each band's column-histogram start-up.
+ImageF32 median_roi(const ImageF32& img, int radius, const image::Box& roi_in,
+                    const image::Mask* exclude, image::Point exclude_origin,
+                    const ImageF32* fallback) {
+  const std::int64_t w = img.width(), h = img.height();
+  const image::Box roi = roi_in.clipped(w, h);
+  if (roi.empty()) return ImageF32(0, 0, 1);
+  if (std::min<std::int64_t>(2 * static_cast<std::int64_t>(radius) + 1, h) > 0xFFFF) {
+    throw std::invalid_argument("median_filter_large: window taller than 65535 rows");
+  }
+  const image::Box reach = roi.expanded(radius).clipped(w, h);
+  const BinPlane plane = quantize_plane(img, reach, exclude, exclude_origin);
+  ImageF32 out(roi.w, roi.h, 1);
+  const auto emit = [&](std::int64_t x, std::int64_t y, int bin) {
+    out.at(x - roi.x, y - roi.y) =
+        bin < 0 ? fallback->at(x - roi.x, y - roi.y)
+                : (static_cast<float>(bin) + 0.5f) / kMedianBins;
+  };
+  constexpr std::int64_t kBandRows = 64;
+  auto& pool = parallel::ThreadPool::global();
+  const std::int64_t bands =
+      roi.h >= 4 * kBandRows ? std::min<std::int64_t>(
+                                   static_cast<std::int64_t>(pool.size()),
+                                   roi.h / kBandRows)
+                             : 1;
+  const std::int64_t per = (roi.h + bands - 1) / bands;
+  parallel::parallel_for_chunked(0, bands, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t band = lo; band < hi; ++band) {
+      const std::int64_t ya = roi.y + band * per;
+      const std::int64_t yb = std::min(roi.bottom(), ya + per);
+      if (ya < yb) {
+        sliding_median_rows(plane, w, h, radius, roi, ya, yb,
+                            exclude != nullptr, emit);
+      }
+    }
+  });
+  return out;
+}
 
 }  // namespace
 
 ImageF32 median_filter_large(const ImageF32& img, int radius,
-                             const image::Box& roi_in) {
+                             const image::Box& roi) {
   require_gray(img, "median_filter_large: single channel required");
-  if (radius <= 0 || img.pixel_count() == 0) return img;
-  const std::int64_t w = img.width(), h = img.height();
-  ImageF32 out(w, h, 1);
-  const image::Box roi = roi_in.clipped(w, h);
-  if (roi.empty()) return out;
-  const BinPlane plane = quantize_plane(
-      img, clampi(roi.x - radius, 0, w - 1), clampi(roi.right() - 1 + radius, 0, w - 1),
-      clampi(roi.y - radius, 0, h - 1), clampi(roi.bottom() - 1 + radius, 0, h - 1));
-  // One sliding histogram per output row: initialize at the ROI's left
-  // edge, then slide right by exchanging columns. Rows are independent →
-  // parallel. Windows clamp to the image border, so in-ROI outputs match
-  // the full-image filter byte for byte.
-  parallel::parallel_for(roi.y, roi.bottom(), [&](std::int64_t y) {
-    const std::int64_t y0 = clampi(y - radius, 0, h - 1);
-    const std::int64_t y1 = clampi(y + radius, 0, h - 1);
-    MedianHist hist;
-    std::int64_t count = 0;
-    const auto add_col = [&](std::int64_t x) {
-      for (std::int64_t yy = y0; yy <= y1; ++yy) {
-        hist.add(plane.at(x, yy));
-        ++count;
-      }
-    };
-    const auto del_col = [&](std::int64_t x) {
-      for (std::int64_t yy = y0; yy <= y1; ++yy) {
-        hist.del(plane.at(x, yy));
-        --count;
-      }
-    };
-    for (std::int64_t x = clampi(roi.x - radius, 0, w - 1);
-         x <= clampi(roi.x + radius, 0, w - 1); ++x) {
-      add_col(x);
-    }
-    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
-      if (x > roi.x) {
-        const std::int64_t enter = x + radius;
-        if (enter < w) add_col(enter);
-        const std::int64_t leave = x - radius - 1;
-        if (leave >= 0) del_col(leave);
-      }
-      out.at(x, y) =
-          (static_cast<float>(hist.median_bin(count)) + 0.5f) / kMedianBins;
-    }
-  });
-  return out;
+  if (radius <= 0 || img.pixel_count() == 0) return image::crop(img, roi);
+  return median_roi(img, radius, roi, nullptr, {}, nullptr);
 }
 
 ImageF32 median_filter_large(const ImageF32& img, int radius) {
@@ -257,70 +388,29 @@ ImageF32 median_filter_large(const ImageF32& img, int radius) {
 
 ImageF32 median_filter_large_masked(const ImageF32& img, int radius,
                                     const image::Mask& exclude,
-                                    const image::Box& roi_in,
+                                    image::Point exclude_origin,
+                                    const image::Box& roi,
                                     const ImageF32* fallback) {
   require_gray(img, "median_filter_large_masked: single channel required");
-  if (img.width() != exclude.width() || img.height() != exclude.height()) {
-    throw std::invalid_argument("median_filter_large_masked: size mismatch");
-  }
-  if (radius <= 0 || img.pixel_count() == 0) return img;
-  const std::int64_t w = img.width(), h = img.height();
-  ImageF32 out(w, h, 1);
-  const image::Box roi = roi_in.clipped(w, h);
-  if (roi.empty()) return out;
+  if (radius <= 0 || img.pixel_count() == 0) return image::crop(img, roi);
+  const image::Box clipped = roi.clipped(img.width(), img.height());
   const ImageF32 own_fallback =
-      fallback == nullptr ? median_filter_large(img, radius, roi) : ImageF32();
-  const ImageF32& fb = fallback != nullptr ? *fallback : own_fallback;
-  const BinPlane plane = quantize_plane(
-      img, clampi(roi.x - radius, 0, w - 1), clampi(roi.right() - 1 + radius, 0, w - 1),
-      clampi(roi.y - radius, 0, h - 1), clampi(roi.bottom() - 1 + radius, 0, h - 1));
-  parallel::parallel_for(roi.y, roi.bottom(), [&](std::int64_t y) {
-    const std::int64_t y0 = clampi(y - radius, 0, h - 1);
-    const std::int64_t y1 = clampi(y + radius, 0, h - 1);
-    MedianHist hist;
-    std::int64_t count = 0, window = 0;
-    const auto add_col = [&](std::int64_t x) {
-      for (std::int64_t yy = y0; yy <= y1; ++yy) {
-        ++window;
-        if (exclude.at(x, yy) != 0) continue;
-        hist.add(plane.at(x, yy));
-        ++count;
-      }
-    };
-    const auto del_col = [&](std::int64_t x) {
-      for (std::int64_t yy = y0; yy <= y1; ++yy) {
-        --window;
-        if (exclude.at(x, yy) != 0) continue;
-        hist.del(plane.at(x, yy));
-        --count;
-      }
-    };
-    for (std::int64_t x = clampi(roi.x - radius, 0, w - 1);
-         x <= clampi(roi.x + radius, 0, w - 1); ++x) {
-      add_col(x);
-    }
-    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
-      if (x > roi.x) {
-        const std::int64_t enter = x + radius;
-        if (enter < w) add_col(enter);
-        const std::int64_t leave = x - radius - 1;
-        if (leave >= 0) del_col(leave);
-      }
-      if (count * 4 < window) {
-        out.at(x, y) = fb.at(x, y);
-        continue;
-      }
-      out.at(x, y) =
-          (static_cast<float>(hist.median_bin(count)) + 0.5f) / kMedianBins;
-    }
-  });
-  return out;
+      fallback == nullptr ? median_filter_large(img, radius, clipped) : ImageF32();
+  const ImageF32* fb = fallback != nullptr ? fallback : &own_fallback;
+  if (fb->width() != clipped.w || fb->height() != clipped.h) {
+    throw std::invalid_argument(
+        "median_filter_large_masked: fallback does not cover the ROI");
+  }
+  return median_roi(img, radius, clipped, &exclude, exclude_origin, fb);
 }
 
 ImageF32 median_filter_large_masked(const ImageF32& img, int radius,
                                     const image::Mask& exclude) {
-  return median_filter_large_masked(
-      img, radius, exclude, {0, 0, img.width(), img.height()}, nullptr);
+  if (img.width() != exclude.width() || img.height() != exclude.height()) {
+    throw std::invalid_argument("median_filter_large_masked: size mismatch");
+  }
+  return median_filter_large_masked(img, radius, exclude, {0, 0},
+                                    {0, 0, img.width(), img.height()}, nullptr);
 }
 
 ImageF32 sobel_magnitude(const ImageF32& img) {

@@ -11,6 +11,13 @@ namespace zenesis::cv {
 /// Separable Gaussian blur; sigma <= 0 returns the input unchanged.
 image::ImageF32 gaussian_blur(const image::ImageF32& img, float sigma);
 
+/// gaussian_blur over `roi` only (clipped to the image), returned as a
+/// roi.w × roi.h image: pixel (x, y) of the result is pixel
+/// (roi.x + x, roi.y + y) of the full-image blur, byte for byte (taps
+/// still clamp to the image border). Cost scales with the ROI.
+image::ImageF32 gaussian_blur(const image::ImageF32& img, float sigma,
+                              const image::Box& roi);
+
 /// Boxcar mean filter with square radius `radius` (side 2r+1), O(1) per
 /// pixel via summed-area table.
 image::ImageF32 box_filter(const image::ImageF32& img, int radius);
@@ -18,19 +25,21 @@ image::ImageF32 box_filter(const image::ImageF32& img, int radius);
 /// Median filter with square radius (exact, sort-based, radius <= 7).
 image::ImageF32 median_filter(const image::ImageF32& img, int radius);
 
-/// Large-window approximate median filter: sliding 256-bin histogram over
-/// values clamped to [0,1], O(w·h·r) updates. Quantization error is
+/// Large-window approximate median filter: 256-bin histogram over values
+/// clamped to [0,1], windows clamped to the image border. Constant time
+/// per pixel in the radius (Perreault–Hébert sliding column histograms
+/// with a 16/256 two-level kernel histogram). Quantization error is
 /// <= 1/256, irrelevant for context estimation. Used by the SAM surrogate
 /// as a robust local-background model (immune to thin bright structures
 /// and to boundary halos that corrupt a mean filter).
 image::ImageF32 median_filter_large(const image::ImageF32& img, int radius);
 
-/// median_filter_large restricted to `roi` (clipped to the image): output
-/// pixels inside the ROI are byte-identical to the full-image filter
-/// (windows still clamp to the *image* border, not the ROI), pixels
-/// outside are 0. Cost scales with the ROI area — the SAM surrogate's
-/// decoder only ever reads its context medians inside the prompt box, so
-/// it pays for the box, not the frame.
+/// median_filter_large over `roi` only (clipped to the image), returned
+/// as a roi.w × roi.h image: pixel (x, y) of the result is pixel
+/// (roi.x + x, roi.y + y) of the full-image filter, byte for byte
+/// (windows still clamp to the *image* border, not the ROI). Cost scales
+/// with the ROI — the SAM surrogate's decoder only reads its context
+/// medians inside the prompt box, so it pays for the box, not the frame.
 image::ImageF32 median_filter_large(const image::ImageF32& img, int radius,
                                     const image::Box& roi);
 
@@ -42,14 +51,17 @@ image::ImageF32 median_filter_large_masked(const image::ImageF32& img,
                                            int radius,
                                            const image::Mask& exclude);
 
-/// ROI form of median_filter_large_masked (same contract as the ROI
-/// median: byte-identical inside, 0 outside). `fallback`, when non-null,
-/// must be the unmasked median of (img, radius) covering the same ROI —
-/// callers that already hold it (the decoder's refit pass re-estimates
-/// against the context it just computed) skip a second full median pass.
+/// ROI form of median_filter_large_masked (same output contract as the
+/// ROI median). `exclude` may be a patch: it covers the image rectangle
+/// {exclude_origin, exclude.width() × exclude.height()}, and image pixels
+/// outside it count as not excluded. `fallback`, when non-null, must be
+/// the ROI median of (img, radius) over the same ROI — callers that
+/// already hold it (the decoder's refit pass re-estimates against the
+/// context it just computed) skip a second median pass.
 image::ImageF32 median_filter_large_masked(const image::ImageF32& img,
                                            int radius,
                                            const image::Mask& exclude,
+                                           image::Point exclude_origin,
                                            const image::Box& roi,
                                            const image::ImageF32* fallback =
                                                nullptr);

@@ -28,21 +28,32 @@ std::vector<image::Point> element_offsets(int radius, Element el) {
 image::Mask morph(const image::Mask& mask, int radius, Element el, bool is_dilate) {
   if (radius < 0) throw std::invalid_argument("morphology: negative radius");
   if (radius == 0) return mask;
-  const auto offs = element_offsets(radius, el);
   const std::int64_t w = mask.width(), h = mask.height();
+  // Foreground flags on a zero border `radius` wide: outside the raster
+  // counts as background, and the taps need no bounds checks.
+  const std::int64_t pw = w + 2 * radius;
+  std::vector<std::uint8_t> padded(static_cast<std::size_t>(pw * (h + 2 * radius)), 0);
+  for (std::int64_t y = 0; y < h; ++y) {
+    std::uint8_t* row = padded.data() + (y + radius) * pw + radius;
+    for (std::int64_t x = 0; x < w; ++x) row[x] = mask.at(x, y) != 0 ? 1 : 0;
+  }
+  std::vector<std::int64_t> taps;
+  for (const auto& o : element_offsets(radius, el)) taps.push_back(o.y * pw + o.x);
   image::Mask out(w, h);
+  std::uint8_t* const dst = out.pixels().data();
+  // Dilation ORs and erosion ANDs the 0/1 flags of every tap, one whole
+  // row per tap.
   parallel::parallel_for(0, h, [&](std::int64_t y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      bool hit = false, all = true;
-      for (const auto& o : offs) {
-        const std::int64_t nx = x + o.x, ny = y + o.y;
-        // Outside the raster counts as background.
-        const bool fg = mask.contains(nx, ny) && mask.at(nx, ny) != 0;
-        hit = hit || fg;
-        all = all && fg;
-        if (is_dilate ? hit : !all) break;
+    const std::uint8_t* centre = padded.data() + (y + radius) * pw + radius;
+    std::uint8_t* row = dst + y * w;
+    std::copy(centre + taps[0], centre + taps[0] + w, row);
+    for (std::size_t k = 1; k < taps.size(); ++k) {
+      const std::uint8_t* src = centre + taps[k];
+      if (is_dilate) {
+        for (std::int64_t x = 0; x < w; ++x) row[x] |= src[x];
+      } else {
+        for (std::int64_t x = 0; x < w; ++x) row[x] &= src[x];
       }
-      out.at(x, y) = is_dilate ? (hit ? 1 : 0) : (all ? 1 : 0);
     }
   });
   return out;

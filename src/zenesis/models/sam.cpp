@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
+#include <optional>
 
 #include "zenesis/cv/components.hpp"
 #include "zenesis/cv/filters.hpp"
 #include "zenesis/cv/morphology.hpp"
 #include "zenesis/cv/threshold.hpp"
 #include "zenesis/image/roi.hpp"
+#include "zenesis/obs/trace.hpp"
+#include "zenesis/parallel/parallel_for.hpp"
 #include "zenesis/tensor/conv.hpp"
 #include "zenesis/tensor/init.hpp"
 #include "zenesis/tensor/ops.hpp"
@@ -26,13 +28,15 @@ struct BandStats {
   std::int64_t count = 0;
 };
 
-BandStats stats_where(const image::ImageF32& img,
-                      const std::function<bool(std::int64_t, std::int64_t)>& pred) {
+/// Stats of `img` over the pixels of `rect` where `take(x, y)` holds,
+/// accumulated in raster order.
+template <typename Pred>
+BandStats stats_in(const image::ImageF32& img, const image::Box& rect, Pred take) {
   BandStats s;
   double sum = 0.0, sum2 = 0.0;
-  for (std::int64_t y = 0; y < img.height(); ++y) {
-    for (std::int64_t x = 0; x < img.width(); ++x) {
-      if (!pred(x, y)) continue;
+  for (std::int64_t y = rect.y; y < rect.bottom(); ++y) {
+    for (std::int64_t x = rect.x; x < rect.right(); ++x) {
+      if (!take(x, y)) continue;
       const double v = img.at(x, y);
       sum += v;
       sum2 += v * v;
@@ -47,6 +51,36 @@ BandStats stats_where(const image::ImageF32& img,
   }
   return s;
 }
+
+/// A float plane placed at (x0, y0) in frame coordinates.
+struct PlaneView {
+  const image::ImageF32* img = nullptr;
+  std::int64_t x0 = 0, y0 = 0;
+
+  float at(std::int64_t x, std::int64_t y) const { return img->at(x - x0, y - y0); }
+  image::Box local(const image::Box& b) const { return {b.x - x0, b.y - y0, b.w, b.h}; }
+};
+
+/// One structural scale of the multimask spectrum: the smoothed intensity
+/// and the background context its two polarity candidates share
+/// (read-only once built). Medians are box-local. `smoothed` may point
+/// at `blurred`, so a context is built in place and never copied or
+/// moved.
+struct ScaleContext {
+  ScaleContext() = default;
+  ScaleContext(const ScaleContext&) = delete;
+  ScaleContext& operator=(const ScaleContext&) = delete;
+
+  image::ImageF32 blurred;  ///< smoothed intensity over the median reach
+  PlaneView smoothed;       ///< `blurred`, or the raw intensity channel
+  image::ImageF32 context;  ///< large-window median (box-local)
+  /// Box-local smoothed − background, before the polarity sign: against
+  /// `context` (or the rim constant) and against the small-window median
+  /// (empty when the two windows coincide).
+  std::vector<float> diff, diff_local;
+  bool rim = false;         ///< background = one constant (the rim median)
+  int r_refit = 0;          ///< masked re-estimation radius
+};
 
 }  // namespace
 
@@ -118,24 +152,40 @@ image::ImageF32 SamModel::decode_coarse(const SamEncoded& enc,
   }
   tensor::scale_inplace(logits, 1.0f / max_abs);
 
-  // Upsample to pixel resolution (the decoder's mask head).
+  // Upsample to pixel resolution (the decoder's mask head); only the box
+  // is ever read.
   const tensor::Tensor up = tensor::resize_bilinear(
       logits, enc.maps.height, enc.maps.width);
-  image::ImageF32 out(enc.maps.width, enc.maps.height, 1);
-  for (std::int64_t y = 0; y < out.height(); ++y) {
-    for (std::int64_t x = 0; x < out.width(); ++x) {
-      out.at(x, y) = up.at(0, y, x);
+  image::ImageF32 out(box.w, box.h, 1);
+  for (std::int64_t y = 0; y < box.h; ++y) {
+    for (std::int64_t x = 0; x < box.w; ++x) {
+      out.at(x, y) = up.at(0, box.y + y, box.x + x);
     }
   }
   return out;
 }
 
+image::Box SamModel::decode_roi(const SamEncoded& enc, const image::Box& box) const {
+  const std::int64_t w = enc.maps.width, h = enc.maps.height;
+  return box.clipped(w, h).expanded(2 * cfg_.morph_radius + 1).clipped(w, h);
+}
+
 std::vector<MaskPrediction> SamModel::predict_box_candidates(
     const SamEncoded& enc, const image::Box& raw_box) const {
   const auto& intensity = enc.maps.channels[kIntensity];
-  const image::Box box = raw_box.clipped(enc.maps.width, enc.maps.height);
+  const std::int64_t frame_w = enc.maps.width, frame_h = enc.maps.height;
+  const image::Box box = raw_box.clipped(frame_w, frame_h);
   std::vector<MaskPrediction> out;
   if (box.empty() || box.area() < 64) return out;
+
+  // Every buffer below is box- or ROI-local. Candidate masks never leave
+  // the box before cleanup, and cleanup grows them by at most morph_radius,
+  // so the decode ROI (box + 2·morph_radius + 1, clipped) holds each
+  // cleanup neighbourhood whole plus a ring of background: close() sees
+  // the same pixels as on the full frame, and a background region touches
+  // the ROI border exactly when it touches the frame border (everything
+  // outside the box is background there too), so fill_holes() agrees.
+  const image::Box roi = decode_roi(enc, raw_box);
 
   // Rim band: SAM's implicit background sample for a box prompt (used for
   // the rim-overlap prior on each candidate).
@@ -175,26 +225,40 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
   // windowed median would sit *on* the object).
   scales.push_back({0.0f, 0, 0, 0, true});
 
-  for (const auto& sc : scales) {
-  const image::ImageF32 smoothed =
-      sc.smooth_sigma > 0.0f ? cv::gaussian_blur(intensity, sc.smooth_sigma)
-                             : intensity;
-  image::ImageF32 context;
-  image::ImageF32 context_small;
-  bool refit_context = false;
-  if (sc.rim_context) {
-    std::vector<float> rim_vals;
-    for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-      for (std::int64_t x = box.x; x < box.right(); ++x) {
-        if (!inner.contains({x, y})) rim_vals.push_back(smoothed.at(x, y));
+  const std::int64_t bw = box.w, bh = box.h;
+  const auto bidx = [bw](std::int64_t bx, std::int64_t by) {
+    return static_cast<std::size_t>(by * bw + bx);
+  };
+  // Unsigned contrast of the smoothed box against a background: the
+  // polarity is applied on read, so both polarities share one copy.
+  const auto contrast = [&](const PlaneView& smoothed, const image::ImageF32* bg,
+                            float rim_value) {
+    std::vector<float> d(static_cast<std::size_t>(box.area()));
+    for (std::int64_t by = 0; by < bh; ++by) {
+      for (std::int64_t bx = 0; bx < bw; ++bx) {
+        d[bidx(bx, by)] = smoothed.at(box.x + bx, box.y + by) -
+                          (bg != nullptr ? bg->at(bx, by) : rim_value);
       }
     }
-    auto mid = rim_vals.begin() + static_cast<std::ptrdiff_t>(rim_vals.size() / 2);
-    std::nth_element(rim_vals.begin(), mid, rim_vals.end());
-    context = image::ImageF32(enc.maps.width, enc.maps.height, 1);
-    context.fill(*mid);
-    context_small = context;  // the halo veto is a no-op for rim context
-  } else {
+    return d;
+  };
+
+  const auto build_context = [&](const ScaleSpec& sc, ScaleContext& ctx) {
+    ctx.rim = sc.rim_context;
+    if (sc.rim_context) {
+      ctx.smoothed = {&intensity, 0, 0};
+      std::vector<float> rim_vals;
+      for (std::int64_t y = box.y; y < box.bottom(); ++y) {
+        for (std::int64_t x = box.x; x < box.right(); ++x) {
+          if (!inner.contains({x, y})) rim_vals.push_back(intensity.at(x, y));
+        }
+      }
+      auto mid = rim_vals.begin() + static_cast<std::ptrdiff_t>(rim_vals.size() / 2);
+      std::nth_element(rim_vals.begin(), mid, rim_vals.end());
+      // One constant background, so the halo veto is a no-op.
+      ctx.diff = contrast(ctx.smoothed, nullptr, *mid);
+      return;
+    }
     // Two context scales: the large window sees whole phase regions (so a
     // blob's interior still contrasts against the surrounding matrix); the
     // small window hugs interfaces (so pixels that merely sit next to a
@@ -203,189 +267,226 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
         std::min(box.w, box.h) / sc.large_div, sc.large_min, sc.large_max));
     const int r_small = static_cast<int>(std::clamp<std::int64_t>(
         std::min(box.w, box.h) / 8, 8, 20));
-    // Context medians are only ever read inside the prompt box (the
-    // histogram/core/grow loops below are all box-bounded), so compute
-    // them over the box ROI — byte-identical there, and the decode cost
-    // scales with the box instead of the frame.
-    context = cv::median_filter_large(smoothed, r_large, box);
-    context_small = r_small < r_large
-                        ? cv::median_filter_large(smoothed, r_small, box)
-                        : context;
-    refit_context = true;
-  }
-
-  for (const int polarity : {+1, -1}) {
-    const auto p = static_cast<float>(polarity);
-
-    // Histogram of the positive contrast residue for this polarity.
-    constexpr int kBins = 128;
-    float vmax = 0.0f;
-    for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-      for (std::int64_t x = box.x; x < box.right(); ++x) {
-        vmax = std::max(vmax, p * (smoothed.at(x, y) - context.at(x, y)));
-      }
+    // The medians read the smoothed plane only within r_large of the box,
+    // so the blur is computed over exactly that reach.
+    if (sc.smooth_sigma > 0.0f) {
+      const image::Box reach = box.expanded(r_large).clipped(frame_w, frame_h);
+      ctx.blurred = cv::gaussian_blur(intensity, sc.smooth_sigma, reach);
+      ctx.smoothed = {&ctx.blurred, reach.x, reach.y};
+    } else {
+      ctx.smoothed = {&intensity, 0, 0};
     }
-    if (vmax < 2.0f * kNoiseFloor) continue;  // no structure on this side
-    std::vector<std::int64_t> hist(kBins, 0);
-    for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-      for (std::int64_t x = box.x; x < box.right(); ++x) {
-        const float v = p * (smoothed.at(x, y) - context.at(x, y));
+    const image::Box local_box = ctx.smoothed.local(box);
+    ctx.context = cv::median_filter_large(*ctx.smoothed.img, r_large, local_box);
+    ctx.diff = contrast(ctx.smoothed, &ctx.context, 0.0f);
+    if (r_small < r_large) {
+      const image::ImageF32 small =
+          cv::median_filter_large(*ctx.smoothed.img, r_small, local_box);
+      ctx.diff_local = contrast(ctx.smoothed, &small, 0.0f);
+    }
+    ctx.r_refit = r_large;
+  };
+
+  const auto decode_candidate = [&](const ScaleContext& sc,
+                                    int polarity) -> std::optional<MaskPrediction> {
+    const auto p = static_cast<float>(polarity);
+    image::Mask mask, low, high;
+    {
+      obs::Span span("sam.decode.grow");
+      // Contrast residues against the current background (`diff`,
+      // re-estimated after the first pass) and against the
+      // interface-hugging small-window context (`diff_local`, fixed).
+      const float* diff = sc.diff.data();
+      const float* const diff_local =
+          sc.diff_local.empty() ? sc.diff.data() : sc.diff_local.data();
+
+      // Histogram of the positive contrast residue for this polarity.
+      constexpr int kBins = 128;
+      float vmax = 0.0f;
+      for (const float d : sc.diff) vmax = std::max(vmax, p * d);
+      if (vmax < 2.0f * kNoiseFloor) return std::nullopt;  // no structure on this side
+      std::vector<std::int64_t> hist(kBins, 0);
+      for (const float d : sc.diff) {
+        const float v = p * d;
         if (v <= 0.0f) continue;
         ++hist[static_cast<std::size_t>(std::min<int>(
             kBins - 1, static_cast<int>(v / vmax * kBins)))];
       }
-    }
-    // Otsu on the residue separates "object contrast" from "background
-    // fluctuation"; a noise floor stops the cut collapsing into sensor
-    // noise when the box contains no object of this polarity.
-    const int cut_bin = cv::otsu_bin(hist);
-    const float cut_high =
-        std::max(cfg_.min_contrast_cut,
-                 (static_cast<float>(cut_bin) + 0.5f) / kBins * vmax);
+      // Otsu on the residue separates "object contrast" from "background
+      // fluctuation"; a noise floor stops the cut collapsing into sensor
+      // noise when the box contains no object of this polarity.
+      const int cut_bin = cv::otsu_bin(hist);
+      const float cut_high =
+          std::max(cfg_.min_contrast_cut,
+                   (static_cast<float>(cut_bin) + 0.5f) / kBins * vmax);
 
-    // Hysteresis segmentation with per-object levels: strong-evidence
-    // cores (above the Otsu cut of the contrast residue) are labeled,
-    // each core measures its own robust peak contrast, and the object is
-    // grown out to a fraction of *its* peak ("per-object half-max").
-    // This is the surrogate of SAM's per-object boundary placement: a dim
-    // agglomerate is delineated at half of its own brightness instead of
-    // being truncated by a global cut tuned to the brightest object.
-    // `ctx` starts as the plain windowed median and is re-estimated once
-    // the first pass has explained away the foreground (second decoder
-    // iteration): object skirts no longer inflate their own background.
-    image::ImageF32 ctx = context;
-    const auto residue = [&](std::int64_t x, std::int64_t y) {
-      return p * (smoothed.at(x, y) - ctx.at(x, y));
-    };
-    const auto residue_local = [&](std::int64_t x, std::int64_t y) {
-      return p * (smoothed.at(x, y) - context_small.at(x, y));
-    };
-    image::Mask core(enc.maps.width, enc.maps.height);
-    for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-      for (std::int64_t x = box.x; x < box.right(); ++x) {
-        // The local-context veto keeps halo pixels (which only contrast
-        // against a distant phase, e.g. membrane next to the dark holder)
-        // from seeding objects.
-        core.at(x, y) = residue(x, y) > cut_high &&
-                                residue_local(x, y) > 0.5f * cut_high
-                            ? 1
-                            : 0;
-      }
-    }
-    const cv::Labeling core_lab = cv::label_components(core);
-    if (core_lab.count == 0) continue;
-    // Robust per-core peak: 90th percentile of member residues.
-    std::vector<float> comp_peak(static_cast<std::size_t>(core_lab.count) + 1,
-                                 0.0f);
-    {
-      std::vector<std::vector<float>> member(comp_peak.size());
-      for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-        for (std::int64_t x = box.x; x < box.right(); ++x) {
-          const std::int32_t l = core_lab.labels.at(x, y);
-          if (l != 0) member[static_cast<std::size_t>(l)].push_back(residue(x, y));
-        }
-      }
-      for (std::size_t l = 1; l < member.size(); ++l) {
-        auto& v = member[l];
-        if (v.empty()) continue;
-        const auto idx =
-            static_cast<std::size_t>(0.85 * static_cast<double>(v.size() - 1));
-        std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                         v.end());
-        comp_peak[l] = v[idx];
-      }
-    }
-    constexpr float kHalfMax = 0.5f;
-    const auto threshold_mask = [&](float scale) {
-      image::Mask m(enc.maps.width, enc.maps.height);
-      std::deque<image::Point> frontier;
-      // Per-pixel grow threshold inherited from the seeding core.
-      image::Image<float> tmap(enc.maps.width, enc.maps.height, 1);
-      for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-        for (std::int64_t x = box.x; x < box.right(); ++x) {
-          const std::int32_t l = core_lab.labels.at(x, y);
-          if (l == 0) continue;
-          m.at(x, y) = 1;
-          tmap.at(x, y) = std::max(cfg_.min_contrast_cut,
-                                   kHalfMax * scale *
-                                       comp_peak[static_cast<std::size_t>(l)]);
-          frontier.push_back({x, y});
-        }
-      }
-      while (!frontier.empty()) {
-        const image::Point q = frontier.front();
-        frontier.pop_front();
-        const float t = tmap.at(q.x, q.y);
-        constexpr int dx[] = {1, -1, 0, 0};
-        constexpr int dy[] = {0, 0, 1, -1};
-        for (int i = 0; i < 4; ++i) {
-          const image::Point nb{q.x + dx[i], q.y + dy[i]};
-          if (!box.contains(nb) || m.at(nb.x, nb.y) != 0) continue;
-          if (residue(nb.x, nb.y) <= t) continue;
-          if (residue_local(nb.x, nb.y) <= 0.3f * t) continue;  // halo veto
-          m.at(nb.x, nb.y) = 1;
-          tmap.at(nb.x, nb.y) = t;
-          frontier.push_back(nb);
-        }
-      }
-      return m;
-    };
-
-    // Two decoder iterations: segment, refit the background excluding the
-    // detected foreground, segment again. (The rim context is already
-    // object-free by construction and is not refitted.)
-    image::Mask mask = threshold_mask(1.0f);
-    if (refit_context) {
-      const int r_refit = static_cast<int>(std::clamp<std::int64_t>(
-          std::min(box.w, box.h) / sc.large_div, sc.large_min, sc.large_max));
-      // r_refit == r_large, so `context` IS the unmasked median the
-      // sparse-window fallback needs — passing it skips recomputing it.
-      ctx = cv::median_filter_large_masked(smoothed, r_refit, mask, box,
-                                           &context);
-      mask = threshold_mask(1.0f);
-    }
-    image::Mask low = threshold_mask(1.0f - cfg_.stability_delta);
-    image::Mask high = threshold_mask(1.0f + cfg_.stability_delta);
-
-    // Coarse attention-logit veto: drop pixels the decoder scores as
-    // dissimilar to the attended object query — unless that would erase
-    // most of the candidate (guard against a mis-attended query).
-    if (cfg_.coarse_veto_weight > 0.0f) {
-      image::Mask vetoed = mask;
-      std::int64_t kept = 0, total = 0;
-      for (std::int64_t y = box.y; y < box.bottom(); ++y) {
-        for (std::int64_t x = box.x; x < box.right(); ++x) {
-          if (mask.at(x, y) == 0) continue;
-          ++total;
-          if (coarse.at(x, y) < -0.25f * cfg_.coarse_veto_weight) {
-            vetoed.at(x, y) = 0;
-          } else {
-            ++kept;
+      // Hysteresis segmentation with per-object levels: strong-evidence
+      // cores (above the Otsu cut of the contrast residue) are labeled,
+      // each core measures its own robust peak contrast, and the object is
+      // grown out to a fraction of *its* peak ("per-object half-max").
+      // This is the surrogate of SAM's per-object boundary placement: a dim
+      // agglomerate is delineated at half of its own brightness instead of
+      // being truncated by a global cut tuned to the brightest object.
+      // The background starts as the plain windowed median and is
+      // re-estimated once the first pass has explained away the
+      // foreground (second decoder iteration): object skirts no longer
+      // inflate their own background.
+      struct Seed {
+        std::int32_t index, label;
+      };
+      std::vector<Seed> seeds;
+      std::vector<float> comp_peak;
+      {
+        image::Mask core(bw, bh);
+        for (std::int64_t by = 0; by < bh; ++by) {
+          for (std::int64_t bx = 0; bx < bw; ++bx) {
+            // The local-context veto keeps halo pixels (which only contrast
+            // against a distant phase, e.g. membrane next to the dark
+            // holder) from seeding objects.
+            const std::size_t i = bidx(bx, by);
+            core.at(bx, by) =
+                p * diff[i] > cut_high && p * diff_local[i] > 0.5f * cut_high ? 1 : 0;
           }
         }
+        const cv::Labeling core_lab = cv::label_components(core);
+        if (core_lab.count == 0) return std::nullopt;
+        // Robust per-core peak: 90th percentile of member residues.
+        comp_peak.assign(static_cast<std::size_t>(core_lab.count) + 1, 0.0f);
+        std::vector<std::vector<float>> member(comp_peak.size());
+        for (std::int64_t by = 0; by < bh; ++by) {
+          for (std::int64_t bx = 0; bx < bw; ++bx) {
+            const std::int32_t l = core_lab.labels.at(bx, by);
+            if (l == 0) continue;
+            member[static_cast<std::size_t>(l)].push_back(p * diff[bidx(bx, by)]);
+            seeds.push_back({static_cast<std::int32_t>(bidx(bx, by)), l});
+          }
+        }
+        for (std::size_t l = 1; l < member.size(); ++l) {
+          auto& v = member[l];
+          if (v.empty()) continue;
+          const auto idx =
+              static_cast<std::size_t>(0.85 * static_cast<double>(v.size() - 1));
+          std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
+                           v.end());
+          comp_peak[l] = v[idx];
+        }
       }
-      if (total > 0 && kept * 2 >= total) {
-        mask = std::move(vetoed);
+      // Breadth-first growth from every core pixel (raster order), each
+      // grown pixel inheriting its seed's threshold, which travels with it
+      // through the flat FIFO frontier (reused across the passes).
+      constexpr float kHalfMax = 0.5f;
+      struct Front {
+        std::int32_t index;
+        float t;
+      };
+      std::vector<Front> frontier;
+      const auto threshold_mask = [&](float scale) {
+        image::Mask m(bw, bh);
+        std::uint8_t* const fg = m.pixels().data();
+        frontier.clear();
+        for (const Seed& s : seeds) {
+          fg[s.index] = 1;
+          frontier.push_back(
+              {s.index, std::max(cfg_.min_contrast_cut,
+                                 kHalfMax * scale *
+                                     comp_peak[static_cast<std::size_t>(s.label)])});
+        }
+        for (std::size_t head = 0; head < frontier.size(); ++head) {
+          const Front q = frontier[head];
+          const std::int64_t qx = q.index % bw, qy = q.index / bw;
+          constexpr int dx[] = {1, -1, 0, 0};
+          constexpr int dy[] = {0, 0, 1, -1};
+          for (int k = 0; k < 4; ++k) {
+            const std::int64_t nx = qx + dx[k], ny = qy + dy[k];
+            if (nx < 0 || nx >= bw || ny < 0 || ny >= bh) continue;
+            const std::size_t ni = bidx(nx, ny);
+            if (fg[ni] != 0) continue;
+            if (p * diff[ni] <= q.t) continue;
+            if (p * diff_local[ni] <= 0.3f * q.t) continue;  // halo veto
+            fg[ni] = 1;
+            frontier.push_back({static_cast<std::int32_t>(ni), q.t});
+          }
+        }
+        return m;
+      };
+
+      // Two decoder iterations: segment, refit the background excluding the
+      // detected foreground, segment again. (The rim context is already
+      // object-free by construction and is not refitted.)
+      mask = threshold_mask(1.0f);
+      image::ImageF32 refit;
+      if (!sc.rim) {
+        // The refit radius equals the large context radius, so `context`
+        // IS the unmasked median the sparse-window fallback needs.
+        refit = cv::median_filter_large_masked(
+            *sc.smoothed.img, sc.r_refit, mask,
+            {box.x - sc.smoothed.x0, box.y - sc.smoothed.y0},
+            sc.smoothed.local(box), &sc.context);
+        // The re-estimated background becomes its contrast in place.
+        float* const d = refit.pixels().data();
+        for (std::int64_t by = 0; by < bh; ++by) {
+          for (std::int64_t bx = 0; bx < bw; ++bx) {
+            const std::size_t i = bidx(bx, by);
+            d[i] = sc.smoothed.at(box.x + bx, box.y + by) - d[i];
+          }
+        }
+        diff = d;
+        mask = threshold_mask(1.0f);
+      }
+      low = threshold_mask(1.0f - cfg_.stability_delta);
+      high = threshold_mask(1.0f + cfg_.stability_delta);
+
+      // Coarse attention-logit veto: drop pixels the decoder scores as
+      // dissimilar to the attended object query — unless that would erase
+      // most of the candidate (guard against a mis-attended query).
+      if (cfg_.coarse_veto_weight > 0.0f) {
+        const float veto_below = -0.25f * cfg_.coarse_veto_weight;
+        std::int64_t kept = 0, total = 0;
+        for (std::int64_t by = 0; by < bh; ++by) {
+          for (std::int64_t bx = 0; bx < bw; ++bx) {
+            if (mask.at(bx, by) == 0) continue;
+            ++total;
+            kept += coarse.at(bx, by) < veto_below ? 0 : 1;
+          }
+        }
+        if (total > 0 && kept * 2 >= total) {
+          for (std::int64_t by = 0; by < bh; ++by) {
+            for (std::int64_t bx = 0; bx < bw; ++bx) {
+              if (coarse.at(bx, by) < veto_below) mask.at(bx, by) = 0;
+            }
+          }
+        }
       }
     }
 
     // Cleanup: close small gaps, fill interior holes (the context rule
     // hollows out objects wider than its window — their interiors match
     // their own median), drop speckles.
-    if (cfg_.morph_radius > 0) {
-      mask = cv::close(mask, cfg_.morph_radius);
-      low = cv::close(low, cfg_.morph_radius);
-      high = cv::close(high, cfg_.morph_radius);
-    }
-    mask = cv::fill_holes(mask);
-    low = cv::fill_holes(low);
-    high = cv::fill_holes(high);
-    if (cfg_.min_component_area > 0) {
-      mask = cv::remove_small_components(mask, cfg_.min_component_area);
+    {
+      obs::Span span("sam.decode.cleanup");
+      const auto to_roi = [&](const image::Mask& in_box) {
+        image::Mask m(roi.w, roi.h);
+        image::paste_mask(m, in_box, {box.x - roi.x, box.y - roi.y, box.w, box.h});
+        return m;
+      };
+      mask = to_roi(mask);
+      low = to_roi(low);
+      high = to_roi(high);
+      if (cfg_.morph_radius > 0) {
+        mask = cv::close(mask, cfg_.morph_radius);
+        low = cv::close(low, cfg_.morph_radius);
+        high = cv::close(high, cfg_.morph_radius);
+      }
+      mask = cv::fill_holes(mask);
+      low = cv::fill_holes(low);
+      high = cv::fill_holes(high);
+      if (cfg_.min_component_area > 0) {
+        mask = cv::remove_small_components(mask, cfg_.min_component_area);
+      }
     }
 
-    MaskPrediction pred =
-        score_mask(enc, std::move(mask), std::move(low), std::move(high));
+    obs::Span span("sam.decode.score");
+    MaskPrediction pred = score_mask(enc, roi, mask, low, high);
     pred.polarity = polarity;
     // Rim prior: a mask coinciding with the prompt rim is suspect.
     std::int64_t rim_total = 0, rim_hit = 0;
@@ -393,7 +494,7 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
       for (std::int64_t x = box.x; x < box.right(); ++x) {
         if (inner.contains({x, y})) continue;
         ++rim_total;
-        rim_hit += pred.mask.at(x, y) != 0;
+        rim_hit += mask.at(x - roi.x, y - roi.y) != 0;
       }
     }
     pred.rim_overlap = rim_total > 0 ? static_cast<double>(rim_hit) /
@@ -405,10 +506,62 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
     // unguided point prompts, where it drives the SAM-only failure mode.)
     pred.confidence =
         pred.stability * pred.homogeneity * (1.0 - 0.7 * pred.rim_overlap);
-    out.push_back(std::move(pred));
+    pred.mask = image::Mask(frame_w, frame_h);
+    image::paste_mask(pred.mask, mask, roi);
+    return pred;
+  };
+
+  // The scale contexts are built on the calling thread; the candidates,
+  // which only read them, fan out. Grain 1: these few items are large
+  // (parallel_for would run a range this short serially). Slots are
+  // gathered in fixed (scale, polarity) order, so the candidate list is
+  // identical to a serial decode.
+  std::vector<ScaleContext> contexts(scales.size());
+  for (std::size_t s = 0; s < scales.size(); ++s) {
+    obs::Span span("sam.decode.context", s);
+    build_context(scales[s], contexts[s]);
   }
+  constexpr int kPolarities[] = {+1, -1};
+  std::vector<std::optional<MaskPrediction>> slots(scales.size() * 2);
+  parallel::parallel_for_chunked(
+      0, static_cast<std::int64_t>(slots.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t c = lo; c < hi; ++c) {
+          slots[static_cast<std::size_t>(c)] = decode_candidate(
+              contexts[static_cast<std::size_t>(c / 2)], kPolarities[c % 2]);
+        }
+      });
+  for (auto& slot : slots) {
+    if (slot) out.push_back(std::move(*slot));
   }
   return out;
+}
+
+double SamModel::boundary_adherence(const SamEncoded& enc, const image::Mask& mask,
+                                    const image::Box& box) const {
+  // Morphological gradient (3×3 dilation minus erosion, outside the frame
+  // counts as background) of a mask that lives inside the decode ROI: its
+  // outline lies within one pixel of the mask, hence inside the ROI.
+  const auto& edge = enc.maps.channels[kEdge];
+  const image::Box roi = decode_roi(enc, box);
+  double sum = 0.0;
+  std::int64_t count = 0;
+  for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
+    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+      bool any = false, all = true;
+      for (std::int64_t dy = -1; dy <= 1; ++dy) {
+        for (std::int64_t dx = -1; dx <= 1; ++dx) {
+          const bool fg = mask.contains(x + dx, y + dy) && mask.at(x + dx, y + dy) != 0;
+          any = any || fg;
+          all = all && fg;
+        }
+      }
+      if (!any || all) continue;
+      sum += edge.at(x, y);
+      ++count;
+    }
+  }
+  return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
 MaskPrediction SamModel::predict_box(const SamEncoded& enc,
@@ -421,18 +574,7 @@ MaskPrediction SamModel::predict_box(const SamEncoded& enc,
   best.mask = image::Mask(enc.maps.width, enc.maps.height);
   double best_score = -1.0;
   for (auto& c : candidates) {
-    const image::Mask boundary = cv::boundary_gradient(c.mask);
-    double edge_sum = 0.0;
-    std::int64_t edge_n = 0;
-    for (std::int64_t y = 0; y < boundary.height(); ++y) {
-      for (std::int64_t x = 0; x < boundary.width(); ++x) {
-        if (boundary.at(x, y) == 0) continue;
-        edge_sum += enc.maps.channels[kEdge].at(x, y);
-        ++edge_n;
-      }
-    }
-    const double adherence = edge_n > 0 ? edge_sum / static_cast<double>(edge_n) : 0.0;
-    const double score = c.confidence * (0.1 + adherence);
+    const double score = c.confidence * (0.1 + boundary_adherence(enc, c.mask, raw_box));
     if (score > best_score) {
       best_score = score;
       best = std::move(c);
@@ -450,10 +592,12 @@ MaskPrediction SamModel::predict_point(const SamEncoded& enc,
   if (p.x < 0 || p.x >= w || p.y < 0 || p.y >= h) return out;
 
   // Seed statistics from a small disk around the click.
-  const BandStats seed = stats_where(intensity, [&](std::int64_t x, std::int64_t y) {
-    const std::int64_t dx = x - p.x, dy = y - p.y;
-    return dx * dx + dy * dy <= 9;
-  });
+  const BandStats seed = stats_in(
+      intensity, image::Box{p.x - 3, p.y - 3, 7, 7}.clipped(w, h),
+      [&](std::int64_t x, std::int64_t y) {
+        const std::int64_t dx = x - p.x, dy = y - p.y;
+        return dx * dx + dy * dy <= 9;
+      });
   const float tol_base =
       std::min(cfg_.grow_tolerance_cap,
                cfg_.grow_tolerance * std::max(seed.stddev, kNoiseFloor));
@@ -490,22 +634,26 @@ MaskPrediction SamModel::predict_point(const SamEncoded& enc,
   };
 
   image::Mask mask = grow(tol_base);
-  image::Mask low = grow(tol_base * (1.0f - cfg_.stability_delta));
-  image::Mask high = grow(tol_base * (1.0f + cfg_.stability_delta));
-  return score_mask(enc, std::move(mask), std::move(low), std::move(high));
+  const image::Mask low = grow(tol_base * (1.0f - cfg_.stability_delta));
+  const image::Mask high = grow(tol_base * (1.0f + cfg_.stability_delta));
+  MaskPrediction pred = score_mask(enc, {0, 0, w, h}, mask, low, high);
+  pred.mask = std::move(mask);
+  return pred;
 }
 
-MaskPrediction SamModel::score_mask(const SamEncoded& enc, image::Mask mask,
-                                    image::Mask low, image::Mask high) const {
+MaskPrediction SamModel::score_mask(const SamEncoded& enc, const image::Box& roi,
+                                    const image::Mask& mask, const image::Mask& low,
+                                    const image::Mask& high) const {
   MaskPrediction pred;
   pred.stability = image::mask_iou(low, high);
   const std::int64_t area = image::mask_area(mask);
   pred.area_fraction = static_cast<double>(area) /
                        static_cast<double>(std::max<std::int64_t>(
-                           1, mask.pixel_count()));
+                           1, enc.maps.width * enc.maps.height));
   const BandStats inside =
-      stats_where(enc.maps.channels[kIntensity],
-                  [&](std::int64_t x, std::int64_t y) { return mask.at(x, y) != 0; });
+      stats_in(enc.maps.channels[kIntensity], roi, [&](std::int64_t x, std::int64_t y) {
+        return mask.at(x - roi.x, y - roi.y) != 0;
+      });
   pred.homogeneity =
       inside.count > 0
           ? 1.0 / (1.0 + static_cast<double>(inside.stddev) / kNoiseFloor)
@@ -515,7 +663,6 @@ MaskPrediction SamModel::score_mask(const SamEncoded& enc, image::Mask mask,
   // black background maximizes all three — the paper's SAM-only failure.
   pred.confidence =
       pred.stability * (0.25 + 0.75 * pred.homogeneity) * std::sqrt(pred.area_fraction);
-  pred.mask = std::move(mask);
   return pred;
 }
 

@@ -87,6 +87,13 @@ class SamModel {
   /// Box prompt → single mask (max internal confidence among candidates).
   MaskPrediction predict_box(const SamEncoded& enc, const image::Box& box) const;
 
+  /// Mean edge strength along the outline (3×3 morphological gradient) of
+  /// a candidate mask that predict_box_candidates(enc, box) produced. Only
+  /// the decode ROI around the box is scanned — such a mask and its
+  /// outline never leave it.
+  double boundary_adherence(const SamEncoded& enc, const image::Mask& mask,
+                            const image::Box& box) const;
+
   /// Point prompt → mask (SAM-only automatic path).
   MaskPrediction predict_point(const SamEncoded& enc, image::Point p) const;
 
@@ -96,12 +103,21 @@ class SamModel {
  private:
   /// Two-way attention decoder: prompt tokens attend to image tokens and
   /// produce a per-patch coarse logit map (similarity to the attended
-  /// object query), upsampled to pixel resolution.
+  /// object query), upsampled to pixel resolution and cropped to `box`
+  /// (which must lie inside the frame).
   image::ImageF32 decode_coarse(const SamEncoded& enc,
                                 const image::Box& box) const;
 
-  MaskPrediction score_mask(const SamEncoded& enc, image::Mask mask,
-                            image::Mask low, image::Mask high) const;
+  /// Box prompts decode inside the prompt box plus a margin of
+  /// 2·morph_radius + 1 (clipped): every candidate mask, its cleanup
+  /// neighbourhoods and its outline fit inside.
+  image::Box decode_roi(const SamEncoded& enc, const image::Box& box) const;
+
+  /// Stability / homogeneity / size scores of (mask, low, high), given as
+  /// `roi`-sized patches of the frame (empty outside). Leaves `mask` unset.
+  MaskPrediction score_mask(const SamEncoded& enc, const image::Box& roi,
+                            const image::Mask& mask, const image::Mask& low,
+                            const image::Mask& high) const;
 
   SamConfig cfg_;
   VisionBackbone backbone_;

@@ -141,20 +141,18 @@ TEST(MedianFilterLargeMasked, ExcludesForeground) {
   EXPECT_NEAR(masked.at(45, 32), plain.at(45, 32), 0.01f);
 }
 
-TEST(MedianFilterLarge, RoiMatchesFullImageInsideAndZeroOutside) {
+TEST(MedianFilterLarge, RoiIsLocalAndMatchesFullImage) {
   const zi::ImageF32 img = noisy(64, 48, 0.5f, 0.2f, 17);
   const zi::Box roi{9, 7, 23, 19};  // interior, window reaches past it
   for (const int radius : {3, 12, 40 /* window exceeds the image */}) {
     const zi::ImageF32 full = zc::median_filter_large(img, radius);
     const zi::ImageF32 part = zc::median_filter_large(img, radius, roi);
-    for (std::int64_t y = 0; y < img.height(); ++y) {
-      for (std::int64_t x = 0; x < img.width(); ++x) {
-        if (roi.contains({x, y})) {
-          ASSERT_EQ(part.at(x, y), full.at(x, y))
-              << "r=" << radius << " (" << x << "," << y << ")";
-        } else {
-          ASSERT_EQ(part.at(x, y), 0.0f);
-        }
+    ASSERT_EQ(part.width(), roi.w);
+    ASSERT_EQ(part.height(), roi.h);
+    for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
+      for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+        ASSERT_EQ(part.at(x - roi.x, y - roi.y), full.at(x, y))
+            << "r=" << radius << " (" << x << "," << y << ")";
       }
     }
   }
@@ -162,33 +160,68 @@ TEST(MedianFilterLarge, RoiMatchesFullImageInsideAndZeroOutside) {
   const zi::ImageF32 over =
       zc::median_filter_large(img, 5, {-4, -4, 200, 200});
   const zi::ImageF32 full = zc::median_filter_large(img, 5);
+  ASSERT_EQ(over.width(), img.width());
+  ASSERT_EQ(over.height(), img.height());
   for (std::int64_t y = 0; y < img.height(); ++y) {
     for (std::int64_t x = 0; x < img.width(); ++x) {
       ASSERT_EQ(over.at(x, y), full.at(x, y));
     }
   }
+  // Disjoint from the image: nothing to compute.
+  EXPECT_EQ(zc::median_filter_large(img, 5, {100, 100, 5, 5}).pixel_count(), 0);
 }
 
-TEST(MedianFilterLargeMasked, RoiAndPrecomputedFallbackMatchFullImage) {
+TEST(MedianFilterLargeMasked, RoiPatchAndPrecomputedFallbackMatchFullImage) {
   const zi::ImageF32 img = noisy(64, 48, 0.5f, 0.2f, 23);
   zi::Mask exclude(64, 48);
   for (std::int64_t y = 10; y < 30; ++y) {
     for (std::int64_t x = 12; x < 40; ++x) exclude.at(x, y) = 1;
+  }
+  // The same exclusion given as a patch: everything outside it is clear.
+  const zi::Box patch_box{10, 8, 33, 25};
+  zi::Mask patch(patch_box.w, patch_box.h);
+  for (std::int64_t y = 0; y < patch.height(); ++y) {
+    for (std::int64_t x = 0; x < patch.width(); ++x) {
+      patch.at(x, y) = exclude.at(patch_box.x + x, patch_box.y + y);
+    }
   }
   const zi::Box roi{8, 6, 40, 30};
   for (const int radius : {4, 15}) {
     const zi::ImageF32 full =
         zc::median_filter_large_masked(img, radius, exclude);
     const zi::ImageF32 part =
-        zc::median_filter_large_masked(img, radius, exclude, roi);
+        zc::median_filter_large_masked(img, radius, exclude, {0, 0}, roi);
     const zi::ImageF32 fb = zc::median_filter_large(img, radius, roi);
     const zi::ImageF32 reused =
-        zc::median_filter_large_masked(img, radius, exclude, roi, &fb);
+        zc::median_filter_large_masked(img, radius, exclude, {0, 0}, roi, &fb);
+    const zi::ImageF32 patched = zc::median_filter_large_masked(
+        img, radius, patch, {patch_box.x, patch_box.y}, roi, &fb);
     for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
       for (std::int64_t x = roi.x; x < roi.right(); ++x) {
-        ASSERT_EQ(part.at(x, y), full.at(x, y))
+        const float want = full.at(x, y);
+        ASSERT_EQ(part.at(x - roi.x, y - roi.y), want)
             << "r=" << radius << " (" << x << "," << y << ")";
-        ASSERT_EQ(reused.at(x, y), full.at(x, y));
+        ASSERT_EQ(reused.at(x - roi.x, y - roi.y), want);
+        ASSERT_EQ(patched.at(x - roi.x, y - roi.y), want);
+      }
+    }
+  }
+  const zi::ImageF32 wrong_fb(3, 3, 1);
+  EXPECT_THROW(zc::median_filter_large_masked(img, 4, exclude, {0, 0}, roi, &wrong_fb),
+               std::invalid_argument);
+}
+
+TEST(GaussianBlur, RoiIsLocalAndMatchesFullImage) {
+  const zi::ImageF32 img = noisy(70, 52, 0.5f, 0.2f, 29);
+  const zi::ImageF32 full = zc::gaussian_blur(img, 4.0f);
+  for (const zi::Box roi : {zi::Box{9, 7, 23, 19}, zi::Box{-3, 30, 40, 40}}) {
+    const zi::Box c = roi.clipped(img.width(), img.height());
+    const zi::ImageF32 part = zc::gaussian_blur(img, 4.0f, roi);
+    ASSERT_EQ(part.width(), c.w);
+    ASSERT_EQ(part.height(), c.h);
+    for (std::int64_t y = c.y; y < c.bottom(); ++y) {
+      for (std::int64_t x = c.x; x < c.right(); ++x) {
+        ASSERT_EQ(part.at(x - c.x, y - c.y), full.at(x, y)) << x << "," << y;
       }
     }
   }

@@ -208,6 +208,40 @@ TEST(Obs, ServiceStitchesOneRequestAcrossSubmitQueueAndDecode) {
   EXPECT_GE(tids_for_request.size(), 2u);
 }
 
+TEST(Obs, DecodeSubSpansNestUnderSamDecodeWithRequestTraceId) {
+  TracingOn tracing;
+  const auto s = zf::generate_slice(small_config(), 0);
+  const zenesis::core::ZenesisPipeline pipe;
+  const zi::ImageF32 ready = pipe.make_ready(zi::AnyImage(s.raw));
+  const std::uint64_t id = zo::new_trace_id();
+  {
+    zo::TraceScope trace(id);
+    // Min side >= 48: fine, coarse and rim scales, six candidates.
+    (void)pipe.segment_with_box(ready, {4, 6, 56, 52});
+  }
+  const auto events = zo::TraceCollector::global().snapshot();
+  const zo::SpanEvent* decode = find_event(events, "sam.decode");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->trace_id, id);
+  std::size_t counts[4] = {};
+  const char* stages[4] = {"sam.decode.context", "sam.decode.grow",
+                           "sam.decode.cleanup", "sam.decode.score"};
+  for (int k = 0; k < 4; ++k) {
+    for (const zo::SpanEvent* ev : find_all(events, stages[k])) {
+      ++counts[k];
+      // Fanned out over pool threads, yet stitched to the request and
+      // contained in the decode that spawned it.
+      EXPECT_EQ(ev->trace_id, id) << stages[k];
+      EXPECT_GE(ev->start_ns, decode->start_ns) << stages[k];
+      EXPECT_LE(ev->end_ns, decode->end_ns) << stages[k];
+    }
+  }
+  EXPECT_EQ(counts[0], 3u);  // one context per scale
+  EXPECT_EQ(counts[1], 6u);  // one grow per (scale, polarity)
+  EXPECT_GE(counts[2], 1u);  // cleanup/score only for surviving candidates
+  EXPECT_EQ(counts[3], counts[2]);
+}
+
 TEST(Obs, ChromeTraceJsonIsWellFormed) {
   TracingOn tracing;
   {

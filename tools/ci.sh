@@ -44,7 +44,12 @@ JOBS="${CI_JOBS:-$(nproc)}"
 # test_net_faults and test_net_soak: the poll() event loop, the protocol
 # mutation fuzzer, the fault-injection suite and the thousand-client
 # soak all run race- and leak-checked every CI run.
-SAN_FILTER="${CI_SAN_FILTER:-test_parallel|test_volume_parallel|test_batch_images|test_serve|test_obs|test_pipeline|test_session|test_integration|test_tiff|test_cache|test_kernels|test_net}"
+# test_sam matches test_sam and test_sam_decode: the box decoder fans its
+# candidates out on the pool and indexes box/ROI buffers with offset
+# arithmetic, so it and the cv kernels under it (filters, morphology,
+# components) and the box-prompt pipeline route run race- and
+# bounds-checked.
+SAN_FILTER="${CI_SAN_FILTER:-test_parallel|test_volume_parallel|test_batch_images|test_serve|test_obs|test_pipeline|test_session|test_integration|test_tiff|test_cache|test_kernels|test_net|test_sam|test_filters|test_morphology|test_components|test_grounded_box}"
 
 echo "=== [1/7] default build + full tier-1 suite ==="
 cmake -B build -S . >/dev/null
@@ -79,7 +84,9 @@ cmake --build build-ubsan -j "$JOBS"
 # a third of them codec-aware LZW/Deflate/predictor attacks) and
 # test_tiff_codec, so the bit-twiddling decoder internals run with UB
 # recovery disabled: any shift/overflow/alignment slip aborts the stage.
-ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "test_tiff|test_cache|test_kernels|test_net_fuzz"
+# test_sam/test_filters replay the decoder's golden sweep, whose box/ROI
+# offset arithmetic and 16-bit column histograms must stay UB-free.
+ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "test_tiff|test_cache|test_kernels|test_net_fuzz|test_sam|test_filters"
 
 echo "=== [5/7] tracing-enabled rerun of the default suite (ZENESIS_TRACE=1) ==="
 ZENESIS_TRACE=1 ctest --test-dir build --output-on-failure -j "$JOBS"
