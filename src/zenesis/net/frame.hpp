@@ -64,16 +64,17 @@ bool is_client_frame(FrameType t) noexcept;
 /// True when `t` names any known frame type.
 bool is_known_frame(std::uint16_t t) noexcept;
 
-/// Why a request was rejected — serve::RejectReason plus the two net-level
-/// shedding outcomes that fire before the service is ever consulted.
+/// Why a request was rejected — serve::RejectReason as the wire names it.
+/// The server reports a full service queue as kOverloaded; kQueueFull
+/// stays in the protocol for compatibility but is not sent.
 enum class WireReject : std::uint8_t {
   kNone = 0,
-  kQueueFull = 1,        ///< service admission queue at capacity
+  kQueueFull = 1,        ///< not sent (see kOverloaded)
   kDeadlineExpired = 2,  ///< deadline passed before the pipeline ran
   kShuttingDown = 3,     ///< server/service draining
   kCancelled = 4,        ///< cancel frame or disconnect before dispatch
   kTenantQuota = 5,      ///< per-tenant queued-request quota exhausted
-  kOverloaded = 6,       ///< global backlog shed threshold exceeded
+  kOverloaded = 6,       ///< service admission queue at capacity
 };
 
 const char* to_string(WireReject reason) noexcept;

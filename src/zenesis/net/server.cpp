@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -23,8 +24,6 @@ double us_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-/// Bounded submission-order log (fairness tests, zen_load report).
-constexpr std::size_t kSubmissionLogCap = 512;
 /// Reads per connection per poll round — poll() is level-triggered, so a
 /// fire-hose sender resumes next round instead of starving its peers.
 constexpr int kMaxReadsPerRound = 4;
@@ -38,22 +37,10 @@ core::ErrorCode error_code_for(WireErrorKind kind) {
   }
 }
 
-core::ErrorCode error_code_for(WireReject reason) {
-  switch (reason) {
-    case WireReject::kQueueFull: return core::ErrorCode::kQueueFull;
-    case WireReject::kDeadlineExpired: return core::ErrorCode::kDeadlineExpired;
-    case WireReject::kShuttingDown: return core::ErrorCode::kShuttingDown;
-    case WireReject::kCancelled: return core::ErrorCode::kCancelled;
-    case WireReject::kTenantQuota:
-    case WireReject::kOverloaded: return core::ErrorCode::kQueueFull;
-    case WireReject::kNone: break;
-  }
-  return core::ErrorCode::kNone;
-}
-
 WireReject wire_reject_for(serve::RejectReason reason) {
   switch (reason) {
-    case serve::RejectReason::kQueueFull: return WireReject::kQueueFull;
+    case serve::RejectReason::kQueueFull: return WireReject::kOverloaded;
+    case serve::RejectReason::kTenantQuota: return WireReject::kTenantQuota;
     case serve::RejectReason::kDeadlineExpired:
       return WireReject::kDeadlineExpired;
     case serve::RejectReason::kShuttingDown: return WireReject::kShuttingDown;
@@ -61,22 +48,6 @@ WireReject wire_reject_for(serve::RejectReason reason) {
     case serve::RejectReason::kNone: break;
   }
   return WireReject::kNone;
-}
-
-core::Error make_reject_error(WireReject reason, const char* stage) {
-  core::Error e;
-  e.code = error_code_for(reason);
-  e.stage = stage;
-  e.message = to_string(reason);
-  return e;
-}
-
-std::vector<std::uint8_t> make_reject_frame(std::uint64_t request_id,
-                                            std::uint64_t trace_id,
-                                            WireReject reason,
-                                            const char* stage) {
-  return encode_rejected(request_id, trace_id, reason,
-                         make_reject_error(reason, stage));
 }
 
 void set_nonblocking(int fd) {
@@ -99,16 +70,7 @@ ServerConfig checked(ServerConfig cfg) {
 
 std::vector<std::string> ServerConfig::validate() const {
   std::vector<std::string> issues;
-  const auto check_policy = [&](const TenantPolicy& p, const std::string& who) {
-    if (p.weight < 1) issues.push_back(who + ": weight must be >= 1");
-    if (p.max_queued < 1) issues.push_back(who + ": max_queued must be >= 1");
-  };
-  check_policy(default_tenant, "default_tenant");
-  for (const auto& [id, policy] : tenants) {
-    check_policy(policy, "tenant " + std::to_string(id));
-  }
   if (max_connections < 1) issues.push_back("max_connections must be >= 1");
-  if (shed_backlog < 1) issues.push_back("shed_backlog must be >= 1");
   if (partial_frame_timeout.count() <= 0) {
     issues.push_back("partial_frame_timeout must be positive");
   }
@@ -127,12 +89,9 @@ struct Server::NetRequest {
   std::uint64_t request_id = 0;
   std::uint32_t tenant = 0;
   std::uint64_t trace_id = 0;
-  serve::Request req;
-  std::shared_ptr<Conn> conn;
   Clock::time_point received{};
   std::int64_t obs_received_ns = 0;
-  bool cancelled = false;  ///< cancel frame / disconnect while net-queued
-  bool submitted = false;  ///< handed to the service
+  std::atomic<bool> cancelled{false};  ///< by a client Cancel frame
   std::shared_ptr<serve::CancelToken> token;
 };
 
@@ -159,18 +118,10 @@ struct Server::Conn {
   std::map<std::uint64_t, std::shared_ptr<NetRequest>> pending;
 };
 
-struct Server::TenantState {
-  TenantPolicy policy;
-  std::deque<std::shared_ptr<NetRequest>> queue;
-};
-
 // --- construction / lifecycle -------------------------------------------
 
 Server::Server(serve::SegmentService& service, ServerConfig cfg)
     : service_(service), cfg_(checked(std::move(cfg))) {
-  max_inflight_ = cfg_.max_inflight > 0 ? cfg_.max_inflight
-                                        : service_.config().queue_capacity;
-  bridge_paused_ = cfg_.start_bridge_paused;
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     throw std::runtime_error("net::Server: cannot create wake pipe");
@@ -180,7 +131,6 @@ Server::Server(serve::SegmentService& service, ServerConfig cfg)
   set_nonblocking(wake_r_);
   set_nonblocking(wake_w_);
   evloop_ = std::thread([this] { evloop_main(); });
-  bridge_ = std::thread([this] { bridge_main(); });
 }
 
 Server::~Server() {
@@ -191,12 +141,16 @@ Server::~Server() {
 void Server::stop() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    // Refuse new requests, cancel everything still queued in the service
+    // (torn-down connections fired their tokens already), and wait for
+    // every completion: after this no service thread touches the server.
+    std::unique_lock<std::mutex> lk(mu_);
     stopping_ = true;
+    for (const auto& [id, conn] : conns_) {
+      for (const auto& [rid, nr] : conn->pending) nr->token->cancel();
+    }
+    owed_cv_.wait(lk, [&] { return owed_ == 0; });
   }
-  bridge_cv_.notify_all();
-  wake_evloop();
-  if (bridge_.joinable()) bridge_.join();
   wake_evloop();
   if (evloop_.joinable()) evloop_.join();
   if (wake_r_ >= 0) { ::close(wake_r_); wake_r_ = -1; }
@@ -241,22 +195,6 @@ void Server::adopt(int fd) {
   wake_evloop();
 }
 
-void Server::pause_bridge() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    bridge_paused_ = true;
-  }
-  bridge_cv_.notify_all();
-}
-
-void Server::resume_bridge() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    bridge_paused_ = false;
-  }
-  bridge_cv_.notify_all();
-}
-
 void Server::wake_evloop() {
   const char byte = 1;
   // Nonblocking: EAGAIN means a wake is already pending — that's enough.
@@ -270,24 +208,18 @@ NetStats Server::stats() const {
   return stats_;
 }
 
-std::size_t Server::backlog() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return backlog_;
-}
-
 std::size_t Server::inflight() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return inflight_.size();
+  return owed_;
 }
 
 void Server::publish_stats(eval::Dashboard& dashboard) const {
   NetStats s;
-  std::size_t queued = 0, in_service = 0;
+  std::size_t owed = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     s = stats_;
-    queued = backlog_;
-    in_service = inflight_.size();
+    owed = owed_;
   }
   const auto set_u64 = [&](const char* key, std::uint64_t v) {
     dashboard.set_stat(key, static_cast<double>(v));
@@ -295,6 +227,7 @@ void Server::publish_stats(eval::Dashboard& dashboard) const {
   set_u64("net_connections_accepted", s.connections_accepted);
   set_u64("net_connections_active", s.connections_active);
   set_u64("net_connections_timed_out", s.connections_timed_out);
+  set_u64("net_connections_refused", s.connections_refused);
   set_u64("net_bytes_in", s.bytes_in);
   set_u64("net_bytes_out", s.bytes_out);
   set_u64("net_frames_in", s.frames_in);
@@ -307,8 +240,7 @@ void Server::publish_stats(eval::Dashboard& dashboard) const {
   set_u64("net_shed_tenant_quota", s.shed_tenant_quota);
   set_u64("net_shed_overloaded", s.shed_overloaded);
   set_u64("net_protocol_errors", s.protocol_errors);
-  set_u64("net_backlog", queued);
-  set_u64("net_inflight", in_service);
+  set_u64("net_inflight", owed);
   set_u64("net_tenants_seen", s.tenants.size());
   dashboard.set_stat("net_wire_us_p50", s.wire_us.percentile(50.0));
   dashboard.set_stat("net_wire_us_p95", s.wire_us.percentile(95.0));
@@ -321,19 +253,6 @@ void Server::attach_to(core::Session& session) {
 }
 
 // --- shared helpers ------------------------------------------------------
-
-Server::TenantState& Server::tenant_state_locked(std::uint32_t tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    TenantState ts;
-    const auto cfg_it = cfg_.tenants.find(tenant);
-    ts.policy = cfg_it != cfg_.tenants.end() ? cfg_it->second
-                                             : cfg_.default_tenant;
-    it = tenants_.emplace(tenant, std::move(ts)).first;
-    stats_.tenants.emplace(tenant, TenantCounters{});
-  }
-  return it->second;
-}
 
 void Server::append_frame_locked(const std::shared_ptr<Conn>& conn,
                                  std::vector<std::uint8_t>&& bytes) {
@@ -363,25 +282,6 @@ void Server::maybe_finish_close_locked(const std::shared_ptr<Conn>& conn) {
   if (conn->read_closed) conn->close_after_flush = true;
 }
 
-void Server::complete_request_locked(const std::shared_ptr<Conn>& conn,
-                                     const std::shared_ptr<NetRequest>& req,
-                                     std::vector<std::uint8_t>&& frame,
-                                     bool is_response, bool is_reject) {
-  conn->pending.erase(req->request_id);
-  auto tc = stats_.tenants.find(req->tenant);
-  if (tc != stats_.tenants.end()) tc->second.completed += 1;
-  stats_.wire_us.record(us_between(req->received, Clock::now()));
-  if (is_response) {
-    stats_.responses_sent += 1;
-  } else if (is_reject) {
-    stats_.rejected_sent += 1;
-  } else {
-    stats_.errors_sent += 1;
-  }
-  append_frame_locked(conn, std::move(frame));
-  maybe_finish_close_locked(conn);
-}
-
 // --- event loop ----------------------------------------------------------
 
 void Server::evloop_main() {
@@ -398,7 +298,7 @@ void Server::evloop_main() {
       [[maybe_unused]] const ssize_t n =
           ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
-      stats_.shed_overloaded += 1;
+      stats_.connections_refused += 1;
       return;
     }
     auto conn = std::make_shared<Conn>();
@@ -408,7 +308,6 @@ void Server::evloop_main() {
     conns_.emplace(conn->id, conn);
     stats_.connections_accepted += 1;
     stats_.connections_active += 1;
-    service_.note_connection_accepted();
   };
 
   const auto close_now = [&](const std::shared_ptr<Conn>& conn) {
@@ -421,7 +320,6 @@ void Server::evloop_main() {
     conns_.erase(conn->id);
     ::close(conn->fd);
     if (stats_.connections_active > 0) stats_.connections_active -= 1;
-    service_.note_connection_closed();
   };
 
   std::vector<pollfd> pfds;
@@ -434,14 +332,14 @@ void Server::evloop_main() {
     // connections that owe nothing more.
     pfds.clear();
     polled.clear();
-    bool stopping = false, bridge_done = false;
+    bool stopping = false, settled = false;
     int listen_fd = -1;
     Clock::time_point now = Clock::now();
     Clock::time_point next_deadline = now + std::chrono::milliseconds(100);
     {
       std::unique_lock<std::mutex> lk(mu_);
       stopping = stopping_;
-      bridge_done = bridge_done_;
+      settled = owed_ == 0;
       listen_fd = listen_fd_;
       std::vector<int> adopts;
       adopts.swap(adopt_queue_);
@@ -487,7 +385,7 @@ void Server::evloop_main() {
       }
     }
 
-    if (stopping && bridge_done) {
+    if (stopping && settled) {
       if (!draining) {
         draining = true;
         drain_deadline = now + cfg_.drain_timeout;
@@ -572,7 +470,6 @@ void Server::evloop_main() {
       }
     }
     for (const auto& conn : lorised) {
-      service_.note_protocol_error();
       conn->has_partial = false;
       begin_error_close(conn, WireErrorKind::kTimeout,
                         "partial frame stalled past timeout");
@@ -614,7 +511,6 @@ void Server::handle_readable(const std::shared_ptr<Conn>& conn) {
           std::lock_guard<std::mutex> lk(mu_);
           stats_.protocol_errors += 1;
         }
-        service_.note_protocol_error();
         begin_error_close(conn, conn->decoder.error_kind(),
                           conn->decoder.error_message());
         return;
@@ -632,7 +528,6 @@ void Server::handle_readable(const std::shared_ptr<Conn>& conn) {
           std::lock_guard<std::mutex> lk(mu_);
           stats_.protocol_errors += 1;
         }
-        service_.note_protocol_error();
         begin_error_close(conn, WireErrorKind::kTruncated,
                           "connection ended mid-frame");
         return;
@@ -688,7 +583,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
         core::Error{core::ErrorCode::kInvalidArgument, "net.frame",
                     "server-direction frame type from client"});
     maybe_finish_close_locked(conn);
-    service_.note_protocol_error();
     return;
   }
   switch (type) {
@@ -704,7 +598,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
           std::lock_guard<std::mutex> lk(mu_);
           stats_.protocol_errors += 1;
         }
-        service_.note_protocol_error();
         begin_error_close(conn,
                           hello ? WireErrorKind::kBadState
                                 : WireErrorKind::kBadPayload,
@@ -714,7 +607,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame) {
       std::lock_guard<std::mutex> lk(mu_);
       conn->hello_done = true;
       conn->tenant = hello->tenant;
-      tenant_state_locked(hello->tenant);
+      stats_.tenants.emplace(hello->tenant, TenantCounters{});
       append_frame_locked(conn, encode_hello_ack(hello->tenant));
       return;
     }
@@ -750,12 +643,8 @@ void Server::handle_cancel(const std::shared_ptr<Conn>& conn,
   stats_.cancels_received += 1;
   const auto it = conn->pending.find(request_id);
   if (it == conn->pending.end()) return;  // unknown/completed: idempotent
-  if (!it->second->submitted) {
-    it->second->cancelled = true;  // bridge rejects it on pop
-    bridge_cv_.notify_one();
-  } else {
-    it->second->token->cancel();  // service sweeps it before dispatch
-  }
+  it->second->cancelled = true;
+  it->second->token->cancel();  // the service sweeps it before dispatch
 }
 
 void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
@@ -776,7 +665,7 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
   bool bad_rid = false, duplicate = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (cfg_.require_hello && !conn->hello_done) {
+    if (!conn->hello_done) {
       stats_.protocol_errors += 1;
       conn->read_closed = true;
       conn->trailing_error = encode_error(
@@ -784,7 +673,6 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
           core::Error{core::ErrorCode::kInvalidArgument, "net.frame",
                       "request before hello"});
       maybe_finish_close_locked(conn);
-      service_.note_protocol_error();
       return;
     }
     bad_rid = rid == 0;
@@ -807,7 +695,6 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
         parse_slice_request(frame, cfg_.limits);
     if (!parsed) {
       send_request_error("malformed slice request payload");
-      service_.note_protocol_error();
       return;
     }
     opts = parsed->options;
@@ -818,7 +705,6 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
         parse_volume_file_request(frame, cfg_.limits);
     if (!parsed) {
       send_request_error("malformed volume-file request payload");
-      service_.note_protocol_error();
       return;
     }
     opts = parsed->options;
@@ -834,57 +720,37 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
   auto nr = std::make_shared<NetRequest>();
   nr->request_id = rid;
   nr->trace_id = opts.trace_id != 0 ? opts.trace_id : obs::new_trace_id();
-  nr->conn = conn;
   nr->received = Clock::now();
   nr->obs_received_ns = obs::enabled() ? obs::now_ns() : 0;
   nr->token = std::make_shared<serve::CancelToken>();
   sreq.cancel = nr->token;
-  nr->req = std::move(sreq);
-
-  bool shed_noted = false;
   {
+    // Registered before submit, under the same lock stop() takes to set
+    // stopping_ and fire tokens: stop() either cancels this request or it
+    // is refused here.
     std::lock_guard<std::mutex> lk(mu_);
-    nr->tenant = conn->tenant;
-    // Admission ladder (see header comment): shutdown → global backlog →
-    // tenant quota → queue. Every rejection is a structured frame sent
-    // before the service ever sees the request.
     if (stopping_) {
       stats_.rejected_sent += 1;
-      append_frame_locked(conn,
-                          make_reject_frame(rid, nr->trace_id,
-                                            WireReject::kShuttingDown,
-                                            "net.admission"));
+      const WireReject reason = WireReject::kShuttingDown;
+      append_frame_locked(
+          conn, encode_rejected(rid, nr->trace_id, reason,
+                                core::Error{core::ErrorCode::kShuttingDown,
+                                            "net.admission", to_string(reason)}));
       return;
     }
-    TenantState& ts = tenant_state_locked(conn->tenant);
-    TenantCounters& tc = stats_.tenants[conn->tenant];
-    if (backlog_ >= cfg_.shed_backlog) {
-      stats_.shed_overloaded += 1;
-      stats_.rejected_sent += 1;
-      shed_noted = true;
-      append_frame_locked(conn,
-                          make_reject_frame(rid, nr->trace_id,
-                                            WireReject::kOverloaded,
-                                            "net.admission"));
-    } else if (ts.queue.size() >= ts.policy.max_queued) {
-      stats_.shed_tenant_quota += 1;
-      stats_.rejected_sent += 1;
-      tc.shed += 1;
-      shed_noted = true;
-      append_frame_locked(conn,
-                          make_reject_frame(rid, nr->trace_id,
-                                            WireReject::kTenantQuota,
-                                            "net.admission"));
-    } else {
-      stats_.requests_received += 1;
-      tc.received += 1;
-      conn->pending.emplace(rid, nr);
-      ts.queue.push_back(std::move(nr));
-      backlog_ += 1;
-      bridge_cv_.notify_one();
-    }
+    nr->tenant = sreq.tenant = conn->tenant;
+    stats_.requests_received += 1;
+    stats_.tenants[conn->tenant].received += 1;
+    conn->pending.emplace(rid, nr);
+    owed_ += 1;
   }
-  if (shed_noted) service_.note_request_shed();
+  // The service reuses this ambient trace id, so wire spans and service
+  // spans stitch into one trace per request.
+  obs::TraceScope trace(nr->trace_id);
+  obs::Span span("net.submit");
+  service_.submit(std::move(sreq), [this, conn, nr](serve::Response&& resp) {
+    respond(conn, nr, std::move(resp));
+  });
 }
 
 void Server::begin_error_close(const std::shared_ptr<Conn>& conn,
@@ -904,18 +770,12 @@ void Server::begin_error_close(const std::shared_ptr<Conn>& conn,
 }
 
 void Server::teardown(const std::shared_ptr<Conn>& conn) {
-  // Peer is gone: every queued request is cancelled (the bridge drops it
-  // silently on pop — there is nobody to tell), every in-flight request's
-  // token fires so the service frees its slot, and the fd closes now.
+  // Peer is gone: every token fires so the service frees the queue slots,
+  // the fd closes now, and completions still owed find `closed` set and
+  // drop their frames — there is nobody to tell.
   std::lock_guard<std::mutex> lk(mu_);
   if (conn->closed) return;
-  for (auto& [rid, nr] : conn->pending) {
-    if (!nr->submitted) {
-      nr->cancelled = true;
-    } else {
-      nr->token->cancel();
-    }
-  }
+  for (auto& [rid, nr] : conn->pending) nr->token->cancel();
   conn->pending.clear();
   conn->closed = true;
   conn->outbox.clear();
@@ -923,213 +783,90 @@ void Server::teardown(const std::shared_ptr<Conn>& conn) {
   conns_.erase(conn->id);
   ::close(conn->fd);
   if (stats_.connections_active > 0) stats_.connections_active -= 1;
-  service_.note_connection_closed();
-  bridge_cv_.notify_one();
 }
 
-// --- bridge --------------------------------------------------------------
+// --- completion ----------------------------------------------------------
 
 namespace {
 
 /// Builds the terminal frame for a completed service response.
 std::vector<std::uint8_t> encode_terminal(std::uint64_t request_id,
                                           std::uint64_t trace_id,
-                                          serve::Response&& resp,
-                                          bool& is_response, bool& is_reject) {
-  is_response = false;
-  is_reject = false;
+                                          serve::Response&& resp) {
   switch (resp.status) {
     case serve::Response::Status::kOk: {
       const WireTimings timings{resp.queue_us, resp.decode_us, resp.total_us};
       if (resp.kind == serve::RequestKind::kVolume && resp.volume) {
-        is_response = true;
         return encode_volume_response(request_id, trace_id, *resp.volume,
                                       timings);
       }
       if (resp.slice) {
-        is_response = true;
         return encode_slice_response(request_id, trace_id, *resp.slice,
                                      timings);
       }
       return encode_error(request_id, trace_id,
-                          core::Error{core::ErrorCode::kInternal, "net.bridge",
+                          core::Error{core::ErrorCode::kInternal, "net.respond",
                                       "ok response without payload"});
     }
     case serve::Response::Status::kRejected:
-      is_reject = true;
       return encode_rejected(request_id, trace_id,
                              wire_reject_for(resp.reject), resp.error);
     case serve::Response::Status::kError:
       return encode_error(request_id, trace_id, resp.error);
   }
   return encode_error(request_id, trace_id,
-                      core::Error{core::ErrorCode::kInternal, "net.bridge",
+                      core::Error{core::ErrorCode::kInternal, "net.respond",
                                   "unknown response status"});
 }
 
 }  // namespace
 
-void Server::bridge_main() {
-  using namespace std::chrono_literals;
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    // --- reap: completed service futures become terminal frames --------
-    std::vector<Inflight> ready;
-    for (std::size_t i = 0; i < inflight_.size();) {
-      if (inflight_[i].future.wait_for(0s) == std::future_status::ready) {
-        ready.push_back(std::move(inflight_[i]));
-        inflight_[i] = std::move(inflight_.back());
-        inflight_.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    if (!ready.empty()) {
-      lk.unlock();
-      struct Done {
-        std::shared_ptr<NetRequest> req;
-        std::shared_ptr<Conn> conn;
-        std::vector<std::uint8_t> frame;
-        bool is_response = false;
-        bool is_reject = false;
-      };
-      std::vector<Done> done;
-      done.reserve(ready.size());
-      for (auto& r : ready) {
-        Done d;
-        d.req = std::move(r.req);
-        d.conn = std::move(r.conn);
-        serve::Response resp = r.future.get();
-        d.frame = encode_terminal(d.req->request_id, d.req->trace_id,
-                                  std::move(resp), d.is_response, d.is_reject);
-        if (d.req->obs_received_ns != 0 && obs::enabled()) {
-          // Wire-level request span: frame parsed → terminal frame built,
-          // stitched to the same trace id the service's spans carry.
-          obs::record_span("net.request", d.req->trace_id,
-                           d.req->obs_received_ns, obs::now_ns());
-        }
-        done.push_back(std::move(d));
-      }
-      lk.lock();
-      for (auto& d : done) {
-        complete_request_locked(d.conn, d.req, std::move(d.frame),
-                                d.is_response, d.is_reject);
-      }
-      lk.unlock();
-      wake_evloop();
-      lk.lock();
-      continue;  // reap again before pumping: completions free capacity
-    }
-
-    // --- pump: weighted round-robin across tenant queues ----------------
-    bool submitted_any = false;
-    while (!bridge_paused_ && backlog_ > 0 &&
-           inflight_.size() < max_inflight_) {
-      // Rotation order is ascending tenant id; each visit submits up to
-      // `weight` requests before moving on, so under saturation tenant
-      // throughput is proportional to its weight.
-      std::vector<std::uint32_t> ids;
-      ids.reserve(tenants_.size());
-      for (const auto& [id, ts] : tenants_) ids.push_back(id);
-      if (ids.empty()) break;
-      if (rr_cursor_ >= ids.size()) {
-        rr_cursor_ = 0;
-        rr_burst_used_ = 0;
-      }
-      std::shared_ptr<NetRequest> nr;
-      for (std::size_t scanned = 0; scanned <= ids.size(); ++scanned) {
-        TenantState& ts = tenants_[ids[rr_cursor_]];
-        if (!ts.queue.empty() && rr_burst_used_ < ts.policy.weight) {
-          rr_burst_used_ += 1;
-          nr = std::move(ts.queue.front());
-          ts.queue.pop_front();
-          if (ts.queue.empty() || rr_burst_used_ >= ts.policy.weight) {
-            rr_cursor_ = (rr_cursor_ + 1) % ids.size();
-            rr_burst_used_ = 0;
-          }
-          break;
-        }
-        rr_cursor_ = (rr_cursor_ + 1) % ids.size();
-        rr_burst_used_ = 0;
-      }
-      if (!nr) break;  // backlog said work exists but none found: bail
-      backlog_ -= 1;
-      const std::shared_ptr<Conn> conn = nr->conn;
-      if (conn->closed) {
-        // Disconnected while queued: nobody to tell; free the slot.
-        continue;
-      }
-      if (nr->cancelled || stopping_) {
-        const WireReject reason = nr->cancelled ? WireReject::kCancelled
-                                                : WireReject::kShuttingDown;
-        complete_request_locked(
-            conn, nr,
-            make_reject_frame(nr->request_id, nr->trace_id, reason,
-                              "net.queue"),
-            false, true);
-        submitted_any = true;  // wake evloop below to flush the frame
-        continue;
-      }
-      nr->submitted = true;
-      if (stats_.submission_log.size() < kSubmissionLogCap) {
-        stats_.submission_log.push_back(nr->tenant);
-      }
-      stats_.tenants[nr->tenant].submitted += 1;
-      serve::Request sreq = std::move(nr->req);
-      lk.unlock();
-      std::future<serve::Response> fut;
-      {
-        // The service reuses this ambient trace id, so wire spans and
-        // service spans stitch into one trace per request.
-        obs::TraceScope trace(nr->trace_id);
-        obs::Span span("net.submit");
-        fut = service_.submit(std::move(sreq));
-      }
-      lk.lock();
-      inflight_.push_back(Inflight{std::move(fut), std::move(nr), conn});
-      submitted_any = true;
-    }
-    if (submitted_any) {
-      lk.unlock();
-      wake_evloop();
-      lk.lock();
-      continue;
-    }
-
-    // --- shutdown: reject everything still queued, wait out in-flight ---
-    if (stopping_) {
-      bool flushed_any = false;
-      for (auto& [tenant, ts] : tenants_) {
-        while (!ts.queue.empty()) {
-          std::shared_ptr<NetRequest> nr = std::move(ts.queue.front());
-          ts.queue.pop_front();
-          backlog_ -= 1;
-          if (nr->conn->closed) continue;
-          complete_request_locked(
-              nr->conn, nr,
-              make_reject_frame(nr->request_id, nr->trace_id,
-                                WireReject::kShuttingDown, "net.queue"),
-              false, true);
-          flushed_any = true;
-        }
-      }
-      if (flushed_any) {
-        lk.unlock();
-        wake_evloop();
-        lk.lock();
-      }
-      if (inflight_.empty()) {
-        bridge_done_ = true;
-        lk.unlock();
-        wake_evloop();
-        return;
-      }
-    }
-
-    // --- wait: woken by admission/cancel/teardown/stop; std::future has
-    // no completion hook, so in-flight work is polled at sub-ms cadence.
-    bridge_cv_.wait_for(lk, inflight_.empty() ? 50ms : 500us);
+void Server::respond(const std::shared_ptr<Conn>& conn,
+                     const std::shared_ptr<NetRequest>& req,
+                     serve::Response&& resp) {
+  obs::TraceScope trace(req->trace_id);
+  obs::Span span("net.respond");
+  if (resp.reject == serve::RejectReason::kCancelled && !req->cancelled) {
+    // The token fired but the client never asked: stop() cancelled it.
+    resp.reject = serve::RejectReason::kShuttingDown;
+    resp.error.code = core::ErrorCode::kShuttingDown;
+    resp.error.message = core::to_string(resp.error.code);
   }
+  const serve::Response::Status status = resp.status;
+  const serve::RejectReason reject = resp.reject;
+  std::vector<std::uint8_t> frame =
+      encode_terminal(req->request_id, req->trace_id, std::move(resp));
+  if (req->obs_received_ns != 0 && obs::enabled()) {
+    // Wire-level request span: frame parsed → terminal frame built,
+    // stitched to the same trace id the service's spans carry.
+    obs::record_span("net.request", req->trace_id, req->obs_received_ns,
+                     obs::now_ns());
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  conn->pending.erase(req->request_id);
+  TenantCounters& tc = stats_.tenants[req->tenant];
+  if (reject == serve::RejectReason::kQueueFull) {
+    stats_.shed_overloaded += 1;
+  } else if (reject == serve::RejectReason::kTenantQuota) {
+    stats_.shed_tenant_quota += 1;
+    tc.shed += 1;
+  } else {
+    tc.completed += 1;
+    stats_.wire_us.record(us_between(req->received, Clock::now()));
+  }
+  if (status == serve::Response::Status::kOk) {
+    stats_.responses_sent += 1;
+  } else if (status == serve::Response::Status::kRejected) {
+    stats_.rejected_sent += 1;
+  } else {
+    stats_.errors_sent += 1;
+  }
+  append_frame_locked(conn, std::move(frame));
+  maybe_finish_close_locked(conn);
+  // Still under mu_: stop() closes the wake pipe only after seeing owed_
+  // reach 0 under mu_, so this write can never hit a closed fd.
+  wake_evloop();
+  if (--owed_ == 0) owed_cv_.notify_all();
 }
 
 }  // namespace zenesis::net

@@ -3,35 +3,35 @@
 // in front of serve::SegmentService. This is the layer that turns the
 // ROADMAP's "millions of users" north star into a testable claim: many
 // concurrent connections speaking the compact binary protocol in
-// frame.hpp, mapped onto serve::Request with per-tenant fairness and
-// explicit load shedding layered on top of the service's own admission.
+// frame.hpp, mapped onto serve::Request. Scheduling — tenant quotas,
+// weighted fairness, queue bounds — belongs to the service; the server
+// only frames bytes.
 //
-// Threading model (three roles, two threads):
-//
-//   event loop ── poll() over {listen fd, wake pipe, every connection}.
-//     Reads bytes, runs the incremental FrameDecoder, handles protocol
-//     frames (hello/ping/cancel) inline, and admits request frames into
-//     per-tenant queues. Owns every fd: only this thread reads, writes,
-//     or closes sockets.
-//
-//   bridge ── drains the tenant queues in weighted round-robin order
-//     (each visit submits up to `weight` requests of the chosen tenant,
-//     so under saturation tenant throughput is proportional to weight),
-//     throttled so at most `max_inflight` requests are inside the
-//     service at once — the service's QueueFull backstop is therefore
-//     never hit by wire traffic; shedding happened earlier, at net
-//     admission, with a structured Rejected frame. The same thread reaps
-//     completed futures, encodes terminal frames, and hands them to the
-//     event loop through the connection outboxes + wake pipe.
+// Threading model: one event-loop thread, poll() over {listen fd, wake
+// pipe, every connection}. It reads bytes, runs the incremental
+// FrameDecoder, handles protocol frames (hello/ping/cancel) inline, and
+// submits request frames straight to the service with a completion.
+// Completions run on whichever service thread finishes the request (or
+// inside submit() for admission rejects): they encode the terminal
+// frame, append it to the connection's outbox under the server lock and
+// wake the loop through the self-pipe. Only the event loop reads,
+// writes or closes sockets.
 //
 // Admission ladder for a request frame (first failure wins):
 //   1. decoder/frame errors            → Error frame, connection drains
-//   2. no Hello / duplicate request id → Error frame (connection keeps going)
-//   3. server draining                 → Rejected{ShuttingDown}
-//   4. global backlog ≥ shed_backlog   → Rejected{Overloaded}
-//   5. tenant queue ≥ tenant quota     → Rejected{TenantQuota}
-//   6. queued; the service's own deadline/cancel/QueueFull outcomes come
+//   2. no Hello                        → Error frame, connection drains
+//   3. request id 0 / duplicate id     → Error frame (connection keeps going)
+//   4. server stopping                 → Rejected{ShuttingDown}
+//   5. service admission: full queue   → Rejected{Overloaded}, tenant
+//      quota → Rejected{TenantQuota}; later deadline/cancel outcomes come
 //      back as Rejected frames with the service's reason.
+//
+// Cancel and stop: a Cancel frame or a connection teardown fires the
+// request's CancelToken, so the service drops it before dispatch. stop()
+// refuses new requests, fires every outstanding token, waits until every
+// submitted request has had its completion (those cancelled before
+// dispatch go out as Rejected{ShuttingDown}), flushes outboxes and only
+// then closes the wake pipe, so no completion can write to a dead fd.
 //
 // Robustness contract (enforced by tests/net_fuzz_harness.*,
 // test_net_faults.cpp and test_net_soak.cpp): any client byte stream
@@ -39,9 +39,9 @@
 // (Response / Rejected / Error) — and per connection at most one
 // trailing Error frame before close. Never a crash, hang, unbounded
 // buffer, or leaked queue slot. Slow-loris partial frames time out;
-// disconnects cancel the connection's queued and in-flight work; a
-// half-closed (shutdown(SHUT_WR)) connection still receives every
-// response it is owed.
+// disconnects cancel the connection's queued work; a half-closed
+// (shutdown(SHUT_WR)) connection still receives every response it is
+// owed.
 //
 // Every request carries an obs trace id (client-proposed or server
 // allocated) that flows through the net spans, the service's spans (see
@@ -51,7 +51,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,39 +69,18 @@ namespace zenesis::net {
 
 using Clock = std::chrono::steady_clock;
 
-/// Per-tenant fairness knobs. `weight` is the tenant's share of bridge
-/// submissions under saturation; `max_queued` is its quota of net-queued
-/// requests (beyond it, new requests shed with Rejected{TenantQuota}).
-struct TenantPolicy {
-  std::uint32_t weight = 1;
-  std::size_t max_queued = 256;
-};
-
+/// Wire-side knobs only: tenant quotas, weights and queue bounds are
+/// serve::ServiceConfig's.
 struct ServerConfig {
   NetLimits limits;
-  /// Per-tenant overrides; tenants not listed use `default_tenant`.
-  std::map<std::uint32_t, TenantPolicy> tenants;
-  TenantPolicy default_tenant;
-  /// Connections beyond this are accepted, told Rejected{Overloaded} and
-  /// closed immediately.
+  /// Connections beyond this are accepted, sent one Error{LimitExceeded}
+  /// frame and closed immediately.
   std::size_t max_connections = 4096;
-  /// Total net-queued requests across tenants; beyond it requests shed
-  /// with Rejected{Overloaded} regardless of tenant quota.
-  std::size_t shed_backlog = 4096;
-  /// Cap on requests concurrently inside the service; 0 = the service's
-  /// queue_capacity (so wire traffic never triggers QueueFull there).
-  std::size_t max_inflight = 0;
   /// A connection holding an incomplete frame longer than this is a
   /// slow-loris: it gets an Error{Timeout} frame and is closed.
   std::chrono::milliseconds partial_frame_timeout{5000};
   /// Bound on flushing outstanding responses during stop().
   std::chrono::milliseconds drain_timeout{5000};
-  /// Request frames before a Hello are protocol errors (default). Tests
-  /// may relax this to poke the request path directly.
-  bool require_hello = true;
-  /// Start with the bridge paused (frames are still read and queued) —
-  /// deterministic queue buildup for fairness/shedding tests.
-  bool start_bridge_paused = false;
   /// Ingestion knobs applied to every wire VolumeFile request (byte-source
   /// kind, TIFF read limits, prefetch). Server-side policy: clients name a
   /// path, the operator decides how it is opened.
@@ -114,9 +92,8 @@ struct ServerConfig {
 
 /// Per-tenant counter block inside NetStats.
 struct TenantCounters {
-  std::uint64_t received = 0;   ///< request frames admitted to the net queue
-  std::uint64_t submitted = 0;  ///< handed to the service
-  std::uint64_t completed = 0;  ///< terminal frames sent (any status)
+  std::uint64_t received = 0;   ///< request frames handed to the service
+  std::uint64_t completed = 0;  ///< terminal frames, sheds excluded
   std::uint64_t shed = 0;       ///< TenantQuota rejections
 };
 
@@ -125,17 +102,18 @@ struct NetStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
   std::uint64_t connections_timed_out = 0;  ///< slow-loris closures
+  std::uint64_t connections_refused = 0;    ///< over max_connections
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  std::uint64_t requests_received = 0;  ///< admitted into tenant queues
+  std::uint64_t requests_received = 0;  ///< handed to the service
   std::uint64_t responses_sent = 0;
   std::uint64_t rejected_sent = 0;
   std::uint64_t errors_sent = 0;
   std::uint64_t cancels_received = 0;
-  std::uint64_t shed_tenant_quota = 0;
-  std::uint64_t shed_overloaded = 0;
+  std::uint64_t shed_tenant_quota = 0;  ///< service TenantQuota rejects
+  std::uint64_t shed_overloaded = 0;    ///< service QueueFull rejects
   std::uint64_t protocol_errors = 0;
 
   /// Frame-complete → terminal-frame-queued, per request (wire-level
@@ -143,15 +121,11 @@ struct NetStats {
   serve::Histogram wire_us;
 
   std::map<std::uint32_t, TenantCounters> tenants;
-
-  /// Tenant ids of the first submissions, in bridge order (bounded; for
-  /// deterministic fairness tests and the zen_load report).
-  std::vector<std::uint32_t> submission_log;
 };
 
 class Server {
  public:
-  /// Starts the event loop and bridge immediately. `service` must outlive
+  /// Starts the event loop immediately. `service` must outlive
   /// this server and must not be shut down before stop() returns.
   Server(serve::SegmentService& service, ServerConfig cfg = {});
   ~Server();
@@ -169,20 +143,15 @@ class Server {
   /// exactly this). The server takes ownership of the fd. Thread-safe.
   void adopt(int fd);
 
-  /// Deterministic buildup control for tests: while paused, request
-  /// frames queue at net admission but nothing is submitted.
-  void pause_bridge();
-  void resume_bridge();
-
-  /// Stops admission (new requests get Rejected{ShuttingDown}), waits for
-  /// in-flight requests, flushes outboxes (bounded by drain_timeout),
-  /// closes every connection and joins both threads. Idempotent.
+  /// Stops admission (new requests get Rejected{ShuttingDown}), cancels
+  /// and waits out every submitted request, flushes outboxes (bounded by
+  /// drain_timeout), closes every connection and joins the event loop.
+  /// Idempotent.
   void stop();
 
   NetStats stats() const;
-  /// Net-queued requests (all tenants) not yet submitted to the service.
-  std::size_t backlog() const;
-  /// Requests currently inside the service.
+  /// Submitted requests still owed a terminal frame (their completion
+  /// has not run yet).
   std::size_t inflight() const;
 
   /// Writes the wire-level counters into a Mode-C dashboard (net_* keys).
@@ -196,10 +165,8 @@ class Server {
  private:
   struct NetRequest;
   struct Conn;
-  struct TenantState;
 
   void evloop_main();
-  void bridge_main();
 
   // Event-loop internals (evloop thread only unless noted).
   void handle_readable(const std::shared_ptr<Conn>& conn);
@@ -212,8 +179,8 @@ class Server {
   /// requests still complete, then `error` is sent and the socket closed.
   void begin_error_close(const std::shared_ptr<Conn>& conn,
                          WireErrorKind kind, const std::string& message);
-  /// Hard teardown (peer gone): cancels the connection's queued and
-  /// in-flight requests, frees its tenant slots, closes the fd.
+  /// Hard teardown (peer gone): fires the connection's cancel tokens and
+  /// closes the fd; late completions are dropped.
   void teardown(const std::shared_ptr<Conn>& conn);
   void maybe_finish_close_locked(const std::shared_ptr<Conn>& conn);
 
@@ -221,35 +188,21 @@ class Server {
   void append_frame_locked(const std::shared_ptr<Conn>& conn,
                            std::vector<std::uint8_t>&& bytes);
   void wake_evloop();
-  TenantState& tenant_state_locked(std::uint32_t tenant);
-  void complete_request_locked(const std::shared_ptr<Conn>& conn,
-                               const std::shared_ptr<NetRequest>& req,
-                               std::vector<std::uint8_t>&& frame,
-                               bool is_response, bool is_reject);
+  /// The service completion for one wire request (any thread).
+  void respond(const std::shared_ptr<Conn>& conn,
+               const std::shared_ptr<NetRequest>& req, serve::Response&& resp);
 
   serve::SegmentService& service_;
   ServerConfig cfg_;
-  std::size_t max_inflight_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable bridge_cv_;
+  std::condition_variable owed_cv_;  ///< signalled when owed_ reaches 0
   std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;  ///< by conn id
-  std::map<std::uint32_t, TenantState> tenants_;
-  std::size_t backlog_ = 0;
-  struct Inflight {
-    std::future<serve::Response> future;
-    std::shared_ptr<NetRequest> req;
-    std::shared_ptr<Conn> conn;
-  };
-  std::vector<Inflight> inflight_;
+  std::size_t owed_ = 0;  ///< submitted, completion not yet run
   NetStats stats_;
   std::vector<int> adopt_queue_;
   std::uint64_t next_conn_id_ = 1;
-  bool bridge_paused_ = false;
   bool stopping_ = false;
-  bool bridge_done_ = false;
-  std::size_t rr_cursor_ = 0;      ///< weighted round-robin position
-  std::uint32_t rr_burst_used_ = 0;
 
   int wake_r_ = -1;
   int wake_w_ = -1;
@@ -257,7 +210,6 @@ class Server {
 
   std::mutex lifecycle_mu_;  ///< serializes stop/join
   std::thread evloop_;
-  std::thread bridge_;
 
   std::vector<core::StatsRegistration> stats_registrations_;
 };

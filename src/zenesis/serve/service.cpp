@@ -1,6 +1,7 @@
 #include "zenesis/serve/service.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -25,7 +26,8 @@ double us_between(Clock::time_point from, Clock::time_point to) {
 
 core::ErrorCode error_code_for(RejectReason reason) {
   switch (reason) {
-    case RejectReason::kQueueFull: return core::ErrorCode::kQueueFull;
+    case RejectReason::kQueueFull:
+    case RejectReason::kTenantQuota: return core::ErrorCode::kQueueFull;
     case RejectReason::kDeadlineExpired:
       return core::ErrorCode::kDeadlineExpired;
     case RejectReason::kShuttingDown: return core::ErrorCode::kShuttingDown;
@@ -108,6 +110,14 @@ std::vector<std::string> ServiceConfig::validate() const {
   std::vector<std::string> issues = pipeline.validate();
   if (queue_capacity < 1) issues.push_back("queue_capacity must be >= 1");
   if (max_batch < 1) issues.push_back("max_batch must be >= 1");
+  const auto check_policy = [&](const TenantPolicy& p, const std::string& who) {
+    if (p.weight < 1) issues.push_back(who + ": weight must be >= 1");
+    if (p.max_queued < 1) issues.push_back(who + ": max_queued must be >= 1");
+  };
+  check_policy(default_tenant, "default_tenant");
+  for (const auto& [id, policy] : tenants) {
+    check_policy(policy, "tenant " + std::to_string(id));
+  }
   return issues;
 }
 
@@ -153,6 +163,14 @@ void SegmentService::fan_out(std::size_t n,
 }
 
 std::future<Response> SegmentService::submit(Request req) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  submit(std::move(req),
+         [promise](Response&& r) { promise->set_value(std::move(r)); });
+  return future;
+}
+
+void SegmentService::submit(Request req, Completion done) {
   // One trace id per request, allocated on the submitting thread: every
   // span this request produces — here, in the dispatcher, on fan-out
   // workers — carries it, and the Response echoes it back to the caller.
@@ -163,62 +181,55 @@ std::future<Response> SegmentService::submit(Request req) {
   if (trace_id == 0) trace_id = obs::new_trace_id();
   obs::TraceScope trace(trace_id);
   obs::Span submit_span("serve.submit");
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
   const Clock::time_point now = Clock::now();
-  bool notify = false;
-  std::vector<Pending> purged;
-  std::vector<RejectReason> purge_reasons;
+  RejectReason reject = RejectReason::kNone;
+  std::vector<Swept> purged;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    if (!stopping_ && queue_.size() >= cfg_.queue_capacity) {
-      // Admission-time purge: cancelled or already-expired entries give
-      // up their slot before we reject with QueueFull, so cancellation
-      // relieves backpressure even when the dispatcher is busy or paused.
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        const bool cancelled = it->req.cancel && it->req.cancel->cancelled();
-        const bool expired = it->req.deadline && *it->req.deadline <= now;
-        if (cancelled || expired) {
-          purge_reasons.push_back(cancelled ? RejectReason::kCancelled
-                                            : RejectReason::kDeadlineExpired);
-          purged.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    const auto reject_now = [&](RejectReason reason) {
-      Response r = rejected_response(reason, req.kind);
-      r.trace_id = trace_id;
-      promise.set_value(std::move(r));
+    const std::size_t max_queued = policy_for(req.tenant).max_queued;
+    const auto tenant_queued = [&] {
+      const auto it = tenant_queued_.find(req.tenant);
+      return it == tenant_queued_.end() ? std::size_t{0} : it->second;
     };
+    if (!stopping_ && (queue_.size() >= cfg_.queue_capacity ||
+                       tenant_queued() >= max_queued)) {
+      // Admission-time purge: cancelled or already-expired entries give
+      // up their slot before we reject, so cancellation relieves
+      // backpressure even when the dispatcher is busy or paused.
+      purged = sweep_locked(now);
+    }
     std::lock_guard<std::mutex> sl(stats_mutex_);
     stats_.submitted += 1;
     if (stopping_) {
       stats_.rejected_shutting_down += 1;
-      reject_now(RejectReason::kShuttingDown);
+      reject = RejectReason::kShuttingDown;
     } else if (req.deadline && *req.deadline <= now) {
       stats_.expired += 1;
-      reject_now(RejectReason::kDeadlineExpired);
+      reject = RejectReason::kDeadlineExpired;
     } else if (queue_.size() >= cfg_.queue_capacity) {
       stats_.rejected_queue_full += 1;
-      reject_now(RejectReason::kQueueFull);
+      reject = RejectReason::kQueueFull;
+    } else if (tenant_queued() >= max_queued) {
+      stats_.rejected_tenant_quota += 1;
+      reject = RejectReason::kTenantQuota;
     } else {
       stats_.admitted += 1;
-      queue_.push_back(Pending{std::move(req), std::move(promise), next_seq_++,
+      tenant_queued_[req.tenant] += 1;
+      queue_.push_back(Pending{std::move(req), std::move(done), next_seq_++,
                                now, false, trace_id,
                                obs::enabled() ? obs::now_ns() : 0});
       stats_.queue_depth_high_water =
           std::max<std::uint64_t>(stats_.queue_depth_high_water, queue_.size());
-      notify = true;
     }
   }
-  for (std::size_t i = 0; i < purged.size(); ++i) {
-    finish_rejected(purged[i], purge_reasons[i]);
+  for (Swept& s : purged) finish_rejected(s.pending, s.reason);
+  if (reject == RejectReason::kNone) {
+    cv_.notify_all();
+    return;
   }
-  if (notify) cv_.notify_all();
-  return future;
+  Response r = rejected_response(reject, req.kind);
+  r.trace_id = trace_id;
+  done(std::move(r));
 }
 
 void SegmentService::pause() {
@@ -255,25 +266,10 @@ void SegmentService::dispatcher_loop() {
     // complete with DeadlineExpired without waiting for resume(); neither
     // ever reaches the pipeline.
     const Clock::time_point now = Clock::now();
-    std::vector<Pending> swept;
-    std::vector<RejectReason> swept_reasons;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      const bool cancelled = it->req.cancel && it->req.cancel->cancelled();
-      const bool expired = it->req.deadline && *it->req.deadline <= now;
-      if (cancelled || expired) {
-        swept_reasons.push_back(cancelled ? RejectReason::kCancelled
-                                          : RejectReason::kDeadlineExpired);
-        swept.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::vector<Swept> swept = sweep_locked(now);
     if (!swept.empty()) {
       lk.unlock();
-      for (std::size_t i = 0; i < swept.size(); ++i) {
-        finish_rejected(swept[i], swept_reasons[i]);
-      }
+      for (Swept& s : swept) finish_rejected(s.pending, s.reason);
       lk.lock();
       continue;  // re-evaluate state after re-locking
     }
@@ -300,32 +296,86 @@ void SegmentService::dispatcher_loop() {
   }
 }
 
+SegmentService::Pending SegmentService::remove_locked(Queue::iterator it) {
+  Pending p = std::move(*it);
+  queue_.erase(it);
+  const auto count = tenant_queued_.find(p.req.tenant);
+  if (--count->second == 0) tenant_queued_.erase(count);
+  return p;
+}
+
+std::vector<SegmentService::Swept> SegmentService::sweep_locked(
+    Clock::time_point now) {
+  std::vector<Swept> swept;
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    const auto cur = it++;
+    const Request& r = cur->req;
+    const bool cancelled = r.cancel && r.cancel->cancelled();
+    if (cancelled || (r.deadline && *r.deadline <= now)) {
+      swept.push_back({remove_locked(cur),
+                       cancelled ? RejectReason::kCancelled
+                                 : RejectReason::kDeadlineExpired});
+    }
+  }
+  return swept;
+}
+
+const TenantPolicy& SegmentService::policy_for(std::uint32_t tenant) const {
+  const auto it = cfg_.tenants.find(tenant);
+  return it != cfg_.tenants.end() ? it->second : cfg_.default_tenant;
+}
+
+std::vector<SegmentService::Queue::iterator> SegmentService::rotate_locked(
+    const std::function<bool(const Pending&)>& eligible, std::size_t n) {
+  // Eligible entries per tenant, oldest first (queue_ is admission-ordered).
+  std::map<std::uint32_t, std::deque<Queue::iterator>> lists;
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    if (eligible(*it)) lists[it->req.tenant].push_back(it);
+  }
+  std::vector<Queue::iterator> picked;
+  while (picked.size() < n && !lists.empty()) {
+    // Stay with the visited tenant until it has had `weight` picks or has
+    // nothing eligible, then move on in ascending tenant id (wrapping).
+    auto it = lists.find(rr_tenant_);
+    if (it == lists.end() || rr_used_ >= policy_for(rr_tenant_).weight) {
+      it = lists.upper_bound(rr_tenant_);
+      if (it == lists.end()) it = lists.begin();
+      rr_tenant_ = it->first;
+      rr_used_ = 0;
+    }
+    rr_used_ += 1;
+    picked.push_back(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) lists.erase(it);
+  }
+  return picked;
+}
+
 std::vector<SegmentService::Pending> SegmentService::pop_batch_locked() {
   std::vector<Pending> batch;
   if (queue_.empty()) return batch;
-  // Pivot: highest priority; FIFO (lowest seq) within a level. queue_ is
-  // append-ordered, so index order == admission order.
-  std::size_t pivot = 0;
-  for (std::size_t i = 1; i < queue_.size(); ++i) {
-    if (queue_[i].req.priority > queue_[pivot].req.priority) pivot = i;
+  // Pivot: the rotation's pick among the highest-priority entries.
+  int top = queue_.front().req.priority;
+  for (const Pending& p : queue_) top = std::max(top, p.req.priority);
+  std::vector<Queue::iterator> take = rotate_locked(
+      [&](const Pending& p) { return p.req.priority == top; }, 1);
+  const Pending& lead = *take.front();
+  if (lead.req.kind == RequestKind::kSlice && cfg_.max_batch > 1) {
+    // Riders: same-prompt slice requests of any priority, picked by the
+    // same rotation.
+    const auto riders = rotate_locked(
+        [&](const Pending& p) {
+          return &p != &lead && p.req.kind == RequestKind::kSlice &&
+                 p.req.prompt == lead.req.prompt;
+        },
+        cfg_.max_batch - 1);
+    take.insert(take.end(), riders.begin(), riders.end());
   }
-  std::vector<std::size_t> take{pivot};
-  if (queue_[pivot].req.kind == RequestKind::kSlice) {
-    for (std::size_t i = 0;
-         i < queue_.size() && take.size() < cfg_.max_batch; ++i) {
-      if (i == pivot) continue;
-      if (queue_[i].req.kind == RequestKind::kSlice &&
-          queue_[i].req.prompt == queue_[pivot].req.prompt) {
-        take.push_back(i);
-      }
-    }
-    std::sort(take.begin(), take.end());  // admission order inside the batch
-  }
+  // Admission order inside the batch.
+  std::sort(take.begin(), take.end(),
+            [](const auto& a, const auto& b) { return a->seq < b->seq; });
   batch.reserve(take.size());
-  for (const std::size_t idx : take) batch.push_back(std::move(queue_[idx]));
-  for (auto it = take.rbegin(); it != take.rend(); ++it) {
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*it));
-  }
+  for (const auto it : take) batch.push_back(remove_locked(it));
   return batch;
 }
 
@@ -362,7 +412,7 @@ void SegmentService::run_batch(std::vector<Pending> batch) {
   }
   // Backstop: the stages below wrap every pipeline call per request, so
   // nothing should reach these handlers — but an exception escaping here
-  // would leave promises broken and std::terminate the process, so fail
+  // would leave requests uncompleted and std::terminate the process, so fail
   // the remainder of the batch instead.
   try {
     if (live.front().req.kind == RequestKind::kSlice) {
@@ -436,7 +486,8 @@ void SegmentService::run_slice_batch(std::vector<Pending>& batch) {
   // Stage 2 — per-request decode, cache-hot.
   fan_out(n, [&](std::size_t i) {
     obs::TraceScope trace(batch[i].trace_id);
-    obs::Span decode_span("serve.decode", i);
+    std::optional<obs::Span> decode_span;
+    decode_span.emplace("serve.decode", i);
     const Clock::time_point t0 = Clock::now();
     Response r;
     r.kind = RequestKind::kSlice;
@@ -451,14 +502,17 @@ void SegmentService::run_slice_batch(std::vector<Pending>& batch) {
         r.error = core::error_from_current_exception("serve.decode");
       }
     }
-    finish(batch[i], std::move(r), us_between(t0, Clock::now()));
+    const double decode_us = us_between(t0, Clock::now());
+    decode_span.reset();  // the completion below is the caller's time
+    finish(batch[i], std::move(r), decode_us);
   });
 }
 
 void SegmentService::run_single(Pending& pending) {
   obs::TraceScope trace(pending.trace_id);
-  obs::Span decode_span("serve.decode",
-                        static_cast<std::uint64_t>(pending.req.kind));
+  std::optional<obs::Span> decode_span;
+  decode_span.emplace("serve.decode",
+                      static_cast<std::uint64_t>(pending.req.kind));
   const Clock::time_point t0 = Clock::now();
   Response r;
   r.kind = pending.req.kind;
@@ -507,7 +561,9 @@ void SegmentService::run_single(Pending& pending) {
     std::lock_guard<std::mutex> sl(stats_mutex_);
     stats_.encode_us.record(encode_us);
   }
-  finish(pending, std::move(r), us_between(t_decode, Clock::now()));
+  const double decode_us = us_between(t_decode, Clock::now());
+  decode_span.reset();  // the completion below is the caller's time
+  finish(pending, std::move(r), decode_us);
 }
 
 void SegmentService::finish(Pending& pending, Response&& response,
@@ -528,7 +584,7 @@ void SegmentService::finish(Pending& pending, Response&& response,
     stats_.total_us.record(response.total_us);
   }
   pending.done = true;
-  pending.promise.set_value(std::move(response));
+  pending.completion(std::move(response));
 }
 
 void SegmentService::finish_rejected(Pending& pending, RejectReason reason) {
@@ -548,7 +604,7 @@ void SegmentService::finish_rejected(Pending& pending, RejectReason reason) {
     }
   }
   pending.done = true;
-  pending.promise.set_value(std::move(r));
+  pending.completion(std::move(r));
 }
 
 ServiceStats SegmentService::stats() const {
@@ -564,27 +620,6 @@ std::size_t SegmentService::queue_depth() const {
   return queue_.size();
 }
 
-void SegmentService::note_connection_accepted() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  stats_.connections_accepted += 1;
-  stats_.connections_active += 1;
-}
-
-void SegmentService::note_connection_closed() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  if (stats_.connections_active > 0) stats_.connections_active -= 1;
-}
-
-void SegmentService::note_request_shed() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  stats_.requests_shed += 1;
-}
-
-void SegmentService::note_protocol_error() {
-  std::lock_guard<std::mutex> sl(stats_mutex_);
-  stats_.protocol_errors += 1;
-}
-
 void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   const ServiceStats s = stats();
   const auto set_u64 = [&](const char* key, std::uint64_t v) {
@@ -595,15 +630,12 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   set_u64("serve_completed", s.completed);
   set_u64("serve_failed", s.failed);
   set_u64("serve_rejected_queue_full", s.rejected_queue_full);
+  set_u64("serve_rejected_tenant_quota", s.rejected_tenant_quota);
   set_u64("serve_rejected_shutting_down", s.rejected_shutting_down);
   set_u64("serve_expired", s.expired);
   set_u64("serve_cancelled", s.cancelled);
   set_u64("serve_batches", s.batches);
   set_u64("serve_queue_high_water", s.queue_depth_high_water);
-  set_u64("serve_connections_accepted", s.connections_accepted);
-  set_u64("serve_connections_active", s.connections_active);
-  set_u64("serve_requests_shed", s.requests_shed);
-  set_u64("serve_protocol_errors", s.protocol_errors);
   dashboard.set_stat("serve_batch_size_mean", s.batch_size.mean());
   dashboard.set_stat("serve_batch_size_max", s.batch_size.max());
   const auto set_hist = [&](const std::string& prefix, const Histogram& h) {

@@ -5,31 +5,40 @@
 //
 // Request lifecycle:
 //
-//   submit(Request) ── admission ──▶ bounded priority queue ──▶ dispatcher
-//        │  (QueueFull / ShuttingDown / already-expired → immediate
-//        │   Rejected response, nothing queued)
-//        └─▶ std::future<Response>
+//   submit(Request, Completion) ── admission ──▶ bounded priority queue
+//        │  (ShuttingDown / already-expired / QueueFull / TenantQuota →
+//        │   the completion runs at once with a Rejected response)
+//        └─▶ dispatcher ──▶ completion(Response&&), exactly once
 //
-//   The single dispatcher thread pops the highest-priority request (FIFO
-//   within a priority level), sweeps expired deadlines and cancelled
-//   entries (their futures complete with DeadlineExpired / Cancelled
-//   WITHOUT running the pipeline; the sweep also runs while paused, and a
-//   full queue purges such entries at admission before rejecting with
-//   QueueFull, so cancellation relieves backpressure), groups
-//   compatible Mode-A slice requests — same prompt — into a micro-batch,
-//   and fans the batch out on the re-entrant ThreadPool: stage 1 shares
-//   the expensive backbone encode of each unique image through the
-//   pipeline's FeatureCache, stage 2 runs the cheap per-request decodes.
-//   This is SAM's embed-once/prompt-many amortization applied across
-//   requests instead of within one.
+//   submit(Request) is the same path with a std::future<Response> as the
+//   completion. The single dispatcher thread picks the highest-priority
+//   request (tenants in weighted rotation, FIFO within a tenant), sweeps
+//   expired deadlines and cancelled entries (they complete with
+//   DeadlineExpired / Cancelled WITHOUT running the pipeline; the sweep
+//   also runs while paused, and a full queue purges such entries at
+//   admission before rejecting, so cancellation relieves backpressure),
+//   groups compatible Mode-A slice requests — same prompt, picked by the
+//   same rotation — into a micro-batch, and fans the batch out on the
+//   re-entrant ThreadPool: stage 1 shares the expensive backbone encode
+//   of each unique image through the pipeline's FeatureCache, stage 2
+//   runs the cheap per-request decodes. This is SAM's
+//   embed-once/prompt-many amortization applied across requests instead
+//   of within one.
+//
+// Tenant fairness: every Request names a tenant (in-process callers use
+// tenant 0). Each tenant has a TenantPolicy: `max_queued` bounds its
+// share of the queue (beyond it, Rejected{TenantQuota}), and `weight` is
+// the number of consecutive picks it gets per visit of the rotation, so
+// under saturation tenant throughput is proportional to weight. With a
+// single tenant the rotation is plain FIFO within a priority level.
 //
 // Invariants:
 //   * Responses are byte-identical to the equivalent blocking
 //     ZenesisPipeline call, for every batch size and fan-out width (the
 //     FeatureCache returns exactly the value a cold computation would).
-//   * Backpressure is explicit: a full queue rejects immediately with
-//     Rejected{QueueFull}; the service never buffers unboundedly and
-//     never blocks the submitting thread.
+//   * Backpressure is explicit: a full queue or tenant quota rejects
+//     immediately; the service never buffers unboundedly and never blocks
+//     the submitting thread.
 //   * shutdown() drains everything already admitted, then the dispatcher
 //     exits; submissions during/after the drain get Rejected{ShuttingDown}.
 //   * A batch runs to completion before the next pop, so one giant volume
@@ -47,7 +56,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
+#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -96,6 +108,15 @@ enum class RejectReason {
   kDeadlineExpired,  ///< deadline passed before the pipeline ran
   kShuttingDown,     ///< submitted during/after shutdown
   kCancelled,        ///< CancelToken fired before dispatch
+  kTenantQuota,      ///< the request's tenant is at its max_queued quota
+};
+
+/// Per-tenant fairness knobs. `weight` is the tenant's number of
+/// consecutive dispatch picks per rotation visit; `max_queued` is its
+/// quota of queued requests (beyond it, Rejected{TenantQuota}).
+struct TenantPolicy {
+  std::uint32_t weight = 1;
+  std::size_t max_queued = 256;
 };
 
 struct Request {
@@ -114,8 +135,11 @@ struct Request {
   image::Box box;                     ///< kBox prompt box
   core::BoxPromptOptions box_options; ///< kBox ranking / optional prompt
 
-  /// Higher dispatches first; FIFO within a level.
+  /// Higher dispatches first; FIFO within a level and tenant.
   int priority = 0;
+  /// Fairness domain: quota and rotation weight come from
+  /// ServiceConfig::tenants (or default_tenant).
+  std::uint32_t tenant = 0;
   /// Absolute completion deadline; unset = no deadline.
   std::optional<Clock::time_point> deadline;
   std::shared_ptr<CancelToken> cancel;
@@ -209,8 +233,11 @@ struct ServiceConfig {
   /// Start with dispatch paused (admission still runs) — deterministic
   /// queue buildup for tests and staged warm-up; call resume() to serve.
   bool start_paused = false;
+  /// Per-tenant overrides; tenants not listed use `default_tenant`.
+  std::map<std::uint32_t, TenantPolicy> tenants;
+  TenantPolicy default_tenant;
 
-  /// One message per invalid knob (queue/batch bounds plus everything
+  /// One message per invalid knob (queue/batch/tenant bounds plus everything
   /// PipelineConfig::validate reports); empty = valid.
   std::vector<std::string> validate() const;
 };
@@ -223,21 +250,12 @@ struct ServiceStats {
   std::uint64_t completed = 0;  ///< Ok responses
   std::uint64_t failed = 0;     ///< Error responses (pipeline threw)
   std::uint64_t rejected_queue_full = 0;
+  std::uint64_t rejected_tenant_quota = 0;
   std::uint64_t rejected_shutting_down = 0;
   std::uint64_t expired = 0;    ///< DeadlineExpired (at submit or in queue)
   std::uint64_t cancelled = 0;
   std::uint64_t batches = 0;
   std::uint64_t queue_depth_high_water = 0;
-
-  // Connection-level counters, maintained by a network front end (the
-  // zenesis::net server) through the note_connection_* hooks below. They
-  // live here — not only in net's own stats — so the one ServiceStats
-  // block a dashboard already subscribes to tells the whole serving
-  // story; services used purely in-process simply report zeros.
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_active = 0;  ///< gauge: currently open
-  std::uint64_t requests_shed = 0;       ///< shed before service admission
-  std::uint64_t protocol_errors = 0;     ///< malformed wire traffic
 
   Histogram queue_us;    ///< admission → dispatch, per request
   Histogram encode_us;   ///< shared-backbone stage, per batch
@@ -266,9 +284,23 @@ class SegmentService {
   SegmentService(const SegmentService&) = delete;
   SegmentService& operator=(const SegmentService&) = delete;
 
-  /// Admits a request. Never blocks: a full queue, an expired deadline or
-  /// a draining service completes the future immediately with a Rejected
-  /// response.
+  /// Receives a request's one terminal Response.
+  ///
+  /// Contract:
+  ///   * It runs exactly once per submit().
+  ///   * It never runs under the service's locks, so it may call back
+  ///     into the service (submit(), queue_depth(), stats()).
+  ///   * It may run synchronously inside submit() (admission rejects,
+  ///     entries purged to make room) or on the dispatcher or fan-out
+  ///     threads.
+  ///   * It must not throw.
+  using Completion = std::function<void(Response&&)>;
+
+  /// Admits a request. Never blocks: shutdown, an expired deadline, a
+  /// full queue or an exhausted tenant quota completes it immediately
+  /// with a Rejected response.
+  void submit(Request req, Completion done);
+  /// submit() with a future as the completion.
   std::future<Response> submit(Request req);
 
   /// Stops admission, drains every queued request, then joins the
@@ -282,17 +314,6 @@ class SegmentService {
 
   ServiceStats stats() const;
   std::size_t queue_depth() const;
-
-  /// Connection-lifecycle hooks for a network front end (zenesis::net).
-  /// Thread-safe; they only bump the ServiceStats counters so wire-level
-  /// health shows up on the same dashboard as admission/latency stats.
-  void note_connection_accepted();
-  void note_connection_closed();
-  /// A request was load-shed (tenant quota / overload) before reaching
-  /// this service's admission queue.
-  void note_request_shed();
-  /// Malformed wire traffic (bad frame, bad payload, slow-loris timeout).
-  void note_protocol_error();
 
   /// Writes the stats block into a Mode-C dashboard (serve_* keys).
   void publish_stats(eval::Dashboard& dashboard) const;
@@ -310,17 +331,33 @@ class SegmentService {
  private:
   struct Pending {
     Request req;
-    std::promise<Response> promise;
+    Completion completion;
     std::uint64_t seq = 0;
     Clock::time_point enqueued{};
-    bool done = false;  ///< promise fulfilled (guards the run_batch backstop)
+    bool done = false;  ///< set before completion runs (run_batch backstop)
     std::uint64_t trace_id = 0;      ///< obs id allocated at submit
     std::int64_t obs_enqueued_ns = 0;  ///< obs clock at admission (0 = off)
   };
 
+  struct Swept {
+    Pending pending;
+    RejectReason reason;
+  };
+  /// Admission-ordered; a list so batch picks anywhere in it are O(1).
+  using Queue = std::list<Pending>;
+
   void dispatcher_loop();
+  /// Removes one entry, keeping tenant_queued_ in step. Caller holds mutex_.
+  Pending remove_locked(Queue::iterator it);
+  /// Removes every cancelled or expired entry. Caller holds mutex_.
+  std::vector<Swept> sweep_locked(Clock::time_point now);
+  const TenantPolicy& policy_for(std::uint32_t tenant) const;
+  /// Up to `n` picks by weighted tenant rotation among the entries
+  /// `eligible` accepts, FIFO within a tenant. Caller holds mutex_.
+  std::vector<Queue::iterator> rotate_locked(
+      const std::function<bool(const Pending&)>& eligible, std::size_t n);
   /// Pops the next micro-batch (priority pivot + compatible slice
-  /// requests, admission order). Caller holds mutex_.
+  /// requests, both by rotation; admission order). Caller holds mutex_.
   std::vector<Pending> pop_batch_locked();
   void run_batch(std::vector<Pending> batch);
   void run_slice_batch(std::vector<Pending>& batch);
@@ -330,7 +367,7 @@ class SegmentService {
   void finish(Pending& pending, Response&& response, double decode_us);
   void finish_rejected(Pending& pending, RejectReason reason);
   /// Backstop: completes every not-yet-finished request with kError so no
-  /// exception can leave a promise unfulfilled or escape the dispatcher.
+  /// exception can leave a request uncompleted or escape the dispatcher.
   void fail_unfinished(std::vector<Pending>& batch, const core::Error& error);
   parallel::ThreadPool& fanout_pool() const;
 
@@ -338,12 +375,15 @@ class SegmentService {
   core::ZenesisPipeline pipeline_;
   std::unique_ptr<parallel::ThreadPool> pool_;  ///< when fanout_threads > 1
 
-  mutable std::mutex mutex_;  ///< queue_, stopping_, paused_, next_seq_
+  mutable std::mutex mutex_;  ///< everything down to rr_used_
   std::condition_variable cv_;
-  std::vector<Pending> queue_;
+  Queue queue_;
+  std::map<std::uint32_t, std::size_t> tenant_queued_;  ///< nonzero only
   bool stopping_ = false;
   bool paused_ = false;
   std::uint64_t next_seq_ = 0;
+  std::uint32_t rr_tenant_ = 0;  ///< tenant the rotation is visiting
+  std::uint32_t rr_used_ = 0;    ///< picks it has had this visit
 
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;

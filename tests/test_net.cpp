@@ -5,9 +5,12 @@
 //       SegmentService::submit calls (slice in every pixel format, and a
 //       Mode-B volume_file request streamed from a real TIFF),
 //   (c) trace ids flow from the client frame through obs spans and back,
-//   (d) per-tenant weighted fairness and shed-before-QueueFull admission,
-//   (e) connection counters surface in NetStats, ServiceStats and the
-//       Mode-C dashboard.
+//   (d) service-admission sheds (full queue, tenant quota) come back as
+//       the wire's Rejected{Overloaded} / Rejected{TenantQuota},
+//   (e) connection counters surface in NetStats and the Mode-C dashboard,
+//       and connections over max_connections are refused and counted.
+// Weighted tenant fairness is the service's and is tested in
+// test_serve.cpp.
 // The fault-injection and fuzz suites live in test_net_faults.cpp and
 // test_net_fuzz.cpp; the thousand-client soak in test_net_soak.cpp.
 #include <gtest/gtest.h>
@@ -368,75 +371,14 @@ TEST(Net, TraceIdPropagatesThroughSpans) {
   EXPECT_TRUE(saw_service_span);
 }
 
-// (d) Weighted round-robin fairness across tenants.
-TEST(Net, WeightedFairnessUnderSaturation) {
+// (d) Service admission sheds map onto the wire reasons clients know.
+TEST(Net, ServiceAdmissionShedsAsWireRejects) {
   zs::ServiceConfig scfg;
+  scfg.queue_capacity = 3;
+  scfg.tenants[1] = {1, 2};  // quota: 2 queued requests
+  scfg.start_paused = true;
   zs::SegmentService service(scfg);
-  zn::ServerConfig ncfg;
-  ncfg.tenants[1] = {1, 256};  // weight 1
-  ncfg.tenants[2] = {3, 256};  // weight 3
-  ncfg.start_bridge_paused = true;
-  zn::Server server(service, ncfg);
-
-  auto [c1, fd1] = zn::Client::loopback_pair();
-  auto [c2, fd2] = zn::Client::loopback_pair();
-  server.adopt(fd1);
-  server.adopt(fd2);
-  ASSERT_TRUE(c1.hello(1));
-  ASSERT_TRUE(c2.hello(2));
-
-  const auto img = zi::AnyImage(make_slice(24, 8).raw);
-  std::vector<std::uint64_t> rids1, rids2;
-  for (int i = 0; i < 8; ++i) rids1.push_back(c1.submit_slice(img, kPrompt));
-  for (int i = 0; i < 8; ++i) rids2.push_back(c2.submit_slice(img, kPrompt));
-  // All 16 must be net-queued before the bridge runs: fairness is then a
-  // pure function of the WRR policy, not arrival timing.
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (server.backlog() < 16 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(server.backlog(), 16u);
-  server.resume_bridge();
-
-  for (const std::uint64_t rid : rids1) {
-    const auto r = c1.wait_for(rid);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->type, zn::FrameType::kResponse);
-  }
-  for (const std::uint64_t rid : rids2) {
-    const auto r = c2.wait_for(rid);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->type, zn::FrameType::kResponse);
-  }
-
-  const zn::NetStats stats = server.stats();
-  ASSERT_GE(stats.submission_log.size(), 8u);
-  // While both queues are saturated, every window of 4 submissions is
-  // 1× tenant-1 + 3× tenant-2 (weights 1:3), starting with tenant 1.
-  int t1 = 0, t2 = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (stats.submission_log[i] == 1) ++t1;
-    if (stats.submission_log[i] == 2) ++t2;
-  }
-  EXPECT_EQ(t1, 2);
-  EXPECT_EQ(t2, 6);
-  EXPECT_EQ(stats.submission_log[0], 1u);  // rotation starts at tenant 1
-  ASSERT_NE(stats.tenants.count(1), 0u);
-  ASSERT_NE(stats.tenants.count(2), 0u);
-  EXPECT_EQ(stats.tenants.at(1).completed, 8u);
-  EXPECT_EQ(stats.tenants.at(2).completed, 8u);
-  server.stop();
-}
-
-// (d) Load shedding happens at net admission, never as service QueueFull.
-TEST(Net, ShedsBeforeServiceSeesQueueFull) {
-  zs::ServiceConfig scfg;
-  zs::SegmentService service(scfg);
-  zn::ServerConfig ncfg;
-  ncfg.tenants[1] = {1, 2};  // quota: 2 queued requests
-  ncfg.shed_backlog = 3;     // global cap across tenants
-  ncfg.start_bridge_paused = true;
-  zn::Server server(service, ncfg);
+  zn::Server server(service);
 
   auto [c1, fd1] = zn::Client::loopback_pair();
   auto [c2, fd2] = zn::Client::loopback_pair();
@@ -454,8 +396,9 @@ TEST(Net, ShedsBeforeServiceSeesQueueFull) {
   ASSERT_TRUE(rq.has_value());
   EXPECT_EQ(rq->type, zn::FrameType::kRejected);
   EXPECT_EQ(rq->reject, zn::WireReject::kTenantQuota);
+  EXPECT_EQ(rq->error.code, zenesis::core::ErrorCode::kQueueFull);
 
-  // Tenant 2 pushes the global backlog to shed_backlog, then sheds with
+  // Tenant 2 fills the service queue to queue_capacity, then sheds with
   // Overloaded.
   const std::uint64_t c = c2.submit_slice(img, kPrompt);
   const std::uint64_t overload = c2.submit_slice(img, kPrompt);
@@ -463,8 +406,9 @@ TEST(Net, ShedsBeforeServiceSeesQueueFull) {
   ASSERT_TRUE(ro.has_value());
   EXPECT_EQ(ro->type, zn::FrameType::kRejected);
   EXPECT_EQ(ro->reject, zn::WireReject::kOverloaded);
+  EXPECT_EQ(ro->error.code, zenesis::core::ErrorCode::kQueueFull);
 
-  server.resume_bridge();
+  service.resume();
   for (const std::uint64_t rid : {a, b}) {
     const auto r = c1.wait_for(rid);
     ASSERT_TRUE(r.has_value());
@@ -480,15 +424,18 @@ TEST(Net, ShedsBeforeServiceSeesQueueFull) {
   const zn::NetStats nstats = server.stats();
   EXPECT_EQ(nstats.shed_tenant_quota, 1u);
   EXPECT_EQ(nstats.shed_overloaded, 1u);
+  EXPECT_EQ(nstats.rejected_sent, 2u);
+  EXPECT_EQ(nstats.tenants.at(1).shed, 1u);
+  EXPECT_EQ(nstats.tenants.at(1).completed, 2u);
+  // One admission point: the wire sheds are the service's own rejects.
   const zs::ServiceStats sstats = service.stats();
-  // The whole point of net-level admission: the service's QueueFull
-  // backstop never fires for wire traffic.
-  EXPECT_EQ(sstats.rejected_queue_full, 0u);
-  EXPECT_EQ(sstats.requests_shed, 2u);
+  EXPECT_EQ(sstats.rejected_queue_full, 1u);
+  EXPECT_EQ(sstats.rejected_tenant_quota, 1u);
+  EXPECT_EQ(sstats.admitted, 3u);
 }
 
-// (e) Counters: NetStats, ServiceStats connection block, dashboard keys.
-TEST(Net, StatsFlowIntoServiceAndDashboard) {
+// (e) Counters: NetStats and dashboard keys.
+TEST(Net, StatsFlowIntoDashboard) {
   zenesis::core::Session session;
   zs::SegmentService service;
   service.attach_to(session);
@@ -508,14 +455,12 @@ TEST(Net, StatsFlowIntoServiceAndDashboard) {
 
   // Wait until the event loop notices the disconnect.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (service.stats().connections_active > 0 &&
+  while (server.stats().connections_active > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
-
-  const zs::ServiceStats sstats = service.stats();
-  EXPECT_EQ(sstats.connections_accepted, 1u);
-  EXPECT_EQ(sstats.connections_active, 0u);
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  EXPECT_EQ(server.stats().connections_active, 0u);
 
   session.publish_runtime_stats();
   const auto& published = session.dashboard().stats();
@@ -524,8 +469,8 @@ TEST(Net, StatsFlowIntoServiceAndDashboard) {
   ASSERT_NE(published.count("net_responses_sent"), 0u);
   EXPECT_EQ(published.at("net_responses_sent"), 1.0);
   ASSERT_NE(published.count("net_wire_us_p50"), 0u);
-  ASSERT_NE(published.count("serve_connections_accepted"), 0u);
-  EXPECT_EQ(published.at("serve_connections_accepted"), 1.0);
+  ASSERT_NE(published.count("serve_completed"), 0u);
+  EXPECT_EQ(published.at("serve_completed"), 1.0);
 
   server.stop();
   const zn::NetStats nstats = server.stats();
@@ -538,13 +483,50 @@ TEST(Net, StatsFlowIntoServiceAndDashboard) {
 TEST(Net, ConfigValidationSurfacesEveryIssue) {
   zn::ServerConfig cfg;
   cfg.max_connections = 0;
-  cfg.shed_backlog = 0;
   cfg.partial_frame_timeout = std::chrono::milliseconds(0);
-  cfg.tenants[3] = {0, 0};
-  const auto issues = cfg.validate();
-  EXPECT_GE(issues.size(), 4u);
+  cfg.drain_timeout = std::chrono::milliseconds(-1);
+  cfg.limits.max_frame_bytes = 1;
+  EXPECT_EQ(cfg.validate().size(), 4u);
   zs::SegmentService service;
   EXPECT_THROW(zn::Server(service, cfg), std::invalid_argument);
+}
+
+// A connection over max_connections gets one Error{LimitExceeded} frame
+// and EOF, counted as a refused connection — not as a shed request.
+TEST(Net, ConnectionOverLimitIsRefusedAndCounted) {
+  zs::SegmentService service;
+  zn::ServerConfig cfg;
+  cfg.max_connections = 1;
+  zn::Server server(service, cfg);
+
+  auto [first, fd1] = zn::Client::loopback_pair();
+  server.adopt(fd1);
+  ASSERT_TRUE(first.hello(1));
+  auto [second, fd2] = zn::Client::loopback_pair();
+  server.adopt(fd2);
+
+  std::vector<zn::ServerMessage> seen;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!second.peer_closed() && std::chrono::steady_clock::now() < deadline) {
+    if (auto msg = second.recv(50ms)) seen.push_back(std::move(*msg));
+  }
+  EXPECT_TRUE(second.peer_closed());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].type, zn::FrameType::kError);
+  EXPECT_EQ(seen[0].error.code, zenesis::core::ErrorCode::kLimitExceeded);
+
+  // The first connection keeps working.
+  const std::uint64_t rid =
+      first.submit_slice(zi::AnyImage(make_slice(24, 12).raw), kPrompt);
+  const auto r = first.wait_for(rid);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->type, zn::FrameType::kResponse);
+
+  const zn::NetStats ns = server.stats();
+  EXPECT_EQ(ns.connections_refused, 1u);
+  EXPECT_EQ(ns.connections_accepted, 1u);
+  EXPECT_EQ(ns.shed_overloaded, 0u);
+  server.stop();
 }
 
 TEST(Net, TcpListenerServesClients) {

@@ -1,9 +1,9 @@
 // Fault-injection suite for zenesis::net (ISSUE-9 satellite): slow-loris
 // partial frames, abrupt disconnects with work in flight, oversized and
 // zero-length length fields, cancel races (queued / completed / unknown),
-// half-closed sockets, deadline expiry, and tenant-quota exhaustion plus
-// recovery. Each test pins one clause of the robustness contract in
-// server.hpp.
+// half-closed sockets, deadline expiry, tenant-quota exhaustion plus
+// recovery, and stop() with work still queued. Each test pins one clause
+// of the robustness contract in server.hpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -100,10 +100,10 @@ TEST(NetFaults, SlowLorisTimesOutWithoutHurtingHealthyClients) {
 }
 
 TEST(NetFaults, AbruptDisconnectFreesQueuedAndInflightSlots) {
-  zs::SegmentService service;
-  zn::ServerConfig cfg;
-  cfg.start_bridge_paused = true;
-  zn::Server server(service, cfg);
+  zs::ServiceConfig scfg;
+  scfg.start_paused = true;
+  zs::SegmentService service(scfg);
+  zn::Server server(service);
 
   {
     auto [client, server_fd] = zn::Client::loopback_pair();
@@ -112,15 +112,15 @@ TEST(NetFaults, AbruptDisconnectFreesQueuedAndInflightSlots) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_NE(client.submit_slice(make_image(24, 5), kPrompt), 0u);
     }
-    ASSERT_TRUE(wait_until([&] { return server.backlog() == 3; }));
+    ASSERT_TRUE(wait_until([&] { return service.queue_depth() == 3; }));
     // Vanish with everything still queued. A full close looks like a
     // half-close until the server tries to write — the contract is that
     // the failed flush tears the connection down and frees every slot,
     // not that the close is detected instantly.
   }
-  server.resume_bridge();
+  service.resume();
   ASSERT_TRUE(wait_until([&] {
-    return server.backlog() == 0 && server.inflight() == 0 &&
+    return service.queue_depth() == 0 && server.inflight() == 0 &&
            server.stats().connections_active == 0;
   }));
 
@@ -184,21 +184,21 @@ TEST(NetFaults, ZeroLengthPayloadOnRequestFrameIsACleanError) {
 }
 
 TEST(NetFaults, CancelOfQueuedRequestYieldsExactlyOneRejectedFrame) {
-  zs::SegmentService service;
-  zn::ServerConfig cfg;
-  cfg.start_bridge_paused = true;
-  zn::Server server(service, cfg);
+  zs::ServiceConfig scfg;
+  scfg.start_paused = true;
+  zs::SegmentService service(scfg);
+  zn::Server server(service);
 
   auto [client, server_fd] = zn::Client::loopback_pair();
   server.adopt(server_fd);
   ASSERT_TRUE(client.hello(1));
   const std::uint64_t rid = client.submit_slice(make_image(24, 7), kPrompt);
-  ASSERT_TRUE(wait_until([&] { return server.backlog() == 1; }));
+  ASSERT_TRUE(wait_until([&] { return service.queue_depth() == 1; }));
   ASSERT_TRUE(client.cancel(rid));
-  // The cancel frame races the bridge: hold the bridge until the event
+  // The cancel frame races dispatch: hold the service until the event
   // loop has actually decoded it, so the queued-cancel path is what runs.
   ASSERT_TRUE(wait_until([&] { return server.stats().cancels_received == 1; }));
-  server.resume_bridge();
+  service.resume();
 
   const auto resp = client.wait_for(rid);
   ASSERT_TRUE(resp.has_value());
@@ -289,11 +289,11 @@ TEST(NetFaults, ExpiredDeadlineComesBackAsRejectedFrame) {
 }
 
 TEST(NetFaults, TenantQuotaExhaustsAndRecovers) {
-  zs::SegmentService service;
-  zn::ServerConfig cfg;
-  cfg.tenants[7] = {/*weight=*/1, /*max_queued=*/2};
-  cfg.start_bridge_paused = true;
-  zn::Server server(service, cfg);
+  zs::ServiceConfig scfg;
+  scfg.tenants[7] = {/*weight=*/1, /*max_queued=*/2};
+  scfg.start_paused = true;
+  zs::SegmentService service(scfg);
+  zn::Server server(service);
 
   auto [client, server_fd] = zn::Client::loopback_pair();
   server.adopt(server_fd);
@@ -303,14 +303,14 @@ TEST(NetFaults, TenantQuotaExhaustsAndRecovers) {
   const std::uint64_t r3 = client.submit_slice(make_image(24, 29), kPrompt);
 
   // The third request breaches the quota: immediate structured shed, and
-  // the service never saw it.
+  // it never queued.
   const auto shed = client.wait_for(r3, 5000ms);
   ASSERT_TRUE(shed.has_value());
   EXPECT_EQ(shed->type, zn::FrameType::kRejected);
   EXPECT_EQ(shed->reject, zn::WireReject::kTenantQuota);
-  EXPECT_EQ(server.backlog(), 2u);
+  EXPECT_EQ(service.queue_depth(), 2u);
 
-  server.resume_bridge();
+  service.resume();
   const auto resp1 = client.wait_for(r1);
   const auto resp2 = client.wait_for(r2);
   ASSERT_TRUE(resp1.has_value());
@@ -331,4 +331,35 @@ TEST(NetFaults, TenantQuotaExhaustsAndRecovers) {
   EXPECT_EQ(it->second.completed, 3u);  // r1, r2, r4 — the shed never queued
   EXPECT_EQ(ns.shed_tenant_quota, 1u);
   EXPECT_EQ(service.stats().rejected_queue_full, 0u);
+}
+
+TEST(NetFaults, StopRejectsQueuedWorkWithShuttingDown) {
+  zs::ServiceConfig scfg;
+  scfg.start_paused = true;  // the three requests stay queued
+  zs::SegmentService service(scfg);
+  zn::Server server(service);
+
+  auto [client, server_fd] = zn::Client::loopback_pair();
+  server.adopt(server_fd);
+  ASSERT_TRUE(client.hello(1));
+  std::vector<std::uint64_t> rids;
+  for (int i = 0; i < 3; ++i) {
+    rids.push_back(client.submit_slice(make_image(24, 31), kPrompt));
+  }
+  ASSERT_TRUE(wait_until([&] { return service.queue_depth() == 3; }));
+
+  server.stop();  // must return although the service never resumes
+  EXPECT_EQ(server.inflight(), 0u);
+  EXPECT_EQ(service.queue_depth(), 0u);
+
+  const auto seen = drain_to_eof(client, 3000ms);
+  EXPECT_TRUE(client.peer_closed());
+  ASSERT_EQ(seen.size(), 3u);  // exactly one terminal frame each
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].request_id, rids[i]);
+    EXPECT_EQ(seen[i].type, zn::FrameType::kRejected);
+    EXPECT_EQ(seen[i].reject, zn::WireReject::kShuttingDown);
+    EXPECT_EQ(seen[i].error.code, zenesis::core::ErrorCode::kShuttingDown);
+  }
+  EXPECT_EQ(server.stats().rejected_sent, 3u);
 }

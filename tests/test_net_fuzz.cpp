@@ -70,7 +70,7 @@ TEST(NetFuzz, MutantsDecodeOrFailCleanly) {
   // And the queue must be fully drained: every decoded request got its
   // terminal frame, nothing leaked a slot.
   server.stop();
-  EXPECT_EQ(server.backlog(), 0u);
+  EXPECT_EQ(service.queue_depth(), 0u);
   EXPECT_EQ(server.inflight(), 0u);
 
   const zn::NetStats ns = server.stats();

@@ -52,16 +52,16 @@ std::vector<zi::AnyImage> make_image_pool() {
 }  // namespace
 
 TEST(NetSoak, ThousandClientsByteIdenticalToDirectSubmit) {
-  zs::SegmentService service;
-  zn::ServerConfig cfg;
+  zs::ServiceConfig scfg;
   // Quotas sized so nothing sheds: the assertion below is that a fully
   // loaded but in-spec swarm is served completely, not throttled.
-  cfg.default_tenant = {/*weight=*/1, /*max_queued=*/4096};
+  scfg.default_tenant = {/*weight=*/1, /*max_queued=*/4096};
   for (std::uint32_t t = 0; t < kTenants; ++t) {
-    cfg.tenants[t + 1] = {/*weight=*/1 + t % 3, /*max_queued=*/4096};
+    scfg.tenants[t + 1] = {/*weight=*/1 + t % 3, /*max_queued=*/4096};
   }
-  cfg.shed_backlog = 4096;
-  zn::Server server(service, cfg);
+  scfg.queue_capacity = 4096;
+  zs::SegmentService service(scfg);
+  zn::Server server(service);
 
   const std::vector<zi::AnyImage> pool = make_image_pool();
 
@@ -145,6 +145,6 @@ TEST(NetSoak, ThousandClientsByteIdenticalToDirectSubmit) {
 
   clients.clear();  // all 1000 disconnect at once
   server.stop();
-  EXPECT_EQ(server.backlog(), 0u);
+  EXPECT_EQ(service.queue_depth(), 0u);
   EXPECT_EQ(server.inflight(), 0u);
 }

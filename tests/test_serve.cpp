@@ -4,13 +4,20 @@
 //   (b) a full queue rejects immediately instead of blocking or dropping,
 //   (c) expired deadlines complete with DeadlineExpired without running
 //       the pipeline,
-//   (d) shutdown drains admitted requests and rejects new ones.
+//   (d) shutdown drains admitted requests and rejects new ones,
+//   (e) the completion runs exactly once on every path, never under the
+//       service's locks (it may re-enter the service),
+//   (f) tenant quotas and weighted tenant rotation, for pivots and
+//       micro-batch riders alike.
 // Plus cancellation, priority ordering, stats/dashboard publication, and
 // config validation surfacing. Run under TSAN and ASAN via tools/ci.sh.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -54,6 +61,68 @@ void expect_masks_equal(const zi::Mask& a, const zi::Mask& b) {
   for (std::size_t i = 0; i < pa.size(); ++i) {
     ASSERT_EQ(pa[i], pb[i]) << "pixel " << i;
   }
+}
+
+/// Records every completion call per request tag.
+struct CompletionLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<int, std::vector<zs::Response>> got;
+
+  zs::SegmentService::Completion make(int tag) {
+    return [this, tag](zs::Response&& r) {
+      std::lock_guard<std::mutex> lk(mu);
+      got[tag].push_back(std::move(r));
+      cv.notify_all();
+    };
+  }
+  /// Waits until `tag` has completed at least once.
+  bool wait(int tag) {
+    std::unique_lock<std::mutex> lk(mu);
+    return cv.wait_for(lk, std::chrono::seconds(30),
+                       [&] { return got.count(tag) != 0; });
+  }
+  std::size_t calls(int tag) {
+    std::lock_guard<std::mutex> lk(mu);
+    const auto it = got.find(tag);
+    return it == got.end() ? 0 : it->second.size();
+  }
+};
+
+zs::Request tenant_slice(const zi::AnyImage& img, std::uint32_t tenant) {
+  zs::Request r = zs::Request::slice(img, kPrompt);
+  r.tenant = tenant;
+  return r;
+}
+
+/// Tenant ids in completion order for 8 tenant-1 (weight 1) then 8
+/// tenant-2 (weight 3) requests, all admitted before dispatch starts.
+/// fanout_threads = 1 completes in dispatch order on the dispatcher.
+std::vector<std::uint32_t> weighted_completion_order(std::size_t max_batch,
+                                                     std::uint64_t* batches) {
+  zs::ServiceConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.fanout_threads = 1;
+  cfg.start_paused = true;
+  cfg.tenants[1] = {1, 256};
+  cfg.tenants[2] = {3, 256};
+  zs::SegmentService service(cfg);
+  std::mutex mu;
+  std::vector<std::uint32_t> order;
+  const auto img = zi::AnyImage(make_slice(24, 8).raw);
+  for (const std::uint32_t tenant : {1u, 2u}) {
+    for (int i = 0; i < 8; ++i) {
+      service.submit(tenant_slice(img, tenant), [&, tenant](zs::Response&& r) {
+        EXPECT_TRUE(r.ok()) << r.error;
+        std::lock_guard<std::mutex> lk(mu);
+        order.push_back(tenant);
+      });
+    }
+  }
+  service.resume();
+  service.shutdown();  // drains all sixteen
+  *batches = service.stats().batches;
+  return order;
 }
 
 }  // namespace
@@ -400,6 +469,184 @@ TEST(Serve, InvalidConfigSurfacesEveryMessage) {
     EXPECT_NE(msg.find("max_boxes"), std::string::npos);
     EXPECT_NE(msg.find("heuristic.window"), std::string::npos);
   }
+}
+
+TEST(Serve, InvalidTenantPolicySurfaces) {
+  zs::ServiceConfig cfg;
+  cfg.default_tenant.weight = 0;
+  cfg.tenants[3] = {0, 0};
+  const auto issues = cfg.validate();
+  EXPECT_EQ(issues.size(), 3u);
+  EXPECT_THROW(zs::SegmentService{cfg}, std::invalid_argument);
+}
+
+// (e) Every path runs the completion exactly once: ok, pipeline error,
+// admission reject, queue-full purge, swept deadline, swept cancel,
+// shutdown drain and submit-after-shutdown.
+TEST(ServeCompletion, RunsExactlyOnceOnEveryPath) {
+  const auto good = zi::AnyImage(make_slice(48, 16).raw);
+  zs::ServiceConfig cfg;
+  cfg.queue_capacity = 4;
+  cfg.max_batch = 4;
+  cfg.start_paused = true;
+  zs::SegmentService service(cfg);
+  CompletionLog log;
+
+  auto token3 = std::make_shared<zs::CancelToken>();
+  service.submit(zs::Request::slice(good, kPrompt), log.make(1));
+  service.submit(zs::Request::slice(zi::AnyImage(), kPrompt), log.make(2));
+  service.submit(zs::Request::slice(good, kPrompt).with_cancel(token3),
+                 log.make(3));
+  service.submit(zs::Request::slice(good, kPrompt), log.make(4));
+
+  // Admission reject: runs synchronously inside submit().
+  service.submit(zs::Request::slice(good, kPrompt), log.make(5));
+  EXPECT_EQ(log.calls(5), 1u);
+
+  // Queue-full purge: the cancelled entry completes inside this submit().
+  token3->cancel();
+  service.submit(zs::Request::slice(good, kPrompt)
+                     .with_deadline_in(std::chrono::milliseconds(30)),
+                 log.make(6));
+  EXPECT_EQ(log.calls(3), 1u);
+
+  // Swept while paused: the deadline, then a cancel.
+  ASSERT_TRUE(log.wait(6));
+  auto token7 = std::make_shared<zs::CancelToken>();
+  service.submit(zs::Request::slice(good, kPrompt).with_cancel(token7),
+                 log.make(7));
+  token7->cancel();
+  ASSERT_TRUE(log.wait(7));
+
+  service.resume();
+  for (const int tag : {1, 2, 4}) ASSERT_TRUE(log.wait(tag));
+
+  // Shutdown drain, then a submission after shutdown.
+  service.pause();
+  service.submit(zs::Request::slice(good, kPrompt), log.make(8));
+  service.shutdown();
+  service.submit(zs::Request::slice(good, kPrompt), log.make(9));
+
+  const auto status_of = [&](int tag) { return log.got.at(tag)[0].status; };
+  const auto reject_of = [&](int tag) { return log.got.at(tag)[0].reject; };
+  for (int tag = 1; tag <= 9; ++tag) EXPECT_EQ(log.calls(tag), 1u) << tag;
+  EXPECT_EQ(status_of(1), zs::Response::Status::kOk);
+  EXPECT_EQ(status_of(2), zs::Response::Status::kError);
+  EXPECT_EQ(reject_of(3), zs::RejectReason::kCancelled);
+  EXPECT_EQ(status_of(4), zs::Response::Status::kOk);
+  EXPECT_EQ(reject_of(5), zs::RejectReason::kQueueFull);
+  EXPECT_EQ(reject_of(6), zs::RejectReason::kDeadlineExpired);
+  EXPECT_EQ(reject_of(7), zs::RejectReason::kCancelled);
+  EXPECT_EQ(status_of(8), zs::Response::Status::kOk);
+  EXPECT_EQ(reject_of(9), zs::RejectReason::kShuttingDown);
+}
+
+// (e) The completion runs outside the service's locks: it may query and
+// submit from inside itself, on the dispatcher and inside submit().
+TEST(ServeCompletion, MayReenterTheService) {
+  const auto img = zi::AnyImage(make_slice(32, 17).raw);
+  zs::ServiceConfig cfg;
+  cfg.fanout_threads = 1;  // completions run on the dispatcher thread
+  zs::SegmentService service(cfg);
+
+  std::promise<zs::Response> chained;
+  service.submit(zs::Request::slice(img, kPrompt), [&](zs::Response&& first) {
+    EXPECT_TRUE(first.ok());
+    EXPECT_EQ(service.queue_depth(), 0u);
+    service.submit(zs::Request::slice(img, kPrompt), [&](zs::Response&& r) {
+      chained.set_value(std::move(r));
+    });
+  });
+  auto second = chained.get_future();
+  ASSERT_EQ(second.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  EXPECT_TRUE(second.get().ok());
+
+  // Synchronous completion (expired at admission) re-entering submit().
+  std::promise<zs::Response> inner;
+  service.submit(
+      zs::Request::slice(img, kPrompt).with_deadline(zs::Clock::now()),
+      [&](zs::Response&& r) {
+        EXPECT_EQ(r.reject, zs::RejectReason::kDeadlineExpired);
+        EXPECT_EQ(service.queue_depth(), 0u);
+        service.submit(zs::Request::slice(img, kPrompt), [&](zs::Response&& r2) {
+          inner.set_value(std::move(r2));
+        });
+      });
+  EXPECT_TRUE(inner.get_future().get().ok());
+}
+
+// (f) Tenant quota: immediate structured reject, other tenants unaffected,
+// slots freed on completion.
+TEST(ServeTenants, QuotaExhaustsAndRecovers) {
+  zs::ServiceConfig cfg;
+  cfg.tenants[7] = {/*weight=*/1, /*max_queued=*/2};
+  cfg.start_paused = true;
+  zs::SegmentService service(cfg);
+  const auto img = zi::AnyImage(make_slice(24, 19).raw);
+
+  auto r1 = service.submit(tenant_slice(img, 7));
+  auto r2 = service.submit(tenant_slice(img, 7));
+  auto r3 = service.submit(tenant_slice(img, 7));
+  ASSERT_EQ(r3.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const zs::Response shed = r3.get();
+  EXPECT_EQ(shed.status, zs::Response::Status::kRejected);
+  EXPECT_EQ(shed.reject, zs::RejectReason::kTenantQuota);
+  EXPECT_EQ(shed.error.code, zc::ErrorCode::kQueueFull);
+  EXPECT_EQ(service.queue_depth(), 2u);
+  auto other = service.submit(tenant_slice(img, 8));  // its own quota
+  EXPECT_EQ(service.queue_depth(), 3u);
+
+  service.resume();
+  EXPECT_TRUE(r1.get().ok());
+  EXPECT_TRUE(r2.get().ok());
+  EXPECT_TRUE(other.get().ok());
+  EXPECT_TRUE(service.submit(tenant_slice(img, 7)).get().ok());  // recovered
+
+  const zs::ServiceStats st = service.stats();
+  EXPECT_EQ(st.rejected_tenant_quota, 1u);
+  EXPECT_EQ(st.rejected_queue_full, 0u);
+  EXPECT_EQ(st.admitted, 4u);
+  EXPECT_EQ(st.completed, 4u);
+}
+
+// (f) Weighted rotation under saturation: with weights 1:3 every window
+// of 4 dispatches is 1x tenant 1 + 3x tenant 2, starting with tenant 1.
+TEST(ServeTenants, WeightedFairnessUnderSaturation) {
+  std::uint64_t batches = 0;
+  const std::vector<std::uint32_t> order =
+      weighted_completion_order(/*max_batch=*/1, &batches);
+  ASSERT_EQ(order.size(), 16u);
+  EXPECT_EQ(batches, 16u);
+  int t1 = 0, t2 = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (order[i] == 1) ++t1;
+    if (order[i] == 2) ++t2;
+  }
+  EXPECT_EQ(t1, 2);
+  EXPECT_EQ(t2, 6);
+  EXPECT_EQ(order[0], 1u);  // rotation starts at tenant 1
+  // Once tenant 2 runs dry, tenant 1 takes every pick.
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 2, 2, 1, 2, 2, 2,
+                                               1, 2, 2, 1, 1, 1, 1, 1}));
+}
+
+// (f) Micro-batch riders follow the same rotation: the first batch is
+// 2x tenant 1 + 6x tenant 2, not the first eight admitted (all tenant 1).
+TEST(ServeTenants, BatchRidersFollowTheRotation) {
+  std::uint64_t batches = 0;
+  const std::vector<std::uint32_t> order =
+      weighted_completion_order(/*max_batch=*/8, &batches);
+  ASSERT_EQ(order.size(), 16u);
+  EXPECT_EQ(batches, 2u);
+  int t1 = 0, t2 = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (order[i] == 1) ++t1;
+    if (order[i] == 2) ++t2;
+  }
+  EXPECT_EQ(t1, 2);
+  EXPECT_EQ(t2, 6);
+  EXPECT_EQ(order[0], 1u);  // batch members complete in admission order
 }
 
 TEST(ServeHistogram, PercentilesTrackSamples) {

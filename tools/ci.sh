@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build + test the repo seven times — a default
-# RelWithDebInfo build running the full tier-1 suite, a ThreadSanitizer
+# RelWithDebInfo build running the full tier-1 suite plus a zen_load
+# wire smoke run, a ThreadSanitizer
 # build race-checking the concurrency surface (thread pool, parallel
 # Mode-B pipelines, feature cache, segmentation service, streaming TIFF
 # reader, the zen_net event loop with its fuzz/fault/soak suites), an
@@ -55,6 +56,10 @@ echo "=== [1/7] default build + full tier-1 suite ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+# Wire smoke: 64 loopback clients x 2 requests through zen_net. zen_load
+# exits non-zero if any request is rejected or errored; it writes under
+# build/, never over the committed out/BENCH_net.json.
+build/tools/zen_load --clients 64 --requests 2 --out build/ci_load >/dev/null
 
 echo "=== [2/7] ThreadSanitizer build + concurrency suite ==="
 cmake -B build-tsan -S . -DZENESIS_SANITIZE=thread \

@@ -12,7 +12,9 @@
 // Defaults: 200 clients x 4 requests, 8 tenants, 24x24 slices,
 // out/BENCH_net.json. The soak *test* (tests/test_net_soak.cpp) asserts
 // correctness (byte-identity, zero sheds); this tool measures the same
-// topology and records the numbers.
+// topology and records the numbers. The service queue and tenant quotas
+// are sized so that nothing should shed: the exit status is 1 when any
+// request comes back rejected or errored (the record is still written).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -99,13 +101,14 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  serve::SegmentService service;
-  net::ServerConfig cfg;
-  cfg.default_tenant = {1, 1u << 20};
+  serve::ServiceConfig scfg;
+  scfg.default_tenant = {1, 1u << 20};
   for (std::uint32_t t = 0; t < opt.tenants; ++t) {
-    cfg.tenants[t + 1] = {1 + t % 3, 1u << 20};
+    scfg.tenants[t + 1] = {1 + t % 3, 1u << 20};
   }
-  cfg.shed_backlog = 1u << 20;
+  scfg.queue_capacity = 1u << 20;
+  serve::SegmentService service(scfg);
+  net::ServerConfig cfg;
   cfg.max_connections = opt.clients + 16;
   net::Server server(service, cfg);
 
@@ -207,5 +210,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total),
               total > 0 && wall_s > 0 ? static_cast<double>(total) / wall_s
                                       : 0.0);
+  if (rejected + errors > 0) {
+    std::fprintf(stderr, "zen_load: %llu rejected, %llu errored\n",
+                 static_cast<unsigned long long>(rejected),
+                 static_cast<unsigned long long>(errors));
+    return 1;
+  }
   return 0;
 }
