@@ -77,6 +77,32 @@ void BM_Attention(benchmark::State& state) {
 }
 BENCHMARK(BM_Attention)->Arg(256)->Arg(1024);
 
+/// The encoder's real attention shape: d = 64 split over 4 heads of 16,
+/// self-attention over l tokens (1024 = one 256² slice at patch 8).
+void BM_MultiheadAttention(benchmark::State& state) {
+  const auto l = state.range(0);
+  const tensor::Tensor q = tensor::xavier_uniform(l, 64, 2, 1);
+  const tensor::Tensor k = tensor::xavier_uniform(l, 64, 2, 2);
+  const tensor::Tensor v = tensor::xavier_uniform(l, 64, 2, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::multihead_attention(q, k, v, 4));
+  }
+}
+BENCHMARK(BM_MultiheadAttention)->Arg(256)->Arg(1024);
+
+/// Full-frame Gaussian blur of a 256² slice at sigma = range(0): 1 is
+/// near the feature smoothing scale (1.2), 3 the structure-tensor scale
+/// of compute_features, 4 the decoder's coarse scale.
+void BM_GaussianBlur(benchmark::State& state) {
+  const image::ImageF32 img = bench_slice(256);
+  const auto sigma = static_cast<float>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cv::gaussian_blur(img, sigma));
+  }
+  state.SetItemsProcessed(state.iterations() * img.pixel_count());
+}
+BENCHMARK(BM_GaussianBlur)->Arg(1)->Arg(3)->Arg(4);
+
 /// RAII guard: forces a kernel backend for one benchmark, restores the
 /// previous selection on scope exit.
 class ScopedBackend {

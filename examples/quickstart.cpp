@@ -7,6 +7,8 @@
 // the exact Mode A flow of the platform:
 //   raw image → data readiness → GroundingDINO boxes → SAM mask →
 //   overlay + metrics on stdout.
+// A missing or corrupt TIFF prints the reader's error to stderr and
+// exits with status 2.
 #include <cstdio>
 #include <string>
 
@@ -22,17 +24,22 @@ int main(int argc, char** argv) {
   const std::string prompt =
       argc > 2 ? argv[2] : "bright needle-like crystalline catalyst";
 
-  image::AnyImage raw = [&]() -> image::AnyImage {
-    if (argc > 1) {
-      std::printf("loading %s ...\n", argv[1]);
-      return io::read_tiff(argv[1]).pages.at(0);
+  image::AnyImage raw;
+  if (argc > 1) {
+    std::printf("loading %s ...\n", argv[1]);
+    try {
+      raw = io::read_tiff(argv[1]).pages.at(0);
+    } catch (const io::TiffError& e) {
+      std::fprintf(stderr, "quickstart: %s\n", e.what());
+      return 2;
     }
+  } else {
     std::printf("no input given — generating a synthetic crystalline "
                 "FIB-SEM slice\n");
     fibsem::SynthConfig cfg;
     cfg.type = fibsem::SampleType::kCrystalline;
-    return fibsem::generate_slice(cfg, 0).raw;
-  }();
+    raw = fibsem::generate_slice(cfg, 0).raw;
+  }
 
   std::printf("input: %lldx%lld, %d-bit\n",
               static_cast<long long>(image::width_of(raw)),

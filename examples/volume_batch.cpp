@@ -6,7 +6,9 @@
 //
 // Without arguments it generates a synthetic amorphous 10-slice volume
 // (with ground truth, so Mode C metrics are reported too), writes it to
-// volume_batch_input.tif, then runs the batch pipeline on it.
+// volume_batch_input.tif, then runs the batch pipeline on it. A missing
+// or corrupt TIFF prints the reader's error to stderr and exits with
+// status 2.
 #include <cstdio>
 #include <string>
 
@@ -27,7 +29,12 @@ int main(int argc, char** argv) {
   bool have_gt = false;
   if (argc > 1) {
     std::printf("loading %s ...\n", argv[1]);
-    volume = io::read_volume_tiff_u16(argv[1]);
+    try {
+      volume = io::read_volume_tiff_u16(argv[1]);
+    } catch (const io::TiffError& e) {
+      std::fprintf(stderr, "volume_batch: %s\n", e.what());
+      return 2;
+    }
   } else {
     std::printf("no input given — generating a synthetic amorphous volume\n");
     fibsem::SynthConfig cfg;

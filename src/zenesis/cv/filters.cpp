@@ -65,28 +65,42 @@ ImageF32 gaussian_blur(const ImageF32& img, float sigma, const image::Box& roi_i
   const std::int64_t w = img.width(), h = img.height();
   const image::Box roi = roi_in.clipped(w, h);
   if (roi.empty()) return ImageF32(0, 0, 1);
-  // Horizontal pass over every row the vertical taps of the ROI reach.
+  // Both passes run whole-row loops so the x loop vectorizes: each
+  // output row starts at 0 and adds one tap across the row at a time,
+  // which keeps every pixel's 0 + k0·v0 + k1·v1 + … order. The
+  // horizontal pass covers every row the vertical taps of the ROI reach,
+  // reading a copy of the row padded with its clamped border samples.
   const std::int64_t ty0 = clampi(roi.y - radius, 0, h - 1);
   const std::int64_t ty1 = clampi(roi.bottom() - 1 + radius, 0, h - 1);
+  const std::int64_t taps = 2 * radius + 1;
   ImageF32 tmp(roi.w, ty1 - ty0 + 1, 1), out(roi.w, roi.h, 1);
+  const float* src = img.pixels().data();
+  float* tmp_px = tmp.pixels().data();
+  float* out_px = out.pixels().data();
   parallel::parallel_for(ty0, ty1 + 1, [&](std::int64_t y) {
-    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
-      float acc = 0.0f;
-      for (int i = -radius; i <= radius; ++i) {
-        acc += kernel[static_cast<std::size_t>(i + radius)] *
-               img.at(clampi(x + i, 0, w - 1), y);
-      }
-      tmp.at(x - roi.x, y - ty0) = acc;
+    thread_local std::vector<float> padded;
+    padded.resize(static_cast<std::size_t>(roi.w + taps - 1));
+    const float* row = src + y * w;
+    for (std::int64_t j = 0; j < roi.w + taps - 1; ++j) {
+      padded[static_cast<std::size_t>(j)] =
+          row[clampi(roi.x - radius + j, 0, w - 1)];
+    }
+    float* __restrict acc = tmp_px + (y - ty0) * roi.w;
+    std::fill(acc, acc + roi.w, 0.0f);
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const float kt = kernel[static_cast<std::size_t>(t)];
+      const float* __restrict v = padded.data() + t;
+      for (std::int64_t x = 0; x < roi.w; ++x) acc[x] += kt * v[x];
     }
   });
   parallel::parallel_for(roi.y, roi.bottom(), [&](std::int64_t y) {
-    for (std::int64_t x = 0; x < roi.w; ++x) {
-      float acc = 0.0f;
-      for (int i = -radius; i <= radius; ++i) {
-        acc += kernel[static_cast<std::size_t>(i + radius)] *
-               tmp.at(x, clampi(y + i, 0, h - 1) - ty0);
-      }
-      out.at(x, y - roi.y) = acc;
+    float* __restrict acc = out_px + (y - roi.y) * roi.w;
+    std::fill(acc, acc + roi.w, 0.0f);
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const float kt = kernel[static_cast<std::size_t>(t)];
+      const float* __restrict v =
+          tmp_px + (clampi(y + t - radius, 0, h - 1) - ty0) * roi.w;
+      for (std::int64_t x = 0; x < roi.w; ++x) acc[x] += kt * v[x];
     }
   });
   return out;

@@ -12,7 +12,8 @@
 //              loops the compiler can auto-vectorize. Always available.
 //   avx2     — x86 AVX2+FMA intrinsics: 8-wide FMA micro-kernels
 //              (2x4-register dot tiles for A·Bᵀ, broadcast-FMA row
-//              panels with a packed-B panel for A·B). Registered only
+//              panels with a packed-B panel for A·B, 8-keys-per-vector
+//              attention scores over packed key panels). Registered only
 //              when CPUID reports AVX2 and FMA.
 //   neon     — AArch64 stub behind the same interface (currently the
 //              blocked kernels under the "neon" name; real NEON
@@ -107,6 +108,17 @@ struct KernelBackend {
                        const std::int8_t* b, const float* b_scales,
                        const float* bias, float* c, std::int64_t m0,
                        std::int64_t m1, std::int64_t k, std::int64_t n);
+
+  // ---- attention scores over packed keys ----
+
+  /// Rows [m0, m1) of C[M,N] = scale * (A[M,K] · B[N,K]ᵀ) for K % 8 == 0,
+  /// with B packed into 8-key panels: panel p (keys 8p..8p+7) is a
+  /// [K][8] block at b_panels + p*8*K, lanes past N zero-filled. Every C
+  /// value must be byte-identical to this backend's matmul_nt followed
+  /// by scale. May be nullptr — ops.cpp then runs matmul_nt + scale.
+  void (*attention_scores)(const float* a, const float* b_panels, float scale,
+                           float* c, std::int64_t m0, std::int64_t m1,
+                           std::int64_t k, std::int64_t n);
 };
 
 /// The reference backend (always available).

@@ -13,6 +13,8 @@
 //   matmul_nn — i-k-j broadcast FMA over 16-column panels of B packed
 //     into a contiguous L1-resident buffer (panel depth kKBlock), four
 //     C rows per pass.
+//   attention_scores — 8 keys per vector over [K][8] key panels, four
+//     query rows per panel pass, each score in dot_avx's exact order.
 //
 // Determinism: per-output accumulation order is a function of k alone —
 // lane assignment, horizontal-sum shape and tail handling are fixed —
@@ -128,6 +130,92 @@ void v_matmul_nt(const float* a, const float* b, const float* bias, float* c,
                                                _mm256_loadu_ps(bias + j)));
       }
       for (; j < n; ++j) cr[j] += bias[j];
+    }
+  }
+}
+
+// ---- attention scores over packed 8-key panels ----------------------
+//
+// Narrow heads (dh = 16 in the encoder) leave nt_tile_2x4 one hsum8 per
+// two FMAs. Here the vector lanes hold 8 keys instead of 8 features, so
+// dot_avx's per-lane chains become whole vectors: chain l runs the FMAs
+// over features l, l+8, l+16, … from +0, and the 8 chain vectors are
+// combined in hsum8's tree ((a0+a4)+(a2+a6))+((a1+a5)+(a3+a7)). Each key
+// therefore sees dot_avx's exact operation sequence (K % 8 == 0 leaves
+// no scalar tail), and the score multiply is v_scale's single mul.
+
+/// Lane chain `l` of dot_avx for R query rows against one 8-key panel.
+template <int R>
+inline void panel_chain(const float* const (&q)[R], const float* panel,
+                        std::int64_t k, std::int64_t l, __m256 (&out)[R]) {
+  const __m256 p = _mm256_loadu_ps(panel + l * 8);
+  for (int r = 0; r < R; ++r) {
+    out[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(q[r] + l), p,
+                             _mm256_setzero_ps());
+  }
+  for (std::int64_t d = l + 8; d < k; d += 8) {
+    const __m256 pd = _mm256_loadu_ps(panel + d * 8);
+    for (int r = 0; r < R; ++r) {
+      out[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(q[r] + d), pd, out[r]);
+    }
+  }
+}
+
+/// Scores of R query rows against one panel; `width` (<= 8) keys stored.
+template <int R>
+inline void panel_scores(const float* const (&q)[R], const float* panel,
+                         std::int64_t k, __m256 scale, float* const (&c)[R],
+                         std::int64_t width) {
+  __m256 x[R], y[R], lo[R], hi[R];
+  panel_chain<R>(q, panel, k, 0, x);
+  panel_chain<R>(q, panel, k, 4, y);
+  for (int r = 0; r < R; ++r) lo[r] = _mm256_add_ps(x[r], y[r]);
+  panel_chain<R>(q, panel, k, 2, x);
+  panel_chain<R>(q, panel, k, 6, y);
+  for (int r = 0; r < R; ++r) {
+    lo[r] = _mm256_add_ps(lo[r], _mm256_add_ps(x[r], y[r]));
+  }
+  panel_chain<R>(q, panel, k, 1, x);
+  panel_chain<R>(q, panel, k, 5, y);
+  for (int r = 0; r < R; ++r) hi[r] = _mm256_add_ps(x[r], y[r]);
+  panel_chain<R>(q, panel, k, 3, x);
+  panel_chain<R>(q, panel, k, 7, y);
+  for (int r = 0; r < R; ++r) {
+    hi[r] = _mm256_add_ps(hi[r], _mm256_add_ps(x[r], y[r]));
+  }
+  for (int r = 0; r < R; ++r) {
+    const __m256 s = _mm256_mul_ps(_mm256_add_ps(lo[r], hi[r]), scale);
+    if (width == 8) {
+      _mm256_storeu_ps(c[r], s);
+    } else {
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, s);
+      std::copy(lanes, lanes + width, c[r]);
+    }
+  }
+}
+
+void v_attention_scores(const float* a, const float* b_panels, float scale,
+                        float* c, std::int64_t m0, std::int64_t m1,
+                        std::int64_t k, std::int64_t n) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  // Panel-outer: one panel (8·K floats) stays in L1 while every row of
+  // the range streams past it.
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const float* panel = b_panels + j * k;
+    const std::int64_t width = std::min<std::int64_t>(8, n - j);
+    std::int64_t i = m0;
+    for (; i + 4 <= m1; i += 4) {
+      const float* q[4] = {a + i * k, a + (i + 1) * k, a + (i + 2) * k,
+                           a + (i + 3) * k};
+      float* const cr[4] = {c + i * n + j, c + (i + 1) * n + j,
+                            c + (i + 2) * n + j, c + (i + 3) * n + j};
+      panel_scores<4>(q, panel, k, vscale, cr, width);
+    }
+    for (; i < m1; ++i) {
+      const float* q[1] = {a + i * k};
+      float* const cr[1] = {c + i * n + j};
+      panel_scores<1>(q, panel, k, vscale, cr, width);
     }
   }
 }
@@ -518,6 +606,7 @@ constexpr KernelBackend kAvx2Backend = {
     v_add,          v_scale,     v_softmax_row, v_layernorm_row, v_gelu,
     v_relu,         v_colwise_max,
     vq_quantize_row, vq_dequantize_row, vq_matmul_nt_i8,
+    v_attention_scores,
 };
 
 bool cpu_has_avx2_fma() {

@@ -290,6 +290,7 @@ constexpr KernelBackend kBlockedBackend = {
     b_add,          b_scale,     b_softmax_row, b_layernorm_row, b_gelu,
     b_relu,         b_colwise_max,
     q_quantize_row, q_dequantize_row, q_matmul_nt_i8,
+    nullptr,  // attention_scores: matmul_nt + scale
 };
 
 }  // namespace
@@ -307,6 +308,7 @@ constexpr KernelBackend kNeonBackend = {
     b_add,          b_scale,     b_softmax_row, b_layernorm_row, b_gelu,
     b_relu,         b_colwise_max,
     q_quantize_row, q_dequantize_row, q_matmul_nt_i8,
+    nullptr,  // attention_scores: matmul_nt + scale
 };
 }  // namespace
 const KernelBackend* neon_backend() { return &kNeonBackend; }

@@ -173,6 +173,7 @@ constexpr KernelBackend kScalarBackend = {
     s_add,          s_scale,     s_softmax_row, s_layernorm_row,
     s_gelu,         s_relu,      s_colwise_max,
     s_quantize_row, s_dequantize_row, s_matmul_nt_i8,
+    nullptr,  // attention_scores: matmul_nt + scale
 };
 
 }  // namespace

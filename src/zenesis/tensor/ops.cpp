@@ -1,14 +1,19 @@
 // ops.cpp — shape checking, output allocation and ThreadPool tiling for
 // the public tensor ops. All arithmetic lives in the active
-// tensor::kernels::KernelBackend; every function here is a thin
-// forwarder that splits row/element ranges onto parallel_for and hands
-// raw pointers to the backend micro-kernels.
+// tensor::kernels::KernelBackend: most functions here split row/element
+// ranges onto parallel_for and hand raw pointers to one backend
+// micro-kernel. multihead_attention (and attention, its one-head case)
+// is the exception: it fuses scores, scale, softmax and the value GEMM
+// per 32-row block in per-thread scratch, chaining the same backend
+// calls the unfused ops would make on the same row blocks.
 
 #include "zenesis/tensor/ops.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "zenesis/parallel/parallel_for.hpp"
 #include "zenesis/tensor/kernels.hpp"
@@ -224,41 +229,149 @@ void relu_inplace(Tensor& a) {
                   [&](float* p, std::int64_t n) { backend.relu(p, n); });
 }
 
+namespace {
+
+// Keys per panel of KernelBackend::attention_scores.
+constexpr std::int64_t kKeyPanel = 8;
+
+/// Per-thread scratch of the fused attention pass: one row block's
+/// gathered queries (and their int8 form), its scores (kGemmRowGrain x
+/// lk floats, 128 KB at 1024 keys) and its head output.
+struct AttentionScratch {
+  std::vector<float> q, scores, out, q_scales;
+  std::vector<std::int8_t> q8;
+};
+
+}  // namespace
+
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v) {
-  require(q.dim(1) == k.dim(1), "attention: q/k feature mismatch");
-  require(k.dim(0) == v.dim(0), "attention: k/v length mismatch");
-  // Under int8 the scores GEMM — the largest single matmul in the
-  // encoder at 1024 tokens — quantizes both operands dynamically. The
-  // softmax and the scores·V matmul stay fp32 for accuracy.
-  Tensor scores = quant::int8_fast_path() ? matmul_nt_dyn_quantized(q, k)
-                                          : matmul_nt(q, k);
-  scale_inplace(scores, 1.0f / std::sqrt(static_cast<float>(q.dim(1))));
-  softmax_rows(scores);
-  return matmul(scores, v);
+  return multihead_attention(q, k, v, 1);
 }
 
+// Two pool passes. The first splits keys and values per head: packed
+// into 8-key panels when the backend has attention_scores and dh % 8 ==
+// 0, quantized per row under the int8 fast path, else copied (a single
+// head uses k and v in place). The second runs one task per (head,
+// kGemmRowGrain-row block) that carries the block from scores through
+// scale and softmax to its output rows in per-thread scratch. Every
+// backend call sees the same row block (rebased to row 0) that the
+// whole-tensor matmul_nt / scale_inplace / softmax_rows / matmul chain
+// handed it, so the bytes equal that chain's on every backend and
+// precision (DESIGN §4i).
 Tensor multihead_attention(const Tensor& q, const Tensor& k, const Tensor& v,
                            int heads) {
+  require_rank2(q, "attention: q must be rank 2");
+  require_rank2(k, "attention: k must be rank 2");
+  require_rank2(v, "attention: v must be rank 2");
+  require(q.dim(1) == k.dim(1), "attention: q/k feature mismatch");
+  require(k.dim(0) == v.dim(0), "attention: k/v length mismatch");
   require(heads > 0, "multihead_attention: heads must be positive");
   require(q.dim(1) % heads == 0, "multihead_attention: d % heads != 0");
   require(v.dim(1) % heads == 0, "multihead_attention: dv % heads != 0");
   const std::int64_t lq = q.dim(0), lk = k.dim(0);
   const std::int64_t dh = q.dim(1) / heads, dvh = v.dim(1) / heads;
   Tensor out({lq, v.dim(1)});
-  for (int h = 0; h < heads; ++h) {
-    Tensor qh({lq, dh}), kh({lk, dh}), vh({lk, dvh});
-    for (std::int64_t i = 0; i < lq; ++i) {
-      for (std::int64_t j = 0; j < dh; ++j) qh.at(i, j) = q.at(i, h * dh + j);
-    }
-    for (std::int64_t i = 0; i < lk; ++i) {
-      for (std::int64_t j = 0; j < dh; ++j) kh.at(i, j) = k.at(i, h * dh + j);
-      for (std::int64_t j = 0; j < dvh; ++j) vh.at(i, j) = v.at(i, h * dvh + j);
-    }
-    Tensor oh = attention(qh, kh, vh);
-    for (std::int64_t i = 0; i < lq; ++i) {
-      for (std::int64_t j = 0; j < dvh; ++j) out.at(i, h * dvh + j) = oh.at(i, j);
-    }
+  if (lq == 0 || lk == 0) return out;
+  const kernels::KernelBackend& backend = be();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const bool int8 = quant::int8_fast_path();
+  const bool packed =
+      !int8 && backend.attention_scores != nullptr && dh % kKeyPanel == 0;
+  const bool split = heads > 1;
+
+  const std::int64_t key_stride =
+      packed ? (lk + kKeyPanel - 1) / kKeyPanel * kKeyPanel * dh : lk * dh;
+  std::vector<float> keys, values, key_scales;
+  std::vector<std::int8_t> keys8;
+  if (int8) {
+    keys8.resize(static_cast<std::size_t>(heads * key_stride));
+    key_scales.resize(static_cast<std::size_t>(heads * lk));
+  } else if (packed || split) {
+    keys.assign(static_cast<std::size_t>(heads * key_stride), 0.0f);
   }
+  if (split) values.resize(static_cast<std::size_t>(heads * lk * dvh));
+  if (int8 || packed || split) {
+    parallel::parallel_for_chunked(
+        0, lk, kGemmRowGrain, [&](std::int64_t i0, std::int64_t i1) {
+          for (std::int64_t h = 0; h < heads; ++h) {
+            for (std::int64_t i = i0; i < i1; ++i) {
+              const float* kr = k.row(i) + h * dh;
+              if (int8) {
+                backend.quantize_row(
+                    kr, keys8.data() + h * key_stride + i * dh,
+                    &key_scales[static_cast<std::size_t>(h * lk + i)], dh);
+              } else if (packed) {
+                float* lane = keys.data() + h * key_stride +
+                              (i - i % kKeyPanel) * dh + i % kKeyPanel;
+                for (std::int64_t j = 0; j < dh; ++j) lane[j * kKeyPanel] = kr[j];
+              } else {
+                std::copy(kr, kr + dh, keys.data() + h * key_stride + i * dh);
+              }
+              if (split) {
+                const float* vr = v.row(i) + h * dvh;
+                std::copy(vr, vr + dvh, values.data() + (h * lk + i) * dvh);
+              }
+            }
+          }
+        });
+  }
+
+  const std::int64_t blocks = (lq + kGemmRowGrain - 1) / kGemmRowGrain;
+  parallel::parallel_for_chunked(
+      0, blocks * heads, 1, [&](std::int64_t t0, std::int64_t t1) {
+        thread_local AttentionScratch s;
+        s.scores.resize(static_cast<std::size_t>(kGemmRowGrain * lk));
+        s.q.resize(static_cast<std::size_t>(kGemmRowGrain * dh));
+        s.out.resize(static_cast<std::size_t>(kGemmRowGrain * dvh));
+        s.q8.resize(static_cast<std::size_t>(kGemmRowGrain * dh));
+        s.q_scales.resize(static_cast<std::size_t>(kGemmRowGrain));
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const std::int64_t h = t % heads;
+          const std::int64_t r0 = t / heads * kGemmRowGrain;
+          const std::int64_t rows = std::min(kGemmRowGrain, lq - r0);
+          const float* qb = q.row(r0);
+          if (split) {
+            for (std::int64_t i = 0; i < rows; ++i) {
+              const float* qr = q.row(r0 + i) + h * dh;
+              std::copy(qr, qr + dh, s.q.data() + i * dh);
+            }
+            qb = s.q.data();
+          }
+          float* sc = s.scores.data();
+          if (packed) {
+            backend.attention_scores(qb, keys.data() + h * key_stride, scale,
+                                     sc, 0, rows, dh, lk);
+          } else {
+            if (int8) {
+              for (std::int64_t i = 0; i < rows; ++i) {
+                backend.quantize_row(qb + i * dh, s.q8.data() + i * dh,
+                                     &s.q_scales[static_cast<std::size_t>(i)],
+                                     dh);
+              }
+              backend.matmul_nt_i8(s.q8.data(), s.q_scales.data(),
+                                   keys8.data() + h * key_stride,
+                                   key_scales.data() + h * lk, nullptr, sc, 0,
+                                   rows, dh, lk);
+            } else {
+              const float* kh = split ? keys.data() + h * key_stride : k.data();
+              backend.matmul_nt(qb, kh, nullptr, sc, 0, rows, dh, lk);
+            }
+            backend.scale(sc, scale, rows * lk);
+          }
+          for (std::int64_t i = 0; i < rows; ++i) {
+            backend.softmax_row(sc + i * lk, lk);
+          }
+          const float* vh = split ? values.data() + h * lk * dvh : v.data();
+          float* ob = split ? s.out.data() : out.row(r0);
+          backend.matmul_nn(sc, vh, ob, 0, rows, lk, dvh);
+          if (split) {
+            for (std::int64_t i = 0; i < rows; ++i) {
+              std::copy(ob + i * dvh, ob + (i + 1) * dvh,
+                        out.row(r0 + i) + h * dvh);
+            }
+          }
+        }
+      });
   return out;
 }
 

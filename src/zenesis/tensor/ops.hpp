@@ -2,13 +2,13 @@
 // Core numeric ops for the surrogate transformer models.
 //
 // Everything here operates on rank-2 tensors interpreted as
-// [rows, features] unless stated otherwise. These functions are thin
-// forwarders: shape checking, output allocation and ThreadPool tiling
-// happen here, while the arithmetic itself runs in the active
-// tensor::kernels::KernelBackend (scalar reference, blocked portable,
-// or AVX2 — see kernels.hpp for selection via ZENESIS_KERNEL /
-// set_backend()). Within one backend, results are byte-deterministic
-// across thread counts; across backends they agree to rounding only.
+// [rows, features] unless stated otherwise. Shape checking, output
+// allocation and ThreadPool tiling happen here, while the arithmetic
+// itself runs in the active tensor::kernels::KernelBackend (scalar
+// reference, blocked portable, or AVX2 — see kernels.hpp for selection
+// via ZENESIS_KERNEL / set_backend()). Within one backend, results are
+// byte-deterministic across thread counts; across backends they agree
+// to rounding only.
 
 #include "zenesis/tensor/quant.hpp"
 #include "zenesis/tensor/tensor.hpp"
@@ -82,8 +82,10 @@ void relu_inplace(Tensor& a);
 Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v);
 
 /// Multi-head attention over pre-projected inputs. q,k,v as in
-/// `attention`; d must be divisible by `heads`. Heads are processed
-/// independently and concatenated.
+/// `attention`; d and dv must be divisible by `heads`. Heads are
+/// processed independently and concatenated. attention() is the
+/// one-head case; both run one fused scores→softmax→value pass per
+/// 32-row block, byte-identical to the unfused op chain.
 Tensor multihead_attention(const Tensor& q, const Tensor& k, const Tensor& v,
                            int heads);
 

@@ -1,9 +1,15 @@
 // Spatial filter tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "zenesis/cv/filters.hpp"
+#include "zenesis/image/roi.hpp"
 #include "zenesis/parallel/rng.hpp"
 
 namespace zc = zenesis::cv;
@@ -222,6 +228,80 @@ TEST(GaussianBlur, RoiIsLocalAndMatchesFullImage) {
     for (std::int64_t y = c.y; y < c.bottom(); ++y) {
       for (std::int64_t x = c.x; x < c.right(); ++x) {
         ASSERT_EQ(part.at(x - c.x, y - c.y), full.at(x, y)) << x << "," << y;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// The per-pixel tap loop gaussian_blur replaced, kept as the byte-level
+/// reference: full-frame horizontal then vertical pass, taps clamped to
+/// the border, each pixel summed 0 + k0·v0 + k1·v1 + … in tap order.
+zi::ImageF32 tap_loop_blur(const zi::ImageF32& img, float sigma) {
+  const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
+  std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
+  float sum = 0.0f;
+  for (int i = -radius; i <= radius; ++i) {
+    const float v = std::exp(-0.5f * static_cast<float>(i * i) / (sigma * sigma));
+    kernel[static_cast<std::size_t>(i + radius)] = v;
+    sum += v;
+  }
+  for (float& v : kernel) v /= sum;
+  const std::int64_t w = img.width(), h = img.height();
+  const auto clamp = [](std::int64_t v, std::int64_t hi) {
+    return std::clamp<std::int64_t>(v, 0, hi);
+  };
+  zi::ImageF32 tmp(w, h, 1), out(w, h, 1);
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      float acc = 0.0f;
+      for (int i = -radius; i <= radius; ++i) {
+        acc += kernel[static_cast<std::size_t>(i + radius)] * img.at(clamp(x + i, w - 1), y);
+      }
+      tmp.at(x, y) = acc;
+    }
+  }
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      float acc = 0.0f;
+      for (int i = -radius; i <= radius; ++i) {
+        acc += kernel[static_cast<std::size_t>(i + radius)] * tmp.at(x, clamp(y + i, h - 1));
+      }
+      out.at(x, y) = acc;
+    }
+  }
+  return out;
+}
+
+bool same_bytes(const zi::ImageF32& a, const zi::ImageF32& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(),
+                     a.pixels().size() * sizeof(float)) == 0;
+}
+
+}  // namespace
+
+TEST(GaussianBlur, BytesMatchTapLoopReference) {
+  // 8x8 at sigma 4 has a 12-pixel radius: every tap past the frame clamps.
+  for (const auto& [w, h] : {std::pair<std::int64_t, std::int64_t>{70, 52}, {8, 8}}) {
+    const zi::ImageF32 img = noisy(w, h, 0.5f, 0.2f, 31 + static_cast<std::uint64_t>(w));
+    for (const float sigma : {0.5f, 1.0f, 3.0f, 4.0f}) {
+      const std::string tag = std::to_string(w) + "x" + std::to_string(h) +
+                              " sigma=" + std::to_string(sigma);
+      const zi::ImageF32 ref = tap_loop_blur(img, sigma);
+      EXPECT_TRUE(same_bytes(zc::gaussian_blur(img, sigma), ref)) << tag;
+      // ROIs touching each border, an interior one and one overhanging two
+      // borders; each must equal the matching crop of the reference.
+      const std::vector<zi::Box> rois = {
+          {0, h / 4, w / 3, h / 2},         {w / 4, 0, w / 2, h / 3},
+          {w - w / 3, h / 5, w / 3, h / 2}, {w / 5, h - h / 3, w / 2, h / 3},
+          {w / 4, h / 4, w / 2, h / 2},     {-5, h / 2, w / 2 + 5, h},
+      };
+      for (const zi::Box& roi : rois) {
+        const zi::Box c = roi.clipped(w, h);
+        EXPECT_TRUE(same_bytes(zc::gaussian_blur(img, sigma, roi), zi::crop(ref, c)))
+            << tag << " roi " << roi.x << "," << roi.y << " " << roi.w << "x" << roi.h;
       }
     }
   }

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -224,6 +225,86 @@ TEST_F(KernelBackendTest, AttentionEquivalence) {
     expect_close(tensor::attention(q, k, v), ref, "attention " + backend);
     expect_close(tensor::multihead_attention(q, k, v, 4), mh_ref,
                  "multihead_attention " + backend);
+  }
+}
+
+/// The unfused attention chain the fused core replaced, kept here as
+/// the byte-level reference: per-head gather, the scores GEMM (both
+/// operands quantized under the int8 fast path), scale, softmax, then
+/// scores·V, each as a whole-tensor op.
+tensor::Tensor unfused_attention(const tensor::Tensor& q, const tensor::Tensor& k,
+                                 const tensor::Tensor& v, int heads) {
+  const std::int64_t lq = q.dim(0), lk = k.dim(0);
+  const std::int64_t dh = q.dim(1) / heads, dvh = v.dim(1) / heads;
+  tensor::Tensor out({lq, v.dim(1)});
+  for (int h = 0; h < heads; ++h) {
+    tensor::Tensor qh({lq, dh}), kh({lk, dh}), vh({lk, dvh});
+    for (std::int64_t i = 0; i < lq; ++i) {
+      for (std::int64_t j = 0; j < dh; ++j) qh.at(i, j) = q.at(i, h * dh + j);
+    }
+    for (std::int64_t i = 0; i < lk; ++i) {
+      for (std::int64_t j = 0; j < dh; ++j) kh.at(i, j) = k.at(i, h * dh + j);
+      for (std::int64_t j = 0; j < dvh; ++j) vh.at(i, j) = v.at(i, h * dvh + j);
+    }
+    tensor::Tensor scores = tensor::quant::int8_fast_path()
+                                ? tensor::matmul_nt_dyn_quantized(qh, kh)
+                                : tensor::matmul_nt(qh, kh);
+    tensor::scale_inplace(scores, 1.0f / std::sqrt(static_cast<float>(dh)));
+    tensor::softmax_rows(scores);
+    const tensor::Tensor oh = tensor::matmul(scores, vh);
+    for (std::int64_t i = 0; i < lq; ++i) {
+      for (std::int64_t j = 0; j < dvh; ++j) out.at(i, h * dvh + j) = oh.at(i, j);
+    }
+  }
+  return out;
+}
+
+void expect_bytes_equal(const tensor::Tensor& got, const tensor::Tensor& ref,
+                        const std::string& what) {
+  ASSERT_EQ(got.shape(), ref.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                        static_cast<std::size_t>(ref.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST_F(KernelBackendTest, FusedAttentionBytesMatchUnfusedChain) {
+  // lq straddles the 32-row block edges; dh = 12 takes the matmul_nt
+  // fallback, the others the packed-key scores where the backend has
+  // them. lk = 77 leaves a partial 8-key panel; the encoder's own shape
+  // (4 heads of 16 over lk = lq tokens) and decode_coarse's 3 x 1024
+  // single-head cross-attention are covered separately.
+  for (const auto& backend : tensor::available_backends()) {
+    for (const char* precision : {"fp32", "int8"}) {
+      ASSERT_TRUE(tensor::set_backend(backend));
+      if (!tensor::quant::set_precision(precision)) continue;
+      const std::string tag = backend + "." + precision;
+      for (const std::int64_t lq : {1, 3, 31, 32, 33, 256, 625, 1024}) {
+        for (const std::int64_t dh : {8, 12, 16, 64}) {
+          for (const int heads : {1, 4}) {
+            const std::int64_t d = heads * dh;
+            const tensor::Tensor q = filled(lq, d, 11);
+            const tensor::Tensor k = filled(77, d, 13);
+            const tensor::Tensor v = filled(77, d, 17);
+            const std::string what = tag + " lq=" + std::to_string(lq) +
+                                     " dh=" + std::to_string(dh) +
+                                     " heads=" + std::to_string(heads);
+            expect_bytes_equal(heads == 1 ? tensor::attention(q, k, v)
+                                          : tensor::multihead_attention(q, k, v, heads),
+                               unfused_attention(q, k, v, heads), what);
+          }
+        }
+        const tensor::Tensor x = filled(lq, 64, 19);
+        expect_bytes_equal(tensor::multihead_attention(x, x, x, 4),
+                           unfused_attention(x, x, x, 4),
+                           tag + " encoder self-attention lq=" + std::to_string(lq));
+      }
+      const tensor::Tensor prompts = filled(3, 64, 23);
+      const tensor::Tensor tokens = filled(1024, 64, 29);
+      expect_bytes_equal(tensor::attention(prompts, tokens, tokens),
+                         unfused_attention(prompts, tokens, tokens, 1),
+                         tag + " decode_coarse 3x1024");
+    }
   }
 }
 
