@@ -182,13 +182,11 @@ void register_kernel_benchmarks() {
           ->Arg(256)
           ->Arg(512);
     }
-    if (tensor::backend_supports_int8(backend)) {
-      benchmark::RegisterBenchmark(
-          ("BM_GemmInt8/" + backend).c_str(),
-          [backend](benchmark::State& s) { BM_GemmInt8(s, backend); })
-          ->Arg(256)
-          ->Arg(512);
-    }
+    benchmark::RegisterBenchmark(
+        ("BM_GemmInt8/" + backend).c_str(),
+        [backend](benchmark::State& s) { BM_GemmInt8(s, backend); })
+        ->Arg(256)
+        ->Arg(512);
     benchmark::RegisterBenchmark(
         ("BM_Attention/" + backend).c_str(),
         [backend](benchmark::State& s) { BM_AttentionBackend(s, backend); })
@@ -684,7 +682,7 @@ void write_volume_record() {
   const core::ZenesisPipeline cached(volume_config(hw, true));
   (void)time_volume_pass(cached, vol.volume, 1);  // cold pass fills the cache
   const double t_cached = time_volume_pass(cached, vol.volume, kReps);
-  const models::FeatureCacheStats cache_stats = cached.cache_stats();
+  const cache::FeatureCacheStats cache_stats = cached.cache_stats();
 
   // Full memoization: default config (mask cache on), warm second pass.
   core::PipelineConfig mask_cfg;
@@ -1029,14 +1027,11 @@ void write_gemm_record() {
         rec.set(key + "_gflops", g);
       }
     }
-    if (tensor::backend_supports_int8(backend)) {
-      for (const std::int64_t n : sizes) {
-        const std::string key =
-            backend + "_matmul_nt_i8_" + std::to_string(n);
-        const double g = gops_int8(n);
-        results[key] = g;
-        rec.set(key + "_gops", g);
-      }
+    for (const std::int64_t n : sizes) {
+      const std::string key = backend + "_matmul_nt_i8_" + std::to_string(n);
+      const double g = gops_int8(n);
+      results[key] = g;
+      rec.set(key + "_gops", g);
     }
   }
   tensor::set_backend(active);
@@ -1058,7 +1053,6 @@ void write_gemm_record() {
   // Quantization headline: int8 matmul_nt over the SAME backend's fp32
   // matmul_nt (acceptance: >= 1.8x on avx2 at every size).
   for (const auto& backend : tensor::available_backends()) {
-    if (!tensor::backend_supports_int8(backend)) continue;
     for (const std::int64_t n : sizes) {
       const std::string sz = std::to_string(n);
       rec.set(backend + "_int8_vs_fp32_matmul_nt_" + sz,

@@ -1,11 +1,11 @@
 #pragma once
 // Lock-striped, byte-budgeted, approximately-LRU in-memory cache.
 //
-// The single-mutex LRU that used to live in models::FeatureCache
-// serializes every lookup the moment the serving layer drives real
-// concurrency. This template replaces it with N independent shards, each
-// its own mutex + hash map, selected by the top bits of an avalanched key
-// mix — two threads touching different shards never contend.
+// A single-mutex LRU serializes every lookup the moment the serving
+// layer drives real concurrency. This template splits it into N
+// independent shards, each its own mutex + hash map, selected by the top
+// bits of an avalanched key mix — two threads touching different shards
+// never contend.
 //
 // Budgeting: the global byte budget and entry capacity are split across
 // the shards (byte budgets sum EXACTLY to the configured budget, so a

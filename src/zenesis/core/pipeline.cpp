@@ -70,18 +70,6 @@ std::vector<std::string> PipelineConfig::validate() const {
   if (precision != "auto" && precision != "fp32" && precision != "int8") {
     issues.push_back("precision '" + precision +
                      "' is unknown (expected auto, fp32 or int8)");
-  } else if (precision == "int8") {
-    // The backend the pipeline will actually run on: the concrete knob,
-    // or the current process-wide selection under "auto".
-    const std::string backend = kernel_backend == "auto"
-                                    ? std::string(tensor::backend_name())
-                                    : kernel_backend;
-    if (tensor::backend_available(backend) &&
-        !tensor::backend_supports_int8(backend)) {
-      issues.push_back("precision 'int8' requires int8 kernels, which "
-                       "kernel backend '" +
-                       backend + "' does not provide");
-    }
   }
   return issues;
 }
@@ -154,9 +142,7 @@ PipelineConfig checked(const PipelineConfig& cfg) {
   if (cfg.kernel_backend != "auto") {
     tensor::set_backend(cfg.kernel_backend);  // validated above
   }
-  // Precision follows the same contract — and is applied AFTER the
-  // backend so an int8 request is checked against the backend this
-  // pipeline just selected.
+  // Precision follows the same contract.
   if (cfg.precision != "auto") {
     tensor::quant::set_precision(cfg.precision);  // validated above
   }
@@ -174,7 +160,7 @@ cache::Key128 slice_request_key(const image::ImageF32& ready,
   h = cache::fnv1a_value(h, fingerprint);
   h = cache::fnv1a_value(h, prompt.size());
   h = cache::fnv1a_bytes(h, prompt.data(), prompt.size());
-  return {models::hash_image(ready), h};
+  return {cache::hash_image(ready), h};
 }
 
 /// Mask-cache key for an explicit-box request (tag 2 + box + options).
@@ -195,7 +181,7 @@ cache::Key128 box_request_key(const image::ImageF32& ready,
     h = cache::fnv1a_value(h, opts.prompt->size());
     h = cache::fnv1a_bytes(h, opts.prompt->data(), opts.prompt->size());
   }
-  return {models::hash_image(ready), h};
+  return {cache::hash_image(ready), h};
 }
 
 }  // namespace
@@ -204,7 +190,7 @@ ZenesisPipeline::ZenesisPipeline(const PipelineConfig& cfg)
     : cfg_(checked(cfg)),
       dino_(cfg.grounding),
       sam_(cfg.sam),
-      cache_(std::make_unique<models::FeatureCache>(cfg.feature_cache)),
+      cache_(std::make_unique<cache::FeatureCache>(cfg.feature_cache)),
       mask_cache_(std::make_unique<cache::ShardedLruCache<SliceResult>>(
           cfg.mask_cache)),
       decode_fingerprint_(decode_config_fingerprint(cfg_)),
@@ -471,33 +457,12 @@ VolumeRequest VolumeRequest::streamed(VolumeSource src, std::string text) {
 }
 
 VolumeRequest VolumeRequest::from_file(std::string path, std::string text,
-                                       io::TiffReadLimits limits) {
-  VolumeRequest r;
-  r.tiff_path = std::move(path);
-  r.prompt = std::move(text);
-  r.tiff_limits = limits;
-  return r;
-}
-
-VolumeRequest VolumeRequest::from_file(std::string path, std::string text,
                                        const io::TiffOpenOptions& open) {
   VolumeRequest r;
   r.tiff_path = std::move(path);
   r.prompt = std::move(text);
-  r.tiff_limits = open.limits;
-  r.tiff_source_kind = io::to_string(open.source_kind);
-  r.tiff_prefetch = open.prefetch;
+  r.tiff_open = open;
   return r;
-}
-
-io::TiffOpenOptions VolumeRequest::tiff_open_options() const {
-  io::TiffOpenOptions open;
-  if (const auto kind = io::parse_source_kind(tiff_source_kind)) {
-    open.source_kind = *kind;
-  }
-  open.limits = tiff_limits;
-  open.prefetch = tiff_prefetch;
-  return open;
 }
 
 std::vector<std::string> VolumeRequest::validate() const {
@@ -515,10 +480,6 @@ std::vector<std::string> VolumeRequest::validate() const {
     if (source->depth < 0) issues.push_back("negative VolumeSource depth");
   }
   if (tiff_path && tiff_path->empty()) issues.push_back("empty tiff_path");
-  if (!io::parse_source_kind(tiff_source_kind)) {
-    issues.push_back("unknown tiff_source_kind \"" + tiff_source_kind +
-                     "\" (expected auto|memory|pread|mmap)");
-  }
   return issues;
 }
 
@@ -544,7 +505,7 @@ VolumeResult ZenesisPipeline::segment_volume(const VolumeRequest& request) const
     // from parse or decode propagates to the caller — serve maps it into
     // core::Error via error_from_current_exception.
     const io::TiffVolumeReader reader = io::TiffVolumeReader::open(
-        *request.tiff_path, request.tiff_open_options());
+        *request.tiff_path, request.tiff_open);
     reader.require_uniform_geometry();
     VolumeSource source;
     source.depth = reader.pages();
@@ -552,23 +513,6 @@ VolumeResult ZenesisPipeline::segment_volume(const VolumeRequest& request) const
     return run_volume(source, request.prompt);
   }
   return run_volume(*request.source, request.prompt);
-}
-
-VolumeResult ZenesisPipeline::segment_volume(const image::VolumeU16& volume,
-                                             const std::string& prompt) const {
-  // Wraps by reference (no copy of the stack) — the request outlives the
-  // call, so lifetime matches the old overload exactly.
-  VolumeSource source;
-  source.depth = volume.depth();
-  source.slice = [&volume](std::int64_t z) {
-    return image::AnyImage(volume.slice(z));
-  };
-  return run_volume(source, prompt);
-}
-
-VolumeResult ZenesisPipeline::segment_volume(const VolumeSource& source,
-                                             const std::string& prompt) const {
-  return segment_volume(VolumeRequest::streamed(source, prompt));
 }
 
 VolumeResult ZenesisPipeline::run_volume(const VolumeSource& source,

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/cache/sharded_lru.hpp"
 #include "zenesis/image/geometry.hpp"
 #include "zenesis/image/image.hpp"
@@ -18,7 +19,6 @@
 #include "zenesis/io/tiff_error.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/models/auto_mask.hpp"
-#include "zenesis/models/feature_cache.hpp"
 #include "zenesis/models/grounding.hpp"
 #include "zenesis/models/sam.hpp"
 #include "zenesis/parallel/thread_pool.hpp"
@@ -43,7 +43,7 @@ struct PipelineConfig {
   std::size_t volume_threads = 0;
   /// Backbone feature/encoder memoization (off switch + LRU sizing +
   /// optional persistent tier via `disk_path`).
-  models::FeatureCacheConfig feature_cache;
+  cache::FeatureCacheConfig feature_cache;
   /// Mask-result memoization in front of the decode stage: a repeated
   /// (image, prompt, options) request under an unchanged decode
   /// configuration reuses the finished SliceResult instead of re-running
@@ -52,7 +52,7 @@ struct PipelineConfig {
   cache::ShardedCacheConfig mask_cache;
   /// Tensor kernel backend for all model math: "auto" (default — honor
   /// ZENESIS_KERNEL / the process-wide selection), "scalar", "blocked",
-  /// "avx2", or "neon". A concrete name is applied process-wide at
+  /// or "avx2". A concrete name is applied process-wide at
   /// pipeline construction via tensor::set_backend(); validate() rejects
   /// names unavailable on this CPU. The *resolved* name is folded into
   /// decode_config_fingerprint(), so cached masks never alias across
@@ -62,8 +62,7 @@ struct PipelineConfig {
   /// (default — honor ZENESIS_PRECISION / the process-wide selection),
   /// "fp32", or "int8" (dynamic per-row quantization, tensor/quant.hpp).
   /// A concrete name is applied process-wide at pipeline construction
-  /// via tensor::quant::set_precision(); validate() rejects "int8" when
-  /// the selected kernel backend has no int8 kernels. The *resolved*
+  /// via tensor::quant::set_precision(). The *resolved*
   /// name is folded into decode_config_fingerprint() AND the feature
   /// cache's backbone hash, so neither cached masks nor cached/persisted
   /// embeddings ever alias across precisions.
@@ -138,21 +137,15 @@ struct VolumeSource {
 ///
 /// The factories cover the common spellings; build the struct by hand to
 /// combine knobs. `in_memory` takes the volume by value — move it in, or
-/// wrap an lvalue you want to keep with `streamed` + a slice lambda to
-/// avoid the copy (what the deprecated forwarders do internally).
+/// borrow an lvalue you want to keep with `view` to avoid the copy.
 struct VolumeRequest {
   std::string prompt;
   std::optional<image::VolumeU16> volume;  ///< materialized stack (owned)
   std::optional<VolumeSource> source;      ///< on-demand slice feed
   std::optional<std::string> tiff_path;    ///< streamed straight from disk
-  /// Parse/decode ceilings for the `tiff_path` source (ignored otherwise).
-  io::TiffReadLimits tiff_limits{};
-  /// Byte-source knob for `tiff_path`: "auto" | "memory" | "pread" |
-  /// "mmap" ("auto" resolves via ZENESIS_TIFF_SOURCE and platform
-  /// support; unknown strings are validate() errors).
-  std::string tiff_source_kind = "auto";
-  /// madvise prefetch hints for mmap sources (io::TiffOpenOptions).
-  bool tiff_prefetch = true;
+  /// How `tiff_path` is opened: byte-source kind, parse/decode limits
+  /// and prefetch hints (ignored for the other sources).
+  io::TiffOpenOptions tiff_open{};
 
   static VolumeRequest in_memory(image::VolumeU16 vol, std::string text);
   /// Borrows `vol` (no copy): the caller keeps ownership and must keep it
@@ -161,15 +154,7 @@ struct VolumeRequest {
   static VolumeRequest view(const image::VolumeU16& vol, std::string text);
   static VolumeRequest streamed(VolumeSource src, std::string text);
   static VolumeRequest from_file(std::string path, std::string text,
-                                 io::TiffReadLimits limits = {});
-  /// Full ingestion control: byte-source kind, limits and prefetch in
-  /// one io::TiffOpenOptions.
-  static VolumeRequest from_file(std::string path, std::string text,
-                                 const io::TiffOpenOptions& open);
-
-  /// The io::TiffOpenOptions this request's knobs denote (valid only
-  /// after validate() returned empty).
-  io::TiffOpenOptions tiff_open_options() const;
+                                 const io::TiffOpenOptions& open = {});
 
   /// One message per problem (source count, null slice fn, negative
   /// depth); empty = valid.
@@ -203,7 +188,7 @@ class ZenesisPipeline {
 
   /// Feature-cache hit/miss/eviction counters (all zero when the cache is
   /// disabled — a disabled cache never records traffic).
-  models::FeatureCacheStats cache_stats() const { return cache_->stats(); }
+  cache::FeatureCacheStats cache_stats() const { return cache_->stats(); }
 
   /// Mask-result cache counters (same disabled-means-silent contract).
   cache::LruCacheStats mask_cache_stats() const {
@@ -245,17 +230,6 @@ class ZenesisPipeline {
   /// serial path regardless of thread count — and identical across the
   /// three source kinds for the same pixel data.
   VolumeResult segment_volume(const VolumeRequest& request) const;
-
-  /// Deprecated forwarder: wraps the volume in a VolumeRequest (by
-  /// reference — no copy of the stack).
-  [[deprecated("use segment_volume(VolumeRequest) / VolumeRequest::in_memory")]]
-  VolumeResult segment_volume(const image::VolumeU16& volume,
-                              const std::string& prompt) const;
-
-  /// Deprecated forwarder for the slice-feed overload.
-  [[deprecated("use segment_volume(VolumeRequest) / VolumeRequest::streamed")]]
-  VolumeResult segment_volume(const VolumeSource& source,
-                              const std::string& prompt) const;
 
   /// Mode B over independent images, scheduled like segment_volume.
   std::vector<SliceResult> segment_images(
@@ -303,7 +277,7 @@ class ZenesisPipeline {
   models::SamModel sam_;
   /// Internally synchronized; safe to use from const methods and from
   /// concurrent slice tasks.
-  std::unique_ptr<models::FeatureCache> cache_;
+  std::unique_ptr<cache::FeatureCache> cache_;
   /// Finished SliceResults keyed by (image hash, request hash); the
   /// request hash folds in decode_fingerprint_. Internally synchronized.
   std::unique_ptr<cache::ShardedLruCache<SliceResult>> mask_cache_;

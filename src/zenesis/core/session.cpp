@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/obs/trace.hpp"
 
 namespace zenesis::core {
@@ -29,37 +28,9 @@ VolumeResult Session::mode_b_segment_volume(const VolumeRequest& request) const 
   return pipeline_.segment_volume(request);
 }
 
-VolumeResult Session::mode_b_segment_volume(const image::VolumeU16& volume,
-                                            const std::string& prompt) const {
-  return pipeline_.segment_volume(VolumeRequest::view(volume, prompt));
-}
-
-VolumeResult Session::mode_b_segment_volume(const VolumeSource& source,
-                                            const std::string& prompt) const {
-  return pipeline_.segment_volume(VolumeRequest::streamed(source, prompt));
-}
-
-VolumeResult Session::mode_b_segment_volume_file(
-    const std::string& tiff_path, const std::string& prompt,
-    const io::TiffReadLimits& limits) const {
-  return pipeline_.segment_volume(
-      VolumeRequest::from_file(tiff_path, prompt, limits));
-}
-
-VolumeResult Session::mode_b_segment_volume_file(
-    const std::string& tiff_path, const std::string& prompt,
-    const io::TiffOpenOptions& open) const {
-  return pipeline_.segment_volume(
-      VolumeRequest::from_file(tiff_path, prompt, open));
-}
-
 std::vector<SliceResult> Session::mode_b_segment_images(
     const std::vector<image::AnyImage>& images, const std::string& prompt) const {
   return pipeline_.segment_images(images, prompt);
-}
-
-void Session::add_stats_source(StatsSource source) {
-  if (source) stats_sources_.push_back(StatsEntry{std::move(source), nullptr});
 }
 
 StatsRegistration Session::add_scoped_stats_source(StatsSource source) {
@@ -69,10 +40,8 @@ StatsRegistration Session::add_scoped_stats_source(StatsSource source) {
   return StatsRegistration{std::move(alive)};
 }
 
-void Session::clear_stats_sources() { stats_sources_.clear(); }
-
 void Session::publish_runtime_stats() {
-  const models::FeatureCacheStats s = pipeline_.cache_stats();
+  const cache::FeatureCacheStats s = pipeline_.cache_stats();
   dashboard_.set_stat("feature_cache_hits", static_cast<double>(s.hits));
   dashboard_.set_stat("feature_cache_misses", static_cast<double>(s.misses));
   dashboard_.set_stat("feature_cache_evictions", static_cast<double>(s.evictions));
@@ -112,8 +81,7 @@ void Session::publish_runtime_stats() {
   stats_sources_.erase(
       std::remove_if(stats_sources_.begin(), stats_sources_.end(),
                      [](const StatsEntry& e) {
-                       return e.alive &&
-                              !e.alive->load(std::memory_order_relaxed);
+                       return !e.alive->load(std::memory_order_relaxed);
                      }),
       stats_sources_.end());
   for (const auto& entry : stats_sources_) entry.fn(dashboard_);

@@ -89,24 +89,6 @@ class Session {
   /// parallel (see PipelineConfig::volume_threads) with results identical
   /// to the serial path for every thread count and source kind.
   VolumeResult mode_b_segment_volume(const VolumeRequest& request) const;
-  /// Deprecated forwarder (materialized stack; wraps by reference).
-  [[deprecated("use mode_b_segment_volume(VolumeRequest) / VolumeRequest::in_memory")]]
-  VolumeResult mode_b_segment_volume(const image::VolumeU16& volume,
-                                     const std::string& prompt) const;
-  /// Deprecated forwarder (on-demand slice feed).
-  [[deprecated("use mode_b_segment_volume(VolumeRequest) / VolumeRequest::streamed")]]
-  VolumeResult mode_b_segment_volume(const VolumeSource& source,
-                                     const std::string& prompt) const;
-  /// Deprecated forwarder (TIFF file).
-  [[deprecated("use mode_b_segment_volume(VolumeRequest) / VolumeRequest::from_file")]]
-  VolumeResult mode_b_segment_volume_file(
-      const std::string& tiff_path, const std::string& prompt,
-      const io::TiffReadLimits& limits = {}) const;
-  /// Streams a TIFF volume from disk with full ingestion control
-  /// (byte-source kind, read limits, prefetch — see io::TiffOpenOptions).
-  VolumeResult mode_b_segment_volume_file(const std::string& tiff_path,
-                                          const std::string& prompt,
-                                          const io::TiffOpenOptions& open) const;
   /// Batch over independent images (each gets its own SliceResult),
   /// scheduled like mode_b_segment_volume.
   std::vector<SliceResult> mode_b_segment_images(
@@ -117,15 +99,10 @@ class Session {
   /// publishing its admission/latency counters). Sources are invoked every
   /// time runtime stats are refreshed.
   using StatsSource = std::function<void(eval::Dashboard&)>;
-  /// Permanent registration: the source must outlive the session (or be
-  /// removed wholesale via `clear_stats_sources`). Prefer the scoped
-  /// variant for any source with a shorter lifetime than the session.
-  void add_stats_source(StatsSource source);
-  /// Scoped registration: the source runs only while the returned handle
-  /// is alive, so destroying the producer (which owns the handle)
-  /// automatically stops the session from calling into freed memory.
+  /// The source runs only while the returned handle is alive, so
+  /// destroying the producer (which owns the handle) automatically stops
+  /// the session from calling into freed memory.
   [[nodiscard]] StatsRegistration add_scoped_stats_source(StatsSource source);
-  void clear_stats_sources();
 
   /// Refreshes the dashboard's runtime-stats section: the pipeline's
   /// feature-cache counters (hits, misses, evictions, hit rate), every
@@ -160,8 +137,8 @@ class Session {
                               const std::string& prompt) const;
 
  private:
-  /// A registered source; `alive == nullptr` means permanent, otherwise
-  /// the source is skipped (and pruned) once its registration died.
+  /// A registered source; skipped (and pruned) once its registration
+  /// died.
   struct StatsEntry {
     StatsSource fn;
     std::shared_ptr<std::atomic<bool>> alive;

@@ -796,22 +796,6 @@ image::AnyImage decode_page_impl(const ByteSource& source,
 
 }  // namespace
 
-namespace detail {
-
-std::vector<TiffPageInfo> parse_tiff_pages(const ByteSource& source,
-                                           const TiffReadLimits& limits) {
-  return parse_pages_impl(source, limits);
-}
-
-image::AnyImage decode_tiff_page(const ByteSource& source,
-                                 const TiffPageInfo& info,
-                                 const TiffReadLimits& limits,
-                                 std::int64_t page_index) {
-  return decode_page_impl(source, info, limits, page_index);
-}
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // TiffVolumeReader
 // ---------------------------------------------------------------------------
@@ -847,23 +831,6 @@ TiffVolumeReader::TiffVolumeReader(std::shared_ptr<const ByteSource> source,
   }
   pages_ = parse_pages_impl(*source_, limits_);
 }
-
-TiffVolumeReader::TiffVolumeReader(const std::string& path,
-                                   TiffReadLimits limits)
-    : TiffVolumeReader(
-          open(path, TiffOpenOptions{TiffSourceKind::kAuto, limits, true})) {}
-
-TiffVolumeReader TiffVolumeReader::from_bytes(std::vector<std::uint8_t> bytes,
-                                              TiffReadLimits limits) {
-  return open(std::move(bytes),
-              TiffOpenOptions{TiffSourceKind::kMemory, limits, true});
-}
-
-TiffVolumeReader::TiffVolumeReader(std::shared_ptr<const ByteSource> source,
-                                   TiffReadLimits limits)
-    : TiffVolumeReader(std::move(source),
-                       TiffOpenOptions{TiffSourceKind::kMemory, limits, true},
-                       TiffSourceKind::kMemory) {}
 
 const TiffPageInfo& TiffVolumeReader::page_info(std::int64_t page) const {
   if (page < 0 || page >= pages()) {

@@ -17,9 +17,7 @@
 // TiffOpenOptions picks the byte source (mmap for zero-copy streaming,
 // pread for portability, memory to slurp the file — kAuto resolves via
 // ZENESIS_TIFF_SOURCE and platform support), carries the read limits,
-// and toggles madvise prefetch hints. The legacy constructors and the
-// detail:: free functions remain as deprecated forwarders for one
-// release.
+// and toggles madvise prefetch hints.
 //
 // Format coverage (read): classic TIFF and BigTIFF (version 43), little-
 // and big-endian, strip and tile layouts, uncompressed, PackBits, LZW
@@ -122,15 +120,6 @@ class TiffVolumeReader {
   static TiffVolumeReader open(std::shared_ptr<const ByteSource> source,
                                const TiffOpenOptions& options = {});
 
-  [[deprecated("use TiffVolumeReader::open(path, TiffOpenOptions)")]]
-  explicit TiffVolumeReader(const std::string& path, TiffReadLimits limits = {});
-  [[deprecated("use TiffVolumeReader::open(bytes, TiffOpenOptions)")]]
-  static TiffVolumeReader from_bytes(std::vector<std::uint8_t> bytes,
-                                     TiffReadLimits limits = {});
-  [[deprecated("use TiffVolumeReader::open(source, TiffOpenOptions)")]]
-  TiffVolumeReader(std::shared_ptr<const ByteSource> source,
-                   TiffReadLimits limits);
-
   std::int64_t pages() const noexcept {
     return static_cast<std::int64_t>(pages_.size());
   }
@@ -172,18 +161,5 @@ class TiffVolumeReader {
   TiffSourceKind resolved_kind_ = TiffSourceKind::kMemory;
   std::vector<TiffPageInfo> pages_;
 };
-
-namespace detail {
-/// Deprecated forwarders: parse/decode are reader internals now; go
-/// through TiffVolumeReader::open + page_info/read_page instead.
-[[deprecated("use TiffVolumeReader::open(...).page_info()")]]
-std::vector<TiffPageInfo> parse_tiff_pages(const ByteSource& source,
-                                           const TiffReadLimits& limits);
-[[deprecated("use TiffVolumeReader::open(...).read_page()")]]
-image::AnyImage decode_tiff_page(const ByteSource& source,
-                                 const TiffPageInfo& info,
-                                 const TiffReadLimits& limits,
-                                 std::int64_t page_index);
-}  // namespace detail
 
 }  // namespace zenesis::io

@@ -8,9 +8,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/core/session.hpp"
 #include "zenesis/io/tiff_stream.hpp"
-#include "zenesis/models/feature_cache.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
 #include "zenesis/tensor/kernels.hpp"
@@ -465,7 +465,7 @@ void SegmentService::run_slice_batch(std::vector<Pending>& batch) {
     std::vector<std::size_t> unique_idx;
     for (std::size_t i = 0; i < n; ++i) {
       if (prep_error[i]) continue;
-      if (seen.emplace(models::hash_image(ready[i]), i).second) {
+      if (seen.emplace(cache::hash_image(ready[i]), i).second) {
         unique_idx.push_back(i);
       }
     }
@@ -649,7 +649,7 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   set_hist("serve_total_us", s.total_us);
   // Cache effectiveness as seen from the serving layer: how much of the
   // batch work the two cache tiers absorbed.
-  const models::FeatureCacheStats fc = pipeline_.cache_stats();
+  const cache::FeatureCacheStats fc = pipeline_.cache_stats();
   dashboard.set_stat("serve_feature_cache_hit_rate", fc.hit_rate());
   set_u64("serve_feature_cache_disk_hits", fc.disk_hits);
   const cache::LruCacheStats mc = pipeline_.mask_cache_stats();

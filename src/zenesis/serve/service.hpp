@@ -264,7 +264,7 @@ struct ServiceStats {
   Histogram batch_size;  ///< requests per dispatched batch
 
   /// Resolved tensor kernel backend the service's math runs on
-  /// ("scalar", "blocked", "avx2", "neon"). Snapshot of
+  /// ("scalar", "blocked", "avx2"). Snapshot of
   /// tensor::backend_name() at stats() time.
   std::string kernel_backend;
 

@@ -11,12 +11,10 @@ namespace zenesis::tensor {
 namespace kernels {
 namespace {
 
-/// Best available backend, in the fixed preference order avx2 > neon >
-/// blocked (scalar is never auto-picked — it is the reference, not a
-/// fast path).
+/// Best available backend, in the fixed preference order avx2 > blocked
+/// (scalar is never auto-picked — it is the reference, not a fast path).
 const KernelBackend& best_backend() {
   if (const KernelBackend* v = avx2_backend()) return *v;
-  if (const KernelBackend* s = neon_backend()) return *s;
   return blocked_backend();
 }
 
@@ -24,7 +22,6 @@ const KernelBackend* lookup(std::string_view name) {
   if (name == "scalar") return &scalar_backend();
   if (name == "blocked") return &blocked_backend();
   if (name == "avx2") return avx2_backend();
-  if (name == "neon") return neon_backend();
   if (name == "auto") return &best_backend();
   return nullptr;
 }
@@ -90,7 +87,6 @@ const char* backend_name() { return kernels::active().name; }
 std::vector<std::string> available_backends() {
   std::vector<std::string> out;
   if (kernels::avx2_backend() != nullptr) out.emplace_back("avx2");
-  if (kernels::neon_backend() != nullptr) out.emplace_back("neon");
   out.emplace_back("blocked");
   out.emplace_back("scalar");
   return out;
@@ -98,13 +94,6 @@ std::vector<std::string> available_backends() {
 
 bool backend_available(std::string_view name) {
   return kernels::lookup(name) != nullptr;
-}
-
-bool backend_supports_int8(std::string_view name) {
-  const kernels::KernelBackend* backend = kernels::lookup(name);
-  return backend != nullptr && backend->quantize_row != nullptr &&
-         backend->dequantize_row != nullptr &&
-         backend->matmul_nt_i8 != nullptr;
 }
 
 std::string cpu_feature_string() {

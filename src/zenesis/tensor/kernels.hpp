@@ -15,14 +15,14 @@
 //              panels with a packed-B panel for A·B, 8-keys-per-vector
 //              attention scores over packed key panels). Registered only
 //              when CPUID reports AVX2 and FMA.
-//   neon     — AArch64 stub behind the same interface (currently the
-//              blocked kernels under the "neon" name; real NEON
-//              micro-kernels can slot in without touching callers).
+//
+// Every backend ships the int8 kernels; only attention_scores is
+// optional.
 //
 // Selection: the first kernel call resolves the backend from the
 // ZENESIS_KERNEL environment variable ("scalar" | "blocked" | "avx2" |
-// "neon" | "auto"); unset or "auto" picks the best available (avx2 >
-// neon > blocked). tensor::set_backend() overrides at any point.
+// "auto"); unset or "auto" picks the best available (avx2 > blocked).
+// tensor::set_backend() overrides at any point.
 //
 // Determinism contract: WITHIN a backend every kernel uses a fixed
 // per-output reduction order that does not depend on thread count or on
@@ -102,8 +102,6 @@ struct KernelBackend {
   /// C[i][j] = float(acc_i32) * (a_scales[i] * b_scales[j]) + bias[j]
   /// with a saturating-free exact i32 accumulator (|q| <= 127 keeps any
   /// K <= ~133000 overflow-free). `bias` is nullable, as in matmul_nt.
-  /// May be nullptr on backends without int8 kernels — callers must
-  /// check (ops.cpp falls back to the fp32 path).
   void (*matmul_nt_i8)(const std::int8_t* a, const float* a_scales,
                        const std::int8_t* b, const float* b_scales,
                        const float* bias, float* c, std::int64_t m0,
@@ -128,8 +126,6 @@ const KernelBackend& blocked_backend();
 /// AVX2+FMA backend; nullptr when not compiled in or the CPU lacks
 /// AVX2/FMA.
 const KernelBackend* avx2_backend();
-/// NEON backend stub; nullptr off AArch64.
-const KernelBackend* neon_backend();
 
 /// The backend all ops currently dispatch to. First call resolves
 /// ZENESIS_KERNEL (invalid or unavailable values fall back to the best
@@ -147,14 +143,14 @@ const KernelBackend& resolve_selector(std::string_view value,
 
 }  // namespace kernels
 
-/// Selects the kernel backend by name: "scalar", "blocked", "avx2",
-/// "neon", or "auto" (best available). Returns false — and leaves the
+/// Selects the kernel backend by name: "scalar", "blocked", "avx2", or
+/// "auto" (best available). Returns false — and leaves the
 /// active backend unchanged — when the name is unknown or the backend is
 /// unavailable on this CPU. Process-global and thread-safe (kernels
 /// already running finish on the backend they started with).
 bool set_backend(std::string_view name);
 
-/// Name of the active backend ("scalar" | "blocked" | "avx2" | "neon").
+/// Name of the active backend ("scalar" | "blocked" | "avx2").
 const char* backend_name();
 
 /// Backends usable on this machine, in preference order (best first).
@@ -162,13 +158,6 @@ std::vector<std::string> available_backends();
 
 /// True when `name` names a backend that set_backend() would accept.
 bool backend_available(std::string_view name);
-
-/// True when `name` names an available backend whose table provides the
-/// int8 kernels (quantize/dequantize/matmul_nt_i8). "auto" reports on
-/// the backend auto-selection would pick. PipelineConfig::validate()
-/// uses this to reject precision="int8" against a backend that cannot
-/// run it.
-bool backend_supports_int8(std::string_view name);
 
 /// Space-separated SIMD capabilities detected at runtime (e.g.
 /// "sse4.2 avx avx2 fma avx512f"), independent of which backends were

@@ -103,9 +103,7 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
 namespace {
 
 // Shared core of the quantized GEMM forwarders: activations already
-// quantized on the pool, weight panel pre-quantized. Falls back to the
-// fp32 kernels (reconstructing the panel once) when the backend lacks
-// int8 entries, so the call is always safe.
+// quantized on the pool, weight panel pre-quantized.
 Tensor matmul_nt_i8_impl(const quant::QuantizedTensor& qa,
                          const quant::QuantizedTensor& qb, const float* bias) {
   const std::int64_t m = qa.rows, k = qa.cols, n = qb.rows;
@@ -130,12 +128,8 @@ Tensor linear_quantized(const Tensor& x, const quant::QuantizedTensor& qw,
     require(bias.rank() == 1 && bias.dim(0) == qw.rows,
             "linear_quantized: bias size must equal output features");
   }
-  const float* bias_ptr = has_bias ? bias.data() : nullptr;
-  if (be().matmul_nt_i8 == nullptr) {
-    const Tensor w = quant::dequantize_rows(qw);
-    return has_bias ? linear(x, w, bias) : matmul_nt(x, w);
-  }
-  return matmul_nt_i8_impl(quant::quantize_rows(x), qw, bias_ptr);
+  return matmul_nt_i8_impl(quant::quantize_rows(x), qw,
+                           has_bias ? bias.data() : nullptr);
 }
 
 Tensor matmul_nt_quantized(const Tensor& a, const quant::QuantizedTensor& qb) {
@@ -147,7 +141,6 @@ Tensor matmul_nt_dyn_quantized(const Tensor& a, const Tensor& b) {
   require_rank2(b, "matmul_nt_dyn_quantized: b must be rank 2");
   require(a.dim(1) == b.dim(1),
           "matmul_nt_dyn_quantized: feature dimensions differ");
-  if (be().matmul_nt_i8 == nullptr) return matmul_nt(a, b);
   return matmul_nt_i8_impl(quant::quantize_rows(a), quant::quantize_rows(b),
                            nullptr);
 }

@@ -229,7 +229,9 @@ TEST(ShardedLru, SingleShardMatchesExactReferenceModelUnderRandomOps) {
       const int* expected = model.get(k);
       const auto got = cache.get(k);
       ASSERT_EQ(got != nullptr, expected != nullptr) << "step " << step;
-      if (expected != nullptr) ASSERT_EQ(*got, *expected) << "step " << step;
+      if (expected != nullptr) {
+        ASSERT_EQ(*got, *expected) << "step " << step;
+      }
     } else {
       const int value = static_cast<int>(rng() % 1000);
       const std::size_t bytes = 1 + rng() % 80;
@@ -455,7 +457,7 @@ TEST_F(BudgetEnv, EnvironmentSizesTheDefaultBudget) {
   ::setenv("ZENESIS_CACHE_BUDGET", "8M", 1);
   EXPECT_EQ(cache::default_byte_budget(), std::size_t{8} << 20);
   // The pipeline's cache configs pick the knob up at construction.
-  EXPECT_EQ(models::FeatureCacheConfig{}.byte_budget, std::size_t{8} << 20);
+  EXPECT_EQ(cache::FeatureCacheConfig{}.byte_budget, std::size_t{8} << 20);
   EXPECT_EQ(cache::ShardedCacheConfig{}.byte_budget, std::size_t{8} << 20);
 }
 

@@ -30,11 +30,11 @@
 
 #include <unistd.h>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/eval/metrics.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/image/normalize.hpp"
-#include "zenesis/models/feature_cache.hpp"
 #include "zenesis/tensor/kernels.hpp"
 #include "zenesis/tensor/ops.hpp"
 #include "zenesis/tensor/quant.hpp"
@@ -410,13 +410,16 @@ TEST_F(KernelBackendTest, EndToEndMaskAccuracyAcrossBackends) {
 // ---- int8 quantization path --------------------------------------------
 
 TEST_F(KernelBackendTest, Int8SupportRegistry) {
-  // Every shipped backend provides the int8 kernel triple; unknown names
-  // report unsupported (the validate() combo check relies on this).
-  for (const auto& name : tensor::available_backends()) {
-    EXPECT_TRUE(tensor::backend_supports_int8(name)) << name;
+  // The int8 kernel triple is a required table entry: no caller checks
+  // it for null, so every shipped table must fill it.
+  std::vector<const tensor::kernels::KernelBackend*> tables = {
+      &tensor::kernels::scalar_backend(), &tensor::kernels::blocked_backend()};
+  if (const auto* avx2 = tensor::kernels::avx2_backend()) tables.push_back(avx2);
+  for (const auto* table : tables) {
+    EXPECT_NE(table->quantize_row, nullptr) << table->name;
+    EXPECT_NE(table->dequantize_row, nullptr) << table->name;
+    EXPECT_NE(table->matmul_nt_i8, nullptr) << table->name;
   }
-  EXPECT_FALSE(tensor::backend_supports_int8("not-a-backend"));
-  EXPECT_FALSE(tensor::backend_supports_int8(""));
 }
 
 TEST_F(KernelBackendTest, QuantizeRoundTripPerBackend) {
@@ -559,12 +562,15 @@ TEST_F(KernelBackendTest, KernelSelectorFallsBackWithWarning) {
   // The ZENESIS_KERNEL resolution rule (init_from_env calls exactly this
   // function once per process): unknown names fall back to the best
   // backend with a one-line warning; known names resolve silently.
+  // "neon" was an alias of "blocked" and is now unknown on every host.
   std::string warning;
-  const auto& fallback =
-      tensor::kernels::resolve_selector("not-a-backend", &warning);
-  EXPECT_STREQ(fallback.name, tensor::available_backends().front().c_str());
-  EXPECT_NE(warning.find("ZENESIS_KERNEL"), std::string::npos);
-  EXPECT_NE(warning.find("not-a-backend"), std::string::npos);
+  for (const char* bad : {"not-a-backend", "neon"}) {
+    const auto& fallback = tensor::kernels::resolve_selector(bad, &warning);
+    EXPECT_STREQ(fallback.name, tensor::available_backends().front().c_str())
+        << bad;
+    EXPECT_NE(warning.find("ZENESIS_KERNEL"), std::string::npos) << bad;
+    EXPECT_NE(warning.find(bad), std::string::npos) << warning;
+  }
 
   warning = "stale";
   const auto& empty = tensor::kernels::resolve_selector("", &warning);
@@ -591,8 +597,7 @@ TEST_F(KernelBackendTest, PrecisionSelectorFallsBackWithWarning) {
         << ok;
     EXPECT_TRUE(warning.empty()) << ok << ": " << warning;
   }
-  // int8 resolves cleanly when the active backend has int8 kernels
-  // (every shipped backend does).
+  // int8 resolves cleanly (every backend ships the int8 kernels).
   warning = "stale";
   EXPECT_EQ(tensor::quant::resolve_precision_selector("int8", &warning),
             tensor::quant::Precision::kInt8);
@@ -611,11 +616,6 @@ TEST_F(KernelBackendTest, SetPrecisionAndFastPath) {
   // A failed set leaves the selection untouched.
   EXPECT_FALSE(tensor::quant::set_precision("fp16"));
   EXPECT_STREQ(tensor::quant::precision_name(), "int8");
-
-  EXPECT_TRUE(tensor::quant::precision_available("auto"));
-  EXPECT_TRUE(tensor::quant::precision_available("fp32"));
-  EXPECT_TRUE(tensor::quant::precision_available("int8"));
-  EXPECT_FALSE(tensor::quant::precision_available("fp16"));
 }
 
 TEST_F(KernelBackendTest, PipelineConfigValidatesPrecisionKnob) {
@@ -626,9 +626,7 @@ TEST_F(KernelBackendTest, PipelineConfigValidatesPrecisionKnob) {
   EXPECT_NE(issues[0].find("precision"), std::string::npos);
   EXPECT_THROW(core::ZenesisPipeline{cfg}, std::invalid_argument);
 
-  // Every shipped backend provides int8 kernels, so the concrete combos
-  // validate cleanly (the lacking-int8 branch is reachable only through
-  // backend_supports_int8, covered by Int8SupportRegistry).
+  // Every backend ships int8 kernels, so every combo validates cleanly.
   for (const char* p : {"auto", "fp32", "int8"}) {
     cfg.precision = p;
     for (const auto& backend : tensor::available_backends()) {
@@ -685,13 +683,13 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
   const image::ImageF32 ready =
       image::make_ai_ready(image::AnyImage(slice.raw), {});
 
-  models::FeatureCacheConfig cache_cfg;
+  cache::FeatureCacheConfig cache_cfg;
   cache_cfg.disk_path = dir.string();
 
   ASSERT_TRUE(tensor::quant::set_precision("fp32"));
   const std::uint64_t h_fp32 = cache::hash_backbone_config(bb);
   {
-    models::FeatureCache warm(cache_cfg);
+    cache::FeatureCache warm(cache_cfg);
     (void)warm.encode(ready, backbone);  // miss → L1 + disk write
     const auto s = warm.stats();
     EXPECT_EQ(s.misses, 1u);
@@ -701,7 +699,7 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
   ASSERT_TRUE(tensor::quant::set_precision("int8"));
   EXPECT_NE(cache::hash_backbone_config(bb), h_fp32);
   {
-    models::FeatureCache cold(cache_cfg);
+    cache::FeatureCache cold(cache_cfg);
     (void)cold.encode(ready, backbone);  // same image, other precision
     const auto s = cold.stats();
     EXPECT_EQ(s.disk_hits, 0u) << "fp32 embedding served under int8";
@@ -710,7 +708,7 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
 
   ASSERT_TRUE(tensor::quant::set_precision("fp32"));
   {
-    models::FeatureCache back(cache_cfg);
+    cache::FeatureCache back(cache_cfg);
     (void)back.encode(ready, backbone);
     const auto s = back.stats();
     EXPECT_EQ(s.disk_hits, 1u) << "fp32 embedding lost from the store";

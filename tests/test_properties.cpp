@@ -155,7 +155,9 @@ TEST_P(MorphologySweep, OpeningShrinksClosingGrows) {
   EXPECT_EQ(zi::mask_area(zi::mask_and(o, m)), zi::mask_area(o));
   for (std::int64_t y = 1; y < 31; ++y) {
     for (std::int64_t x = 1; x < 31; ++x) {
-      if (m.at(x, y) != 0) ASSERT_EQ(c.at(x, y), 1) << x << "," << y;
+      if (m.at(x, y) != 0) {
+        ASSERT_EQ(c.at(x, y), 1) << x << "," << y;
+      }
     }
   }
 }

@@ -168,7 +168,9 @@ TEST(Serve, SliceResponsesMatchBlockingPipeline) {
       const zs::ServiceStats st = service.stats();
       EXPECT_EQ(st.completed, traffic.size());
       EXPECT_EQ(st.admitted, traffic.size());
-      if (max_batch > 1) EXPECT_LT(st.batches, traffic.size());
+      if (max_batch > 1) {
+        EXPECT_LT(st.batches, traffic.size());
+      }
     }
   }
 }
@@ -362,7 +364,6 @@ TEST(Serve, PublishesStatsIntoDashboardViaSession) {
   ASSERT_TRUE(stats.count("serve_total_us_p50"));
   EXPECT_GT(stats.at("serve_total_us_p50"), 0.0);
   ASSERT_TRUE(stats.count("feature_cache_hits"));
-  // No clear_stats_sources needed: attach_to is a scoped registration.
 }
 
 // Regression: attach_to must not leave a dangling source behind — a

@@ -107,10 +107,11 @@ TEST(Session, ModeCEvaluateAutoPublishesRuntimeStats) {
 TEST(Session, StatsSourcesFoldIntoDashboard) {
   zc::Session session;
   int calls = 0;
-  session.add_stats_source([&calls](zenesis::eval::Dashboard& d) {
-    ++calls;
-    d.set_stat("custom_source_stat", 42.0);
-  });
+  zc::StatsRegistration reg =
+      session.add_scoped_stats_source([&calls](zenesis::eval::Dashboard& d) {
+        ++calls;
+        d.set_stat("custom_source_stat", 42.0);
+      });
   const auto s = zf::generate_slice(test_config(zf::SampleType::kAmorphous), 0);
   const auto r = session.mode_a_segment(
       zi::AnyImage(s.raw), zf::default_prompt(zf::SampleType::kAmorphous));
@@ -118,10 +119,10 @@ TEST(Session, StatsSourcesFoldIntoDashboard) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(session.dashboard().stats().at("custom_source_stat"), 42.0);
 
-  // The explicit method remains as a compatible alias.
+  // The explicit method refreshes without evaluating anything.
   session.publish_runtime_stats();
   EXPECT_EQ(calls, 2);
-  session.clear_stats_sources();
+  reg.reset();
   session.publish_runtime_stats();
   EXPECT_EQ(calls, 2);
 }

@@ -270,7 +270,7 @@ TEST(TiffStream, SourceSelectorResolvesAndWarns) {
   EXPECT_NE(zio::default_source_kind(), zio::TiffSourceKind::kAuto);
 }
 
-// Regression for the old seek-mutex FileByteSource: N threads hammering
+// Regression for a seek-under-mutex file source: N threads hammering
 // read_at must be observed in flight simultaneously. The probe records a
 // high-water mark around each pread(2); the mutex design pinned it at 1.
 TEST(TiffStream, PreadReadsRunConcurrently) {
@@ -285,7 +285,7 @@ TEST(TiffStream, PreadReadsRunConcurrently) {
   // hammering until overlap is observed (or a generous deadline passes)
   // guarantees each thread spans many quanta, and since nearly all loop
   // time sits inside the read_at probe window, a preemption lands inside
-  // it with near certainty. The old seek-mutex FileByteSource could
+  // it with near certainty. A seek-under-mutex source could
   // never reach high_water >= 2 no matter how long this runs.
   constexpr int kThreads = 8;
   const zio::PreadByteSource src(f.path);
@@ -314,23 +314,16 @@ TEST(TiffStream, PreadReadsRunConcurrently) {
       << "8 threads of positioned reads never overlapped in 10s";
 }
 
-// The request-level knob: an unknown source kind is a collected
-// validation issue, and the TiffOpenOptions overload threads through.
+// The request-level knob: the TiffOpenOptions passed to from_file thread
+// through to the request unchanged.
 TEST(TiffStream, VolumeRequestValidatesSourceKind) {
-  zc::VolumeRequest bad = zc::VolumeRequest::from_file("/tmp/x.tif", kPrompt);
-  bad.tiff_source_kind = "fastest";
-  const auto issues = bad.validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("fastest"), std::string::npos) << issues[0];
-  EXPECT_NE(issues[0].find("auto|memory|pread|mmap"), std::string::npos);
-
   zio::TiffOpenOptions oo;
   oo.source_kind = zio::TiffSourceKind::kPread;
   oo.limits.max_pages = 7;
   oo.prefetch = false;
   const zc::VolumeRequest r = zc::VolumeRequest::from_file("/tmp/x.tif", kPrompt, oo);
   EXPECT_TRUE(r.validate().empty());
-  const zio::TiffOpenOptions back = r.tiff_open_options();
+  const zio::TiffOpenOptions& back = r.tiff_open;
   EXPECT_EQ(back.source_kind, zio::TiffSourceKind::kPread);
   EXPECT_EQ(back.limits.max_pages, 7u);
   EXPECT_FALSE(back.prefetch);
@@ -356,10 +349,10 @@ TEST(TiffStream, StreamedSegmentVolumeMatchesInMemoryPath) {
   const zc::VolumeResult want =
       session.pipeline().segment_volume(zc::VolumeRequest::view(mat, kPrompt));
 
-  // Streaming path (file -> on-demand slices -> pipeline), through the
-  // TiffOpenOptions session overload.
+  // Streaming path (file -> on-demand slices -> pipeline) through the
+  // session's one Mode-B entry point.
   const zc::VolumeResult got =
-      session.mode_b_segment_volume_file(f.path, kPrompt, zio::TiffOpenOptions{});
+      session.mode_b_segment_volume(zc::VolumeRequest::from_file(f.path, kPrompt));
 
   ASSERT_EQ(got.slices.size(), want.slices.size());
   for (std::size_t z = 0; z < want.slices.size(); ++z) {

@@ -8,10 +8,10 @@
 #include <cstddef>
 #include <vector>
 
+#include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/core/pipeline.hpp"
 #include "zenesis/core/session.hpp"
 #include "zenesis/fibsem/synth.hpp"
-#include "zenesis/models/feature_cache.hpp"
 
 namespace {
 
@@ -118,14 +118,14 @@ TEST(VolumeParallel, RepeatedRunHitsCache) {
   const fibsem::SyntheticVolume vol = small_volume();
   const core::ZenesisPipeline pipe(config_with(4, true));
   const core::VolumeResult first = pipe.segment_volume(core::VolumeRequest::view(vol.volume, kPrompt));
-  const models::FeatureCacheStats after_first = pipe.cache_stats();
+  const cache::FeatureCacheStats after_first = pipe.cache_stats();
   // DINO and SAM share a backbone config by default, so each slice costs
   // exactly one encoder run on a cold cache.
   EXPECT_EQ(after_first.misses, static_cast<std::uint64_t>(vol.depth()));
   EXPECT_GE(after_first.hits, static_cast<std::uint64_t>(vol.depth()));
 
   const core::VolumeResult second = pipe.segment_volume(core::VolumeRequest::view(vol.volume, kPrompt));
-  const models::FeatureCacheStats after_second = pipe.cache_stats();
+  const cache::FeatureCacheStats after_second = pipe.cache_stats();
   EXPECT_EQ(after_second.misses, after_first.misses)
       << "second pass over the same volume must be all hits";
   expect_volume_results_equal(first, second);
@@ -135,7 +135,7 @@ TEST(VolumeParallel, CacheOffRecordsNoTraffic) {
   const fibsem::SyntheticVolume vol = small_volume();
   const core::ZenesisPipeline pipe(config_with(2, false));
   (void)pipe.segment_volume(core::VolumeRequest::view(vol.volume, kPrompt));
-  const models::FeatureCacheStats s = pipe.cache_stats();
+  const cache::FeatureCacheStats s = pipe.cache_stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.evictions, 0u);
@@ -148,10 +148,10 @@ TEST(VolumeParallel, FurtherSegmentReusesCacheAcrossReruns) {
       pipe.segment(image::AnyImage(vol.volume.slice(0)), kPrompt);
   const image::Box roi{8, 8, 64, 64};
   const core::SliceResult first = pipe.further_segment(parent, roi, kPrompt);
-  const models::FeatureCacheStats cold = pipe.cache_stats();
+  const cache::FeatureCacheStats cold = pipe.cache_stats();
   const auto mask_cold = pipe.mask_cache_stats();
   const core::SliceResult again = pipe.further_segment(parent, roi, kPrompt);
-  const models::FeatureCacheStats warm = pipe.cache_stats();
+  const cache::FeatureCacheStats warm = pipe.cache_stats();
   const auto mask_warm = pipe.mask_cache_stats();
   EXPECT_EQ(warm.misses, cold.misses)
       << "re-running Further Segment on the same ROI must not re-encode";
@@ -176,12 +176,12 @@ TEST(VolumeParallel, SessionSurfacesCacheCountersInDashboard) {
 }
 
 TEST(FeatureCache, LruEvictsAndKeysByImageAndConfig) {
-  models::FeatureCacheConfig cfg;
+  cache::FeatureCacheConfig cfg;
   cfg.capacity = 2;
   // One shard reproduces the exact global-LRU ordering this test pins
   // down; with several shards, recency is only compared within a shard.
   cfg.shards = 1;
-  models::FeatureCache cache(cfg);
+  cache::FeatureCache cache(cfg);
   const models::VisionBackbone backbone;
 
   image::ImageF32 a(32, 32, 1), b(32, 32, 1), c(32, 32, 1);
@@ -194,7 +194,7 @@ TEST(FeatureCache, LruEvictsAndKeysByImageAndConfig) {
   (void)cache.encode(a, backbone);  // refresh a; b becomes LRU
   (void)cache.encode(c, backbone);  // evicts b
   (void)cache.encode(a, backbone);  // still resident
-  models::FeatureCacheStats s = cache.stats();
+  cache::FeatureCacheStats s = cache.stats();
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.evictions, 1u);
@@ -207,7 +207,7 @@ TEST(FeatureCache, LruEvictsAndKeysByImageAndConfig) {
   models::BackboneConfig other;
   other.seed = 999;
   const models::VisionBackbone other_backbone(other);
-  models::FeatureCache fresh;
+  cache::FeatureCache fresh;
   (void)fresh.encode(a, backbone);
   (void)fresh.encode(a, other_backbone);
   EXPECT_EQ(fresh.stats().misses, 2u);
@@ -215,7 +215,7 @@ TEST(FeatureCache, LruEvictsAndKeysByImageAndConfig) {
 }
 
 TEST(FeatureCache, HitReturnsIdenticalEncoding) {
-  models::FeatureCache cache;
+  cache::FeatureCache cache;
   const models::VisionBackbone backbone;
   image::ImageF32 img(40, 24, 1);
   for (std::int64_t y = 0; y < img.height(); ++y) {

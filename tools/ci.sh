@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build + test the repo seven times — a default
-# RelWithDebInfo build running the full tier-1 suite plus a zen_load
-# wire smoke run, a ThreadSanitizer
+# RelWithDebInfo build with warnings as errors (ZENESIS_WERROR=ON)
+# running the full tier-1 suite plus a zen_load wire smoke run, a
+# ThreadSanitizer
 # build race-checking the concurrency surface (thread pool, parallel
 # Mode-B pipelines, feature cache, segmentation service, streaming TIFF
 # reader, the zen_net event loop with its fuzz/fault/soak suites), an
@@ -52,8 +53,8 @@ JOBS="${CI_JOBS:-$(nproc)}"
 # bounds-checked.
 SAN_FILTER="${CI_SAN_FILTER:-test_parallel|test_volume_parallel|test_batch_images|test_serve|test_obs|test_pipeline|test_session|test_integration|test_tiff|test_cache|test_kernels|test_net|test_sam|test_filters|test_morphology|test_components|test_grounded_box}"
 
-echo "=== [1/7] default build + full tier-1 suite ==="
-cmake -B build -S . >/dev/null
+echo "=== [1/7] default build (-Werror) + full tier-1 suite ==="
+cmake -B build -S . -DZENESIS_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 # Wire smoke: 64 loopback clients x 2 requests through zen_net. zen_load
