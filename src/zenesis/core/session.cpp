@@ -1,7 +1,5 @@
 #include "zenesis/core/session.hpp"
 
-#include <algorithm>
-
 #include "zenesis/obs/trace.hpp"
 
 namespace zenesis::core {
@@ -31,13 +29,6 @@ VolumeResult Session::mode_b_segment_volume(const VolumeRequest& request) const 
 std::vector<SliceResult> Session::mode_b_segment_images(
     const std::vector<image::AnyImage>& images, const std::string& prompt) const {
   return pipeline_.segment_images(images, prompt);
-}
-
-StatsRegistration Session::add_scoped_stats_source(StatsSource source) {
-  if (!source) return StatsRegistration{};
-  auto alive = std::make_shared<std::atomic<bool>>(true);
-  stats_sources_.push_back(StatsEntry{std::move(source), alive});
-  return StatsRegistration{std::move(alive)};
 }
 
 void Session::publish_runtime_stats() {
@@ -76,15 +67,6 @@ void Session::publish_runtime_stats() {
                           static_cast<double>(st.max_us));
     }
   }
-  // Prune sources whose scoped registration died (e.g. a SegmentService
-  // destroyed before this session) so they are never invoked again.
-  stats_sources_.erase(
-      std::remove_if(stats_sources_.begin(), stats_sources_.end(),
-                     [](const StatsEntry& e) {
-                       return !e.alive->load(std::memory_order_relaxed);
-                     }),
-      stats_sources_.end());
-  for (const auto& entry : stats_sources_) entry.fn(dashboard_);
 }
 
 eval::Metrics Session::mode_c_evaluate(const std::string& dataset,
@@ -95,7 +77,7 @@ eval::Metrics Session::mode_c_evaluate(const std::string& dataset,
   const eval::Metrics m = eval::compute_metrics(prediction, ground_truth);
   dashboard_.add(dataset, method, slice, m);
   // Runtime counters ride along with every evaluation, so rendering the
-  // dashboard right after Mode C never shows stale cache/service numbers.
+  // dashboard right after Mode C never shows stale cache numbers.
   publish_runtime_stats();
   return m;
 }

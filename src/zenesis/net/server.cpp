@@ -133,10 +133,7 @@ Server::Server(serve::SegmentService& service, ServerConfig cfg)
   evloop_ = std::thread([this] { evloop_main(); });
 }
 
-Server::~Server() {
-  stop();
-  for (auto& registration : stats_registrations_) registration.reset();
-}
+Server::~Server() { stop(); }
 
 void Server::stop() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
@@ -245,11 +242,6 @@ void Server::publish_stats(eval::Dashboard& dashboard) const {
   dashboard.set_stat("net_wire_us_p50", s.wire_us.percentile(50.0));
   dashboard.set_stat("net_wire_us_p95", s.wire_us.percentile(95.0));
   dashboard.set_stat("net_wire_us_p99", s.wire_us.percentile(99.0));
-}
-
-void Server::attach_to(core::Session& session) {
-  stats_registrations_.push_back(session.add_scoped_stats_source(
-      [this](eval::Dashboard& dashboard) { publish_stats(dashboard); }));
 }
 
 // --- shared helpers ------------------------------------------------------

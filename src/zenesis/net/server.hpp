@@ -59,7 +59,6 @@
 #include <thread>
 #include <vector>
 
-#include "zenesis/core/session.hpp"
 #include "zenesis/eval/dashboard.hpp"
 #include "zenesis/net/frame.hpp"
 #include "zenesis/serve/histogram.hpp"
@@ -156,9 +155,6 @@ class Server {
 
   /// Writes the wire-level counters into a Mode-C dashboard (net_* keys).
   void publish_stats(eval::Dashboard& dashboard) const;
-  /// Registers publish_stats as a scoped runtime-stats source (same
-  /// lifetime contract as SegmentService::attach_to).
-  void attach_to(core::Session& session);
 
   const ServerConfig& config() const noexcept { return cfg_; }
 
@@ -210,8 +206,6 @@ class Server {
 
   std::mutex lifecycle_mu_;  ///< serializes stop/join
   std::thread evloop_;
-
-  std::vector<core::StatsRegistration> stats_registrations_;
 };
 
 }  // namespace zenesis::net

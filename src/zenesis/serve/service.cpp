@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "zenesis/cache/feature_cache.hpp"
-#include "zenesis/core/session.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
@@ -131,13 +130,7 @@ SegmentService::SegmentService(const ServiceConfig& cfg)
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
-SegmentService::~SegmentService() {
-  shutdown();
-  // Deactivate dashboard registrations before members are torn down, so a
-  // Session that outlives this service skips (and prunes) the dead source
-  // instead of calling into freed memory.
-  for (auto& registration : stats_registrations_) registration.reset();
-}
+SegmentService::~SegmentService() { shutdown(); }
 
 parallel::ThreadPool& SegmentService::fanout_pool() const {
   return pool_ ? *pool_ : parallel::ThreadPool::global();
@@ -659,13 +652,6 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   // published as a one-hot key: serve_kernel_backend_<name> = 1.
   dashboard.set_stat("serve_kernel_backend_" + s.kernel_backend, 1.0);
   dashboard.set_stat("serve_precision_" + s.precision, 1.0);
-}
-
-void SegmentService::attach_to(core::Session& session) {
-  // Scoped: the registration dies with this service, so a session that
-  // outlives it skips the source instead of hitting freed memory.
-  stats_registrations_.push_back(session.add_scoped_stats_source(
-      [this](eval::Dashboard& dashboard) { publish_stats(dashboard); }));
 }
 
 }  // namespace zenesis::serve

@@ -48,9 +48,8 @@
 // Observability: ServiceStats carries admission/rejection counters, the
 // queue-depth high-water mark, per-stage latency histograms (queue wait,
 // batch encode, per-request decode, end-to-end) and a batch-size
-// histogram; publish_stats() copies the block into the Mode-C dashboard
-// next to the feature-cache counters, and attach_to(Session) keeps it
-// fresh automatically on every mode_c_evaluate.
+// histogram; publish_stats() copies the block into a Mode-C dashboard
+// next to the feature-cache counters.
 
 #include <atomic>
 #include <chrono>
@@ -69,7 +68,6 @@
 
 #include "zenesis/core/error.hpp"
 #include "zenesis/core/pipeline.hpp"
-#include "zenesis/core/session.hpp"
 #include "zenesis/eval/dashboard.hpp"
 #include "zenesis/parallel/thread_pool.hpp"
 #include "zenesis/serve/histogram.hpp"
@@ -318,13 +316,6 @@ class SegmentService {
   /// Writes the stats block into a Mode-C dashboard (serve_* keys).
   void publish_stats(eval::Dashboard& dashboard) const;
 
-  /// Registers publish_stats as a runtime-stats source on `session`, so
-  /// every mode_c_evaluate republishes fresh service counters. The
-  /// registration is scoped: destroying this service deactivates it, and
-  /// a session that outlives the service simply skips (and prunes) the
-  /// dead source — no ordering requirement on the caller.
-  void attach_to(core::Session& session);
-
   const core::ZenesisPipeline& pipeline() const noexcept { return pipeline_; }
   const ServiceConfig& config() const noexcept { return cfg_; }
 
@@ -387,10 +378,6 @@ class SegmentService {
 
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
-
-  /// Scoped dashboard registrations from attach_to; reset in the
-  /// destructor so an outliving Session skips the dead source.
-  std::vector<core::StatsRegistration> stats_registrations_;
 
   std::mutex lifecycle_mutex_;  ///< serializes shutdown/join
   std::thread dispatcher_;

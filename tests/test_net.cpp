@@ -438,9 +438,7 @@ TEST(Net, ServiceAdmissionShedsAsWireRejects) {
 TEST(Net, StatsFlowIntoDashboard) {
   zenesis::core::Session session;
   zs::SegmentService service;
-  service.attach_to(session);
   zn::Server server(service);
-  server.attach_to(session);
 
   {
     auto [client, server_fd] = zn::Client::loopback_pair();
@@ -462,7 +460,8 @@ TEST(Net, StatsFlowIntoDashboard) {
   EXPECT_EQ(server.stats().connections_accepted, 1u);
   EXPECT_EQ(server.stats().connections_active, 0u);
 
-  session.publish_runtime_stats();
+  server.publish_stats(session.dashboard());
+  service.publish_stats(session.dashboard());
   const auto& published = session.dashboard().stats();
   ASSERT_NE(published.count("net_connections_accepted"), 0u);
   EXPECT_EQ(published.at("net_connections_accepted"), 1.0);

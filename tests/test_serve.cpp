@@ -350,40 +350,20 @@ TEST(Serve, PublishesStatsIntoDashboardViaSession) {
   const auto s = make_slice(48, 11);
   zc::Session session;
   zs::SegmentService service;
-  service.attach_to(session);
 
   service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt)).get();
-  // mode_c_evaluate must fold service counters in automatically — no
-  // explicit publish_runtime_stats call.
+  // The service block and the session's cache counters share one
+  // dashboard.
   const auto result = session.mode_a_segment(zi::AnyImage(s.raw), kPrompt);
   session.mode_c_evaluate("synthetic", "zenesis", 0, result.mask,
                           s.ground_truth);
+  service.publish_stats(session.dashboard());
   const auto& stats = session.dashboard().stats();
   ASSERT_TRUE(stats.count("serve_completed"));
   EXPECT_EQ(stats.at("serve_completed"), 1.0);
   ASSERT_TRUE(stats.count("serve_total_us_p50"));
   EXPECT_GT(stats.at("serve_total_us_p50"), 0.0);
   ASSERT_TRUE(stats.count("feature_cache_hits"));
-}
-
-// Regression: attach_to must not leave a dangling source behind — a
-// session outliving the service skips (and prunes) the dead registration,
-// so mode_c_evaluate after the service dies is safe (verified under ASAN).
-TEST(Serve, SessionOutlivingServiceSkipsDeadStatsSource) {
-  const auto s = make_slice(48, 13);
-  zc::Session session;
-  {
-    zs::SegmentService service;
-    service.attach_to(session);
-    service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt)).get();
-    session.publish_runtime_stats();
-    EXPECT_TRUE(session.dashboard().stats().count("serve_completed"));
-  }  // service destroyed first — the old ordering bug
-  const auto result = session.mode_a_segment(zi::AnyImage(s.raw), kPrompt);
-  session.mode_c_evaluate("synthetic", "zenesis", 0, result.mask,
-                          s.ground_truth);  // must not touch freed memory
-  // The stale serve_* values from the last live publish remain readable.
-  EXPECT_TRUE(session.dashboard().stats().count("serve_completed"));
 }
 
 // Regression: a malformed request inside a micro-batch fails with kError

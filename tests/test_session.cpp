@@ -104,48 +104,6 @@ TEST(Session, ModeCEvaluateAutoPublishesRuntimeStats) {
   EXPECT_GT(stats.at("feature_cache_hits"), 0.0);
 }
 
-TEST(Session, StatsSourcesFoldIntoDashboard) {
-  zc::Session session;
-  int calls = 0;
-  zc::StatsRegistration reg =
-      session.add_scoped_stats_source([&calls](zenesis::eval::Dashboard& d) {
-        ++calls;
-        d.set_stat("custom_source_stat", 42.0);
-      });
-  const auto s = zf::generate_slice(test_config(zf::SampleType::kAmorphous), 0);
-  const auto r = session.mode_a_segment(
-      zi::AnyImage(s.raw), zf::default_prompt(zf::SampleType::kAmorphous));
-  session.mode_c_evaluate("amorphous", "zenesis", 0, r.mask, s.ground_truth);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(session.dashboard().stats().at("custom_source_stat"), 42.0);
-
-  // The explicit method refreshes without evaluating anything.
-  session.publish_runtime_stats();
-  EXPECT_EQ(calls, 2);
-  reg.reset();
-  session.publish_runtime_stats();
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(Session, ScopedStatsSourceStopsWhenRegistrationDies) {
-  zc::Session session;
-  int calls = 0;
-  {
-    zc::StatsRegistration reg =
-        session.add_scoped_stats_source([&calls](zenesis::eval::Dashboard& d) {
-          ++calls;
-          d.set_stat("scoped_source_stat", 7.0);
-        });
-    EXPECT_TRUE(reg.active());
-    session.publish_runtime_stats();
-    EXPECT_EQ(calls, 1);
-  }  // registration destroyed → source deactivated
-  session.publish_runtime_stats();  // pruned, never invoked again
-  session.publish_runtime_stats();
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(session.dashboard().stats().at("scoped_source_stat"), 7.0);
-}
-
 TEST(Session, InvalidConfigThrowsAtConstruction) {
   zc::PipelineConfig cfg;
   cfg.max_boxes = 0;

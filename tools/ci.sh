@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: build + test the repo seven times — a default
+# CI entry point: build + test the repo in eight stages — a default
 # RelWithDebInfo build with warnings as errors (ZENESIS_WERROR=ON)
 # running the full tier-1 suite plus a zen_load wire smoke run, a
 # ThreadSanitizer
@@ -17,10 +17,12 @@
 # performance knob — and an int8 rerun (ZENESIS_PRECISION=int8) of the
 # kernel suite under the ASAN and UBSan builds, so the quantized GEMM
 # path (saturating requantize, SIMD tails, accuracy gate) is
-# sanitizer-checked every run.
+# sanitizer-checked every run, and a short traced perfbench run of every
+# workload whose correctness gates (stage attribution, dropped spans,
+# wire byte-compare, metric set) fail CI — its timings never do.
 #
 # Usage:
-#   tools/ci.sh                # default + TSAN + ASAN + UBSAN + traced + scalar + int8
+#   tools/ci.sh                # default + TSAN + ASAN + UBSAN + traced + scalar + int8 + perfbench
 #   CI_TSAN_ALL=1 tools/ci.sh  # run the ENTIRE suite under TSAN (slow)
 #   CI_ASAN_ALL=1 tools/ci.sh  # run the ENTIRE suite under ASAN (slow)
 #   CI_JOBS=8 tools/ci.sh      # override build/test parallelism
@@ -53,16 +55,15 @@ JOBS="${CI_JOBS:-$(nproc)}"
 # bounds-checked.
 SAN_FILTER="${CI_SAN_FILTER:-test_parallel|test_volume_parallel|test_batch_images|test_serve|test_obs|test_pipeline|test_session|test_integration|test_tiff|test_cache|test_kernels|test_net|test_sam|test_filters|test_morphology|test_components|test_grounded_box}"
 
-echo "=== [1/7] default build (-Werror) + full tier-1 suite ==="
+echo "=== [1/8] default build (-Werror) + full tier-1 suite ==="
 cmake -B build -S . -DZENESIS_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 # Wire smoke: 64 loopback clients x 2 requests through zen_net. zen_load
-# exits non-zero if any request is rejected or errored; it writes under
-# build/, never over the committed out/BENCH_net.json.
-build/tools/zen_load --clients 64 --requests 2 --out build/ci_load >/dev/null
+# exits non-zero if any request is rejected or errored.
+build/tools/zen_load --clients 64 --requests 2 >/dev/null
 
-echo "=== [2/7] ThreadSanitizer build + concurrency suite ==="
+echo "=== [2/8] ThreadSanitizer build + concurrency suite ==="
 cmake -B build-tsan -S . -DZENESIS_SANITIZE=thread \
       -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
@@ -72,7 +73,7 @@ else
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R "$SAN_FILTER"
 fi
 
-echo "=== [3/7] AddressSanitizer build + concurrency suite ==="
+echo "=== [3/8] AddressSanitizer build + concurrency suite ==="
 cmake -B build-asan -S . -DZENESIS_SANITIZE=address \
       -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS"
@@ -82,7 +83,7 @@ else
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" -R "$SAN_FILTER"
 fi
 
-echo "=== [4/7] UndefinedBehaviorSanitizer build + fuzz/corruption/kernel corpora ==="
+echo "=== [4/8] UndefinedBehaviorSanitizer build + fuzz/corruption/kernel corpora ==="
 cmake -B build-ubsan -S . -DZENESIS_SANITIZE=undefined \
       -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j "$JOBS"
@@ -94,13 +95,13 @@ cmake --build build-ubsan -j "$JOBS"
 # offset arithmetic and 16-bit column histograms must stay UB-free.
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "test_tiff|test_cache|test_kernels|test_net_fuzz|test_sam|test_filters"
 
-echo "=== [5/7] tracing-enabled rerun of the default suite (ZENESIS_TRACE=1) ==="
+echo "=== [5/8] tracing-enabled rerun of the default suite (ZENESIS_TRACE=1) ==="
 ZENESIS_TRACE=1 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [6/7] scalar-backend rerun of the default suite (ZENESIS_KERNEL=scalar) ==="
+echo "=== [6/8] scalar-backend rerun of the default suite (ZENESIS_KERNEL=scalar) ==="
 ZENESIS_KERNEL=scalar ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [7/7] int8-precision kernel suite under ASAN + UBSan (ZENESIS_PRECISION=int8) ==="
+echo "=== [7/8] int8-precision kernel suite under ASAN + UBSan (ZENESIS_PRECISION=int8) ==="
 # Every test in test_kernels — the int8 accuracy gate included — with
 # the process-wide precision forced to int8, under both memory and UB
 # sanitizers: overflow in the saturating requantize, out-of-bounds in
@@ -108,5 +109,14 @@ echo "=== [7/7] int8-precision kernel suite under ASAN + UBSan (ZENESIS_PRECISIO
 # fail this stage.
 ZENESIS_PRECISION=int8 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -R "test_kernels"
 ZENESIS_PRECISION=int8 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "test_kernels"
+
+echo "=== [8/8] perfbench correctness gates (traced, every workload) ==="
+# Builds Release into .bench_build/ and runs each workload for 4 s with
+# spans on. run.py exits non-zero when a correctness gate fails — among
+# them unattributed stage time above 10 %, a dropped span, a wire
+# response whose bytes differ from a direct submit, a mean IoU below its
+# floor — or when the metric set differs from BENCHMARK.json. Timings
+# are reported but never fail the stage.
+python3 perfbench/run.py --workload all --seed 7 --seconds 4 --trace 1
 
 echo "CI OK"

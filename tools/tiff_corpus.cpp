@@ -10,14 +10,13 @@
 //
 //   build/tools/tiff_corpus --out out/tiff_corpus --mutants 1000 --seed 7
 //
-//   3. --bench: measure per-codec ingestion throughput and memory —
-//      naive slurp-and-materialize vs the parallel mmap streaming path —
-//      and persist the record as out/BENCH_tiff.json (pages_per_sec and
-//      rss_peak_bytes per codec, plus the streaming speedup and a
-//      flat-RSS check on a volume much larger than one decoded page).
+//   3. --bench: measure per-codec ingestion throughput — naive
+//      slurp-and-materialize vs the parallel mmap streaming path, full
+//      decode and first slice — and print one line per codec, plus a
+//      flat-RSS check on a volume much larger than one decoded page.
 //
 // Exits non-zero if any mutant violates the decode-or-TiffError contract
-// (fuzz mode) or if the bench record cannot be written (--bench).
+// (fuzz mode).
 
 #include <algorithm>
 #include <chrono>
@@ -33,7 +32,6 @@
 
 #include "tests/tiff_fuzz_harness.hpp"
 #include "zenesis/image/image.hpp"
-#include "zenesis/io/report.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 
 namespace {
@@ -76,12 +74,11 @@ bool parse_args(int argc, char** argv, Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// --bench: ingestion throughput and memory, persisted as out/BENCH_tiff.json.
+// --bench: ingestion throughput and memory, printed to stdout.
 
-/// Reads a field like "VmRSS" or "VmHWM" from /proc/self/status, in
-/// bytes. Returns 0 where the file or field is unavailable (non-Linux),
-/// in which case the rss fields of the record degrade to zero rather
-/// than failing the bench.
+/// Reads a field like "VmRSS" from /proc/self/status, in bytes. Returns
+/// 0 where the file or field is unavailable (non-Linux), in which case
+/// the rss figures degrade to zero rather than failing the bench.
 std::uint64_t read_proc_status_bytes(const char* field) {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -94,15 +91,6 @@ std::uint64_t read_proc_status_bytes(const char* field) {
     return kib * 1024;
   }
   return 0;
-}
-
-/// Best-effort reset of the process peak-RSS counter (VmHWM) so a
-/// phase's high-water mark is attributable to that phase alone. Writing
-/// "5" to /proc/self/clear_refs is the documented reset knob; failure
-/// (non-Linux, restricted procfs) just leaves VmHWM process-global.
-void reset_peak_rss() {
-  std::ofstream clear("/proc/self/clear_refs");
-  clear << "5";
 }
 
 /// Smooth synthetic EM-like stack: low-frequency gradients plus a
@@ -142,8 +130,6 @@ int run_bench() {
   const std::int64_t kPages = 48;
   const std::int64_t kSide = 512;  // 48 x 512 x 512 u16 = 24 MiB decoded
   const auto vol = bench_volume(kPages, kSide);
-  const std::uint64_t decoded_bytes =
-      static_cast<std::uint64_t>(kPages) * kSide * kSide * 2;
 
   const fs::path dir = fs::temp_directory_path() / "zen_tiff_bench";
   fs::create_directories(dir);
@@ -157,18 +143,13 @@ int run_bench() {
       {"deflate_pred", zio::TiffCompression::kDeflate, 2},
   };
 
-  zio::JsonObject record;
-  record.set("bench", std::string("tiff_ingest"));
-  record.set("pages", static_cast<std::int64_t>(kPages));
-  record.set("side", static_cast<std::int64_t>(kSide));
-  record.set("decoded_bytes", static_cast<std::int64_t>(decoded_bytes));
   // Full-decode speedups scale with cores (pages decode in parallel);
-  // first-slice speedups do not, so both are recorded alongside the
-  // thread count that produced them.
-  record.set("threads", static_cast<std::int64_t>(std::max(
-                            1u, std::thread::hardware_concurrency())));
+  // first-slice speedups do not, so the thread count is printed with them.
+  std::printf("tiff_ingest   %lld pages of %lldx%lld u16, %u hardware threads\n",
+              static_cast<long long>(kPages), static_cast<long long>(kSide),
+              static_cast<long long>(kSide),
+              std::max(1u, std::thread::hardware_concurrency()));
 
-  std::vector<zio::JsonObject> codec_records;
   double worst_compressed_speedup = -1.0;
   for (const CodecCase& c : cases) {
     zio::TiffWriteOptions wopt;
@@ -191,7 +172,6 @@ int run_bench() {
     // the streaming comparison below charges it for.
     double naive_best = 0.0;       // pages/sec, full decode
     double naive_total_s = 1e30;   // seconds to decode the whole file
-    reset_peak_rss();
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       std::ifstream in(file, std::ios::binary);
@@ -203,26 +183,21 @@ int run_bench() {
       naive_best =
           std::max(naive_best, static_cast<double>(stack.pages.size()) / dt);
     }
-    const std::uint64_t naive_rss_peak = read_proc_status_bytes("VmHWM");
 
     // Streaming path, full materialization: zero-copy mmap views, pages
     // decoded in parallel on the global ThreadPool.
     double stream_best = 0.0;
-    zio::TiffSourceKind resolved = zio::TiffSourceKind::kAuto;
-    reset_peak_rss();
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       zio::TiffOpenOptions oopt;
       oopt.source_kind = zio::TiffSourceKind::kMmap;
       const zio::TiffVolumeReader reader =
           zio::TiffVolumeReader::open(file.string(), oopt);
-      resolved = reader.source_kind();
       const auto out = reader.read_volume_u16();
       const double pps = static_cast<double>(out.depth()) /
                          std::max(seconds_since(t0), 1e-9);
       stream_best = std::max(stream_best, pps);
     }
-    const std::uint64_t stream_rss_peak = read_proc_status_bytes("VmHWM");
 
     // Streaming path, slice-sequential consumption: open + decode ONE
     // page, which is all Mode-B's temporal propagation needs before the
@@ -252,39 +227,12 @@ int run_bench() {
               : std::min(worst_compressed_speedup, effective);
     }
 
-    zio::JsonObject cr;
-    cr.set("codec", std::string(c.name));
-    cr.set("predictor", static_cast<std::int64_t>(c.predictor));
-    cr.set("file_bytes", static_cast<std::int64_t>(file_bytes));
-    cr.set("naive_pages_per_sec", naive_best);
-    cr.set("stream_pages_per_sec", stream_best);
-    cr.set("pages_per_sec", stream_best);
-    cr.set("speedup_full_decode", full_speedup);
-    cr.set("first_slice_naive_pages_per_sec", naive_first_pps);
-    cr.set("first_slice_stream_pages_per_sec", stream_first_pps);
-    cr.set("speedup_first_slice", first_speedup);
-    cr.set("naive_rss_peak_bytes", static_cast<std::int64_t>(naive_rss_peak));
-    cr.set("rss_peak_bytes", static_cast<std::int64_t>(stream_rss_peak));
-    cr.set("source_kind", std::string(zio::to_string(resolved)));
-    codec_records.push_back(std::move(cr));
-
     std::printf("%-13s file=%8.2f MiB  naive=%7.1f p/s  stream=%7.1f p/s "
                 "(%.2fx)  first-slice=%7.1f p/s vs %5.1f p/s (%.1fx)\n",
                 c.name, static_cast<double>(file_bytes) / (1 << 20), naive_best,
                 stream_best, full_speedup, stream_first_pps, naive_first_pps,
                 first_speedup);
   }
-  record.set_array("codecs", std::move(codec_records));
-  // "Effective throughput on compressed streams": the better of the full
-  // parallel decode speedup (scales with cores) and the slice-sequential
-  // first-slice speedup (holds on any machine) — min over the
-  // compressed codecs, so the record pins the worst case.
-  record.set("min_compressed_speedup", worst_compressed_speedup);
-  record.set("speedup_definition",
-             std::string("max(full_parallel_decode, first_slice) vs "
-                         "decompress-whole-file baseline, min over "
-                         "compressed codecs"));
-
   // Flat-RSS probe: stream a volume page-by-page (no materialization) and
   // sample VmRSS inside the loop. The peak delta must stay well below the
   // decoded volume size — that is the "ingest stacks bigger than RAM"
@@ -313,26 +261,16 @@ int run_bench() {
 
     const std::uint64_t rss_before = read_proc_status_bytes("VmRSS");
     std::uint64_t rss_peak = rss_before;
-    std::uint64_t checksum = 0;
     zio::TiffOpenOptions oopt;
     oopt.source_kind = zio::TiffSourceKind::kPread;
     const zio::TiffVolumeReader reader =
         zio::TiffVolumeReader::open(file.string(), oopt);
     for (std::int64_t p = 0; p < reader.pages(); ++p) {
       const auto img = reader.read_page_u16(p);
-      checksum += img.at(0, 0) + img.at(flat_side - 1, flat_side - 1);
       rss_peak = std::max(rss_peak, read_proc_status_bytes("VmRSS"));
     }
     const std::uint64_t rss_delta = rss_peak - rss_before;
     const bool flat = rss_delta < flat_decoded / 2;
-    record.set("flat_rss_codec", std::string("deflate_pred"));
-    record.set("flat_rss_source_kind", std::string("pread"));
-    record.set("flat_rss_decoded_bytes", static_cast<std::int64_t>(flat_decoded));
-    record.set("flat_rss_file_bytes",
-               static_cast<std::int64_t>(fs::file_size(file)));
-    record.set("flat_rss_peak_delta_bytes", static_cast<std::int64_t>(rss_delta));
-    record.set("flat_rss_is_flat", static_cast<std::int64_t>(flat ? 1 : 0));
-    record.set("flat_rss_checksum", static_cast<std::int64_t>(checksum & 0xFFFF));
     std::printf("flat_rss      decoded=%.0f MiB  peak_delta=%.1f MiB  flat=%s\n",
                 static_cast<double>(flat_decoded) / (1 << 20),
                 static_cast<double>(rss_delta) / (1 << 20), flat ? "yes" : "no");
@@ -340,10 +278,10 @@ int run_bench() {
 
   std::error_code ec;
   fs::remove_all(dir, ec);
-  fs::create_directories("out");
-  const std::string json_path = "out/BENCH_tiff.json";
-  record.write(json_path);
-  std::printf("wrote %s\n", json_path.c_str());
+  // "Effective throughput on compressed streams": the better of the full
+  // parallel decode speedup (scales with cores) and the slice-sequential
+  // first-slice speedup (holds on any machine) — min over the
+  // compressed codecs, so the check pins the worst case.
   if (worst_compressed_speedup < 2.0) {
     std::fprintf(stderr,
                  "WARNING: min compressed-stream speedup %.2fx below the 2x "

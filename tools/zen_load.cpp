@@ -3,28 +3,25 @@
 // Spins up an in-process SegmentService + net::Server, connects N
 // loopback clients spread across T tenants, pumps R requests per client
 // (repeating a small synthetic image pool, so the cache-hot path
-// dominates exactly like steady-state traffic), then writes the wire and
-// service latency distributions to a BENCH JSON:
+// dominates exactly like steady-state traffic), then prints the wire and
+// service latency distributions to stdout, one `name value` line each:
 //
 //   zen_load [--clients N] [--requests R] [--tenants T] [--size PX]
-//            [--out DIR]
 //
-// Defaults: 200 clients x 4 requests, 8 tenants, 24x24 slices,
-// out/BENCH_net.json. The soak *test* (tests/test_net_soak.cpp) asserts
-// correctness (byte-identity, zero sheds); this tool measures the same
-// topology and records the numbers. The service queue and tenant quotas
-// are sized so that nothing should shed: the exit status is 1 when any
-// request comes back rejected or errored (the record is still written).
+// Defaults: 200 clients x 4 requests, 8 tenants, 24x24 slices. The soak
+// *test* (tests/test_net_soak.cpp) asserts correctness (byte-identity,
+// zero sheds); this tool drives the same topology and reports the
+// numbers. The service queue and tenant quotas are sized so that nothing
+// should shed: the exit status is 1 when any request comes back rejected
+// or errored (the report is still printed).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "zenesis/fibsem/synth.hpp"
-#include "zenesis/io/report.hpp"
 #include "zenesis/net/client.hpp"
 #include "zenesis/net/server.hpp"
 #include "zenesis/serve/service.hpp"
@@ -39,13 +36,12 @@ struct Options {
   std::size_t requests = 4;   ///< per client
   std::uint32_t tenants = 8;
   std::int64_t size = 24;     ///< slice edge length in pixels
-  std::string out = "out";
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--clients N] [--requests R] [--tenants T] "
-               "[--size PX] [--out DIR]\n",
+               "[--size PX]\n",
                argv0);
   return 2;
 }
@@ -88,10 +84,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       opt.size = std::strtoll(v, nullptr, 10);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opt.out = v;
     } else {
       return usage(argv[0]);
     }
@@ -174,42 +166,36 @@ int main(int argc, char** argv) {
   clients.clear();
   server.stop();
 
-  io::JsonObject rec;
-  rec.set("bench", std::string("net_load"));
-  rec.set("clients", static_cast<std::int64_t>(opt.clients));
-  rec.set("requests_per_client", static_cast<std::int64_t>(opt.requests));
-  rec.set("tenants", static_cast<std::int64_t>(opt.tenants));
-  rec.set("slice_px", static_cast<std::int64_t>(opt.size));
-  rec.set("requests_total", static_cast<std::int64_t>(total));
-  rec.set("responses_ok", static_cast<std::int64_t>(ok));
-  rec.set("responses_rejected", static_cast<std::int64_t>(rejected));
-  rec.set("responses_error", static_cast<std::int64_t>(errors));
-  rec.set("wall_s", wall_s);
-  rec.set("requests_per_sec",
-          wall_s > 0.0 ? static_cast<double>(total) / wall_s : 0.0);
-  rec.set("wire_us_p50", ns.wire_us.percentile(50));
-  rec.set("wire_us_p95", ns.wire_us.percentile(95));
-  rec.set("wire_us_p99", ns.wire_us.percentile(99));
-  rec.set("wire_us_mean", ns.wire_us.mean());
-  rec.set("wire_us_max", ns.wire_us.max());
-  rec.set("total_us_p50", total_us.percentile(50));
-  rec.set("total_us_p95", total_us.percentile(95));
-  rec.set("total_us_p99", total_us.percentile(99));
-  rec.set("shed_tenant_quota", static_cast<std::int64_t>(ns.shed_tenant_quota));
-  rec.set("shed_overloaded", static_cast<std::int64_t>(ns.shed_overloaded));
-  rec.set("protocol_errors", static_cast<std::int64_t>(ns.protocol_errors));
-  rec.set("bytes_in", static_cast<std::int64_t>(ns.bytes_in));
-  rec.set("bytes_out", static_cast<std::int64_t>(ns.bytes_out));
-
-  std::error_code ec;
-  std::filesystem::create_directories(opt.out, ec);
-  const std::string path = opt.out + "/BENCH_net.json";
-  rec.write(path);
-  std::printf("%s\n", rec.to_string(2).c_str());
-  std::printf("zen_load: wrote %s (%llu requests, %.1f req/s)\n", path.c_str(),
-              static_cast<unsigned long long>(total),
-              total > 0 && wall_s > 0 ? static_cast<double>(total) / wall_s
-                                      : 0.0);
+  const auto field = [](const char* name, double value) {
+    std::printf("%-20s %.6g\n", name, value);
+  };
+  const auto count = [](const char* name, std::uint64_t value) {
+    std::printf("%-20s %llu\n", name, static_cast<unsigned long long>(value));
+  };
+  count("clients", opt.clients);
+  count("requests_per_client", opt.requests);
+  count("tenants", opt.tenants);
+  count("slice_px", static_cast<std::uint64_t>(opt.size));
+  count("requests_total", total);
+  count("responses_ok", ok);
+  count("responses_rejected", rejected);
+  count("responses_error", errors);
+  field("wall_s", wall_s);
+  field("requests_per_sec",
+        wall_s > 0.0 ? static_cast<double>(total) / wall_s : 0.0);
+  field("wire_us_p50", ns.wire_us.percentile(50));
+  field("wire_us_p95", ns.wire_us.percentile(95));
+  field("wire_us_p99", ns.wire_us.percentile(99));
+  field("wire_us_mean", ns.wire_us.mean());
+  field("wire_us_max", ns.wire_us.max());
+  field("total_us_p50", total_us.percentile(50));
+  field("total_us_p95", total_us.percentile(95));
+  field("total_us_p99", total_us.percentile(99));
+  count("shed_tenant_quota", ns.shed_tenant_quota);
+  count("shed_overloaded", ns.shed_overloaded);
+  count("protocol_errors", ns.protocol_errors);
+  count("bytes_in", ns.bytes_in);
+  count("bytes_out", ns.bytes_out);
   if (rejected + errors > 0) {
     std::fprintf(stderr, "zen_load: %llu rejected, %llu errored\n",
                  static_cast<unsigned long long>(rejected),
