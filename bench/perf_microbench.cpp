@@ -8,6 +8,7 @@
 // that produced each.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <random>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "zenesis/cache/sharded_lru.hpp"
 #include "zenesis/core/pipeline.hpp"
+#include "zenesis/cv/bitmask.hpp"
 #include "zenesis/cv/filters.hpp"
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/image/normalize.hpp"
@@ -296,6 +298,69 @@ void BM_MedianFilterLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_MedianFilterLarge)
     ->ArgsProduct({{8, 20, 48, 96}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+/// A box-local candidate mask for BM_CandidateCleanup: overlapping
+/// disks with ragged rims, pitted cores and scattered speckles. The
+/// same seed draws the same blobs and noise, so `grow` < 1 / > 1 gives
+/// the nested high/low-threshold masks of one candidate.
+image::Mask cleanup_input(std::int64_t side, double grow) {
+  std::mt19937 rng(99);
+  struct Blob {
+    double cx, cy, r;
+  };
+  std::vector<Blob> blobs;
+  for (int i = 0; i < 6; ++i) {
+    const double r = static_cast<double>(side) * (0.08 + 0.02 * (rng() % 7));
+    const auto cx = static_cast<double>(rng() % side);
+    blobs.push_back({cx, static_cast<double>(rng() % side), r});
+  }
+  image::Mask m(side, side);
+  for (std::int64_t y = 0; y < side; ++y) {
+    for (std::int64_t x = 0; x < side; ++x) {
+      const double jitter = static_cast<double>(rng() % 3) - 1.0;
+      const bool pit = rng() % 4 == 0, speck = rng() % 64 == 0;
+      bool on = speck;
+      for (const Blob& b : blobs) {
+        const double d =
+            std::hypot(static_cast<double>(x) - b.cx, static_cast<double>(y) - b.cy);
+        if (d < b.r * grow + jitter && !(pit && d < 0.25 * b.r)) on = true;
+      }
+      m.at(x, y) = on ? 1 : 0;
+    }
+  }
+  return m;
+}
+
+/// The box decoder's per-candidate cleanup (sam.decode.cleanup): three
+/// box-local masks packed into the decode ROI, closed with the radius-1
+/// disk, holes filled, speckles under 16 px removed from the first;
+/// then the low/high IoU, the area and the unpacked mask. Arg 0: ROI
+/// side (box side + 6).
+void BM_CandidateCleanup(benchmark::State& state) {
+  constexpr int kRadius = 1;
+  constexpr std::int64_t kMinArea = 16, kMargin = 2 * kRadius + 1;
+  const std::int64_t roi = state.range(0), side = roi - 2 * kMargin;
+  const image::Mask mask = cleanup_input(side, 1.0);
+  const image::Mask low = cleanup_input(side, 1.1);
+  const image::Mask high = cleanup_input(side, 0.9);
+  for (auto _ : state) {
+    cv::BitScratch scratch;
+    cv::BitMask bits, low_bits, high_bits;
+    cv::clean_mask(bits, mask, roi, roi, {kMargin, kMargin}, kRadius, kMinArea, scratch);
+    cv::clean_mask(low_bits, low, roi, roi, {kMargin, kMargin}, kRadius, 0, scratch);
+    cv::clean_mask(high_bits, high, roi, roi, {kMargin, kMargin}, kRadius, 0, scratch);
+    benchmark::DoNotOptimize(cv::mask_iou(low_bits, high_bits));
+    benchmark::DoNotOptimize(bits.count());
+    benchmark::DoNotOptimize(bits.unpack());
+  }
+}
+BENCHMARK(BM_CandidateCleanup)
+    ->Arg(60)
+    ->Arg(120)
+    ->Arg(170)
+    ->Arg(262)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SamOnlyAutoMask(benchmark::State& state) {

@@ -161,62 +161,4 @@ image::Mask largest_component(const image::Mask& mask) {
   return component_mask(lab, it->label);
 }
 
-image::Mask remove_small_components(const image::Mask& mask,
-                                    std::int64_t min_area) {
-  const Labeling lab = label_components(mask);
-  const std::int32_t* const labels = lab.labels.pixels().data();
-  const std::int64_t n = mask.width() * mask.height();
-  std::vector<std::int64_t> area(static_cast<std::size_t>(lab.count) + 1, 0);
-  for (std::int64_t i = 0; i < n; ++i) ++area[static_cast<std::size_t>(labels[i])];
-  image::Mask out(mask.width(), mask.height());
-  std::uint8_t* const dst = out.pixels().data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int32_t l = labels[i];
-    if (l != 0 && area[static_cast<std::size_t>(l)] >= min_area) dst[i] = 1;
-  }
-  return out;
-}
-
-image::Mask fill_holes(const image::Mask& mask) {
-  // A hole is a background region (4-connected) that never touches the
-  // border: flood the background in from every border pixel, then fill
-  // whatever the flood did not reach.
-  const std::int64_t w = mask.width(), h = mask.height();
-  if (w == 0 || h == 0) return mask;
-  std::vector<std::uint8_t> reached(static_cast<std::size_t>(w * h), 0);
-  std::vector<std::int64_t> stack;
-  const auto seed = [&](std::int64_t x, std::int64_t y) {
-    const std::int64_t i = y * w + x;
-    if (mask.at(x, y) != 0 || reached[static_cast<std::size_t>(i)] != 0) return;
-    reached[static_cast<std::size_t>(i)] = 1;
-    stack.push_back(i);
-  };
-  for (std::int64_t x = 0; x < w; ++x) {
-    seed(x, 0);
-    seed(x, h - 1);
-  }
-  for (std::int64_t y = 0; y < h; ++y) {
-    seed(0, y);
-    seed(w - 1, y);
-  }
-  while (!stack.empty()) {
-    const std::int64_t i = stack.back();
-    stack.pop_back();
-    const std::int64_t x = i % w, y = i / w;
-    if (x > 0) seed(x - 1, y);
-    if (x + 1 < w) seed(x + 1, y);
-    if (y > 0) seed(x, y - 1);
-    if (y + 1 < h) seed(x, y + 1);
-  }
-  image::Mask out = mask;
-  for (std::int64_t y = 0; y < h; ++y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      if (mask.at(x, y) == 0 && reached[static_cast<std::size_t>(y * w + x)] == 0) {
-        out.at(x, y) = 1;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace zenesis::cv

@@ -40,12 +40,4 @@ image::Mask component_mask(const Labeling& labeling, std::int32_t label);
 /// Largest component (by area) of a mask; empty mask if none.
 image::Mask largest_component(const image::Mask& mask);
 
-/// Removes components smaller than `min_area` pixels.
-image::Mask remove_small_components(const image::Mask& mask,
-                                    std::int64_t min_area);
-
-/// Fills background holes: background regions not connected to the image
-/// border become foreground.
-image::Mask fill_holes(const image::Mask& mask);
-
 }  // namespace zenesis::cv

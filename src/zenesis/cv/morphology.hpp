@@ -1,12 +1,13 @@
 #pragma once
-// Binary morphology with square or disk structuring elements. Used to
-// clean model masks (SAM post-processing) and by the synthetic generator.
+// Binary morphology of byte masks with square or disk structuring
+// elements. Used by the grounding head's hot-map closing and the
+// boundary metrics. Each call packs the mask, runs the word operations
+// of bitmask.hpp and unpacks the result as 0/1 bytes.
 
+#include "zenesis/cv/bitmask.hpp"
 #include "zenesis/image/image.hpp"
 
 namespace zenesis::cv {
-
-enum class Element { kSquare, kDisk };
 
 image::Mask erode(const image::Mask& mask, int radius,
                   Element el = Element::kDisk);

@@ -5,9 +5,9 @@
 #include <deque>
 #include <optional>
 
+#include "zenesis/cv/bitmask.hpp"
 #include "zenesis/cv/components.hpp"
 #include "zenesis/cv/filters.hpp"
-#include "zenesis/cv/morphology.hpp"
 #include "zenesis/cv/threshold.hpp"
 #include "zenesis/image/roi.hpp"
 #include "zenesis/obs/trace.hpp"
@@ -461,32 +461,27 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
 
     // Cleanup: close small gaps, fill interior holes (the context rule
     // hollows out objects wider than its window — their interiors match
-    // their own median), drop speckles.
+    // their own median), drop speckles. Candidates already run in
+    // parallel, so the three masks are cleaned serially on words, sharing
+    // one scratch; low/high only feed the stability IoU and stay packed.
+    double stability = 0.0;
+    std::int64_t area = 0;
     {
       obs::Span span("sam.decode.cleanup");
-      const auto to_roi = [&](const image::Mask& in_box) {
-        image::Mask m(roi.w, roi.h);
-        image::paste_mask(m, in_box, {box.x - roi.x, box.y - roi.y, box.w, box.h});
-        return m;
-      };
-      mask = to_roi(mask);
-      low = to_roi(low);
-      high = to_roi(high);
-      if (cfg_.morph_radius > 0) {
-        mask = cv::close(mask, cfg_.morph_radius);
-        low = cv::close(low, cfg_.morph_radius);
-        high = cv::close(high, cfg_.morph_radius);
-      }
-      mask = cv::fill_holes(mask);
-      low = cv::fill_holes(low);
-      high = cv::fill_holes(high);
-      if (cfg_.min_component_area > 0) {
-        mask = cv::remove_small_components(mask, cfg_.min_component_area);
-      }
+      const image::Point at{box.x - roi.x, box.y - roi.y};
+      cv::BitScratch scratch;
+      cv::BitMask bits, low_bits, high_bits;
+      cv::clean_mask(bits, mask, roi.w, roi.h, at, cfg_.morph_radius,
+                     cfg_.min_component_area, scratch);
+      cv::clean_mask(low_bits, low, roi.w, roi.h, at, cfg_.morph_radius, 0, scratch);
+      cv::clean_mask(high_bits, high, roi.w, roi.h, at, cfg_.morph_radius, 0, scratch);
+      stability = cv::mask_iou(low_bits, high_bits);
+      area = bits.count();
+      mask = bits.unpack();
     }
 
     obs::Span span("sam.decode.score");
-    MaskPrediction pred = score_mask(enc, roi, mask, low, high);
+    MaskPrediction pred = score_mask(enc, roi, mask, area, stability);
     pred.polarity = polarity;
     // Rim prior: a mask coinciding with the prompt rim is suspect.
     std::int64_t rim_total = 0, rim_hit = 0;
@@ -636,17 +631,17 @@ MaskPrediction SamModel::predict_point(const SamEncoded& enc,
   image::Mask mask = grow(tol_base);
   const image::Mask low = grow(tol_base * (1.0f - cfg_.stability_delta));
   const image::Mask high = grow(tol_base * (1.0f + cfg_.stability_delta));
-  MaskPrediction pred = score_mask(enc, {0, 0, w, h}, mask, low, high);
+  MaskPrediction pred = score_mask(enc, {0, 0, w, h}, mask, image::mask_area(mask),
+                                   image::mask_iou(low, high));
   pred.mask = std::move(mask);
   return pred;
 }
 
 MaskPrediction SamModel::score_mask(const SamEncoded& enc, const image::Box& roi,
-                                    const image::Mask& mask, const image::Mask& low,
-                                    const image::Mask& high) const {
+                                    const image::Mask& mask, std::int64_t area,
+                                    double stability) const {
   MaskPrediction pred;
-  pred.stability = image::mask_iou(low, high);
-  const std::int64_t area = image::mask_area(mask);
+  pred.stability = stability;
   pred.area_fraction = static_cast<double>(area) /
                        static_cast<double>(std::max<std::int64_t>(
                            1, enc.maps.width * enc.maps.height));

@@ -113,11 +113,13 @@ class SamModel {
   /// neighbourhoods and its outline fit inside.
   image::Box decode_roi(const SamEncoded& enc, const image::Box& box) const;
 
-  /// Stability / homogeneity / size scores of (mask, low, high), given as
-  /// `roi`-sized patches of the frame (empty outside). Leaves `mask` unset.
+  /// Homogeneity / size scores of `mask`, a `roi`-sized patch of the
+  /// frame (empty outside) with `area` foreground pixels, combined with
+  /// its `stability` (IoU of the low/high threshold masks). Leaves
+  /// `mask` unset.
   MaskPrediction score_mask(const SamEncoded& enc, const image::Box& roi,
-                            const image::Mask& mask, const image::Mask& low,
-                            const image::Mask& high) const;
+                            const image::Mask& mask, std::int64_t area,
+                            double stability) const;
 
   SamConfig cfg_;
   VisionBackbone backbone_;

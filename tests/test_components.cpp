@@ -1,6 +1,7 @@
 // Connected-component labeling and region statistics tests.
 #include <gtest/gtest.h>
 
+#include "zenesis/cv/bitmask.hpp"
 #include "zenesis/cv/components.hpp"
 #include "zenesis/image/roi.hpp"
 
@@ -105,7 +106,10 @@ TEST(RemoveSmall, DropsBelowThreshold) {
       "##.#",
       "##..",
   });
-  const zi::Mask cleaned = zc::remove_small_components(m, 2);
+  zc::BitMask bits(m);
+  zc::BitScratch scratch;
+  zc::remove_small_components(bits, 2, scratch);
+  const zi::Mask cleaned = bits.unpack();
   EXPECT_EQ(zi::mask_area(cleaned), 4);
   EXPECT_EQ(cleaned.at(3, 0), 0);
 }
@@ -118,7 +122,10 @@ TEST(FillHoles, ClosesEnclosedBackground) {
       "#...#",
       "#####",
   });
-  const zi::Mask filled = zc::fill_holes(m);
+  zc::BitMask bits(m);
+  zc::BitScratch scratch;
+  zc::fill_holes(bits, scratch);
+  const zi::Mask filled = bits.unpack();
   EXPECT_EQ(zi::mask_area(filled), 25);
 }
 
@@ -128,7 +135,10 @@ TEST(FillHoles, KeepsBorderConnectedBackground) {
       "#..",   // background reaches the border → not a hole
       "###",
   });
-  const zi::Mask filled = zc::fill_holes(m);
+  zc::BitMask bits(m);
+  zc::BitScratch scratch;
+  zc::fill_holes(bits, scratch);
+  const zi::Mask filled = bits.unpack();
   EXPECT_EQ(filled.at(1, 1), 0);
   EXPECT_EQ(filled.at(2, 1), 0);
 }
