@@ -415,11 +415,11 @@ fibsem::SyntheticVolume bench_volume() {
 core::PipelineConfig volume_config(std::size_t threads, bool cache) {
   core::PipelineConfig cfg;
   cfg.volume_threads = threads;
-  cfg.feature_cache.enabled = cache;
+  if (!cache) cfg.feature_cache.capacity = 0;
   // Keep the mask cache out of the throughput baselines: with it on,
   // every rep after the first would be a near-free memoized replay and
   // the serial/parallel/feature-cached comparison would lose meaning.
-  cfg.mask_cache.enabled = false;
+  cfg.mask_cache.capacity = 0;
   return cfg;
 }
 

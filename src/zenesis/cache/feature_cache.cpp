@@ -1,7 +1,11 @@
 #include "zenesis/cache/feature_cache.hpp"
 
+#include <initializer_list>
+#include <string_view>
+
 #include "zenesis/cache/serialize.hpp"
 #include "zenesis/obs/trace.hpp"
+#include "zenesis/tensor/kernels.hpp"
 #include "zenesis/tensor/quant.hpp"
 
 namespace zenesis::cache {
@@ -9,7 +13,6 @@ namespace {
 
 ShardedCacheConfig l1_config(const FeatureCacheConfig& cfg) {
   ShardedCacheConfig l1;
-  l1.enabled = cfg.enabled && cfg.capacity != 0;
   l1.shards = cfg.shards == 0 ? 1 : cfg.shards;
   l1.capacity = cfg.capacity;
   l1.byte_budget = cfg.byte_budget;
@@ -28,7 +31,7 @@ std::uint64_t hash_image(const image::ImageF32& img) {
   return h;
 }
 
-std::uint64_t hash_backbone_config(const models::BackboneConfig& cfg) {
+std::uint64_t hash_backbone_weights(const models::BackboneConfig& cfg) {
   std::uint64_t h = kFnvOffset;
   h = fnv1a_value(h, cfg.patch_size);
   h = fnv1a_value(h, cfg.dim);
@@ -36,18 +39,26 @@ std::uint64_t hash_backbone_config(const models::BackboneConfig& cfg) {
   h = fnv1a_value(h, cfg.heads);
   h = fnv1a_value(h, cfg.branch_scale);
   h = fnv1a_value(h, cfg.seed);
-  // The active numeric precision changes the floats encode() produces,
-  // so it is part of the key: an fp32 embedding persisted by the disk
-  // store must be a clean miss under int8 (and vice versa), never a
-  // silently served cross-precision hit.
-  const char* precision = tensor::quant::precision_name();
-  h = fnv1a_bytes(h, precision, std::string_view(precision).size());
   return h;
+}
+
+std::uint64_t fold_kernel_selection(std::uint64_t h) {
+  for (const std::string_view name :
+       {std::string_view(tensor::backend_name()),
+        std::string_view(tensor::quant::precision_name())}) {
+    h = fnv1a_value(h, name.size());
+    h = fnv1a_bytes(h, name.data(), name.size());
+  }
+  return h;
+}
+
+std::uint64_t hash_backbone_config(const models::BackboneConfig& cfg) {
+  return fold_kernel_selection(hash_backbone_weights(cfg));
 }
 
 FeatureCache::FeatureCache(const FeatureCacheConfig& cfg)
     : cfg_(cfg), l1_(l1_config(cfg)) {
-  if (cfg_.enabled && cfg_.capacity != 0 && !cfg_.disk_path.empty()) {
+  if (cfg_.capacity != 0 && !cfg_.disk_path.empty()) {
     try {
       disk_ = std::make_unique<DiskStore>(DiskStoreConfig{cfg_.disk_path});
     } catch (const std::exception&) {
@@ -60,7 +71,7 @@ FeatureCache::FeatureCache(const FeatureCacheConfig& cfg)
 
 std::shared_ptr<const models::SamEncoded> FeatureCache::encode(
     const image::ImageF32& img, const models::VisionBackbone& backbone) {
-  const bool active = cfg_.enabled && cfg_.capacity != 0;
+  const bool active = cfg_.capacity != 0;
   const auto compute = [&] {
     // The expensive path: feature maps + backbone encode. Span arg 0/1
     // distinguishes a cache-bypassing encode (cache off) from a miss.

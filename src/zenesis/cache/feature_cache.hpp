@@ -50,11 +50,9 @@
 namespace zenesis::cache {
 
 struct FeatureCacheConfig {
-  /// Off switch: when false, every lookup computes a fresh encoding and
-  /// no tier or counter is ever touched.
-  bool enabled = true;
-  /// Maximum resident L1 entries (split across shards); 0 disables the
-  /// cache entirely, matching the old single-tier contract.
+  /// Maximum resident L1 entries (split across shards). 0 is the off
+  /// switch: every lookup computes a fresh encoding and no tier or
+  /// counter is ever touched.
   std::size_t capacity = 64;
   /// L1 lock stripes (see ShardedCacheConfig::shards).
   std::size_t shards = 8;
@@ -89,10 +87,18 @@ struct FeatureCacheStats {
 /// Content hash (FNV-1a) of an image's pixels and geometry.
 std::uint64_t hash_image(const image::ImageF32& img);
 
-/// Content hash of every field that determines a backbone's weights,
-/// plus the active numeric precision (tensor::quant) — fp32 and int8
-/// runs produce different floats, so their cached/persisted embeddings
-/// must live under different keys.
+/// Content hash of every field that determines a backbone's weights.
+std::uint64_t hash_backbone_weights(const models::BackboneConfig& cfg);
+
+/// Folds the names of the active kernel backend (tensor::backend_name)
+/// and precision (tensor::quant::precision_name) into `h`. Backends and
+/// precisions agree only to rounding, so every cache key whose value is
+/// computed by model math folds them in when the key is computed.
+std::uint64_t fold_kernel_selection(std::uint64_t h);
+
+/// The feature-cache key half for a backbone: hash_backbone_weights
+/// plus fold_kernel_selection, so an embedding cached or persisted
+/// under one backend or precision is a clean miss under another.
 std::uint64_t hash_backbone_config(const models::BackboneConfig& cfg);
 
 class FeatureCache {

@@ -44,12 +44,11 @@
 namespace zenesis::cache {
 
 struct ShardedCacheConfig {
-  /// Off switch: a disabled cache admits nothing and records no traffic.
-  bool enabled = true;
   /// Lock stripes; clamped to [1, 4096] and rounded up to a power of two.
   std::size_t shards = 8;
   /// Maximum resident entries, split as ceil(capacity / shards) per shard
-  /// (exact when shards == 1). 0 = no entry bound (byte budget governs).
+  /// (exact when shards == 1). 0 is the off switch: the cache admits
+  /// nothing and records no traffic.
   std::size_t capacity = 64;
   /// Global byte budget; resident bytes never exceed it (see
   /// ZENESIS_CACHE_BUDGET in hash.hpp for the default's sizing knob).
@@ -89,15 +88,14 @@ class ShardedLruCache {
     for (std::size_t i = 0; i < n; ++i) {
       shards_[i].byte_budget =
           cfg_.byte_budget / n + (i < cfg_.byte_budget % n ? 1 : 0);
-      shards_[i].capacity =
-          cfg_.capacity == 0 ? 0 : (cfg_.capacity + n - 1) / n;
+      shards_[i].capacity = cfg_.capacity / n + (cfg_.capacity % n != 0);
     }
   }
 
   /// Shared value for `key`, or nullptr (recorded as a miss). A hit
   /// refreshes the entry's recency.
   std::shared_ptr<const V> get(const Key128& key) {
-    if (!cfg_.enabled) return nullptr;
+    if (cfg_.capacity == 0) return nullptr;
     Shard& sh = shards_[shard_of(key)];
     std::lock_guard lock(sh.mutex);
     const auto it = sh.map.find(key);
@@ -113,7 +111,7 @@ class ShardedLruCache {
   /// Lookup without touching recency or the hit/miss counters (tests,
   /// inspection tooling).
   std::shared_ptr<const V> peek(const Key128& key) const {
-    if (!cfg_.enabled) return nullptr;
+    if (cfg_.capacity == 0) return nullptr;
     const Shard& sh = shards_[shard_of(key)];
     std::lock_guard lock(sh.mutex);
     const auto it = sh.map.find(key);
@@ -122,13 +120,13 @@ class ShardedLruCache {
 
   /// Admits `value` (`bytes` = its resident size) and evicts the shard's
   /// least-recently-used entries until budget and capacity hold again.
-  /// Returns false when the cache is disabled or the value alone exceeds
+  /// Returns false when the cache is off or the value alone exceeds
   /// its shard's byte budget. An existing entry for `key` is replaced
   /// (last writer wins, matching the old FeatureCache contract for
   /// concurrent misses of one key).
   bool put(const Key128& key, std::shared_ptr<const V> value,
            std::size_t bytes) {
-    if (!cfg_.enabled || value == nullptr) return false;
+    if (cfg_.capacity == 0 || value == nullptr) return false;
     Shard& sh = shards_[shard_of(key)];
     std::lock_guard lock(sh.mutex);
     if (bytes > sh.byte_budget) {
@@ -151,7 +149,7 @@ class ShardedLruCache {
 
   /// Drops `key` if resident; returns whether anything was removed.
   bool erase(const Key128& key) {
-    if (!cfg_.enabled) return false;
+    if (cfg_.capacity == 0) return false;
     Shard& sh = shards_[shard_of(key)];
     std::lock_guard lock(sh.mutex);
     const auto it = sh.map.find(key);
@@ -220,7 +218,7 @@ class ShardedLruCache {
     std::uint64_t clock = 0;  ///< per-shard recency clock
     std::size_t bytes = 0;
     std::size_t byte_budget = 0;
-    std::size_t capacity = 0;  ///< 0 = unbounded entries
+    std::size_t capacity = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -232,8 +230,7 @@ class ShardedLruCache {
   /// Caller holds sh.mutex. Evicts in ascending tick order (exact LRU
   /// within the shard) until both bounds hold.
   void evict_locked(Shard& sh) {
-    const bool over_cap = sh.capacity != 0 && sh.map.size() > sh.capacity;
-    if (!over_cap && sh.bytes <= sh.byte_budget) return;
+    if (sh.map.size() <= sh.capacity && sh.bytes <= sh.byte_budget) return;
     // One ordered pass instead of a min-scan per victim: puts that
     // overflow are rare relative to gets, and shards are small.
     std::vector<std::pair<std::uint64_t, Key128>> by_tick;
@@ -242,9 +239,7 @@ class ShardedLruCache {
     std::sort(by_tick.begin(), by_tick.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [tick, key] : by_tick) {
-      const bool fits = sh.bytes <= sh.byte_budget &&
-                        (sh.capacity == 0 || sh.map.size() <= sh.capacity);
-      if (fits) break;
+      if (sh.bytes <= sh.byte_budget && sh.map.size() <= sh.capacity) break;
       const auto it = sh.map.find(key);
       sh.bytes -= it->second.bytes;
       sh.evicted_bytes += it->second.bytes;

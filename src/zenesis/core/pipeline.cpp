@@ -10,8 +10,6 @@
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
-#include "zenesis/tensor/kernels.hpp"
-#include "zenesis/tensor/quant.hpp"
 
 namespace zenesis::core {
 
@@ -45,43 +43,25 @@ std::vector<std::string> PipelineConfig::validate() const {
   flag(max_boxes < 1, "max_boxes must be >= 1");
   flag(heuristic.window < 1, "heuristic.window must be >= 1");
   flag(heuristic.size_factor <= 0.0, "heuristic.size_factor must be positive");
-  flag(feature_cache.enabled && feature_cache.capacity == 0,
-       "feature_cache.capacity must be >= 1 when the cache is enabled");
-  flag(feature_cache.enabled && feature_cache.capacity != 0 &&
-           feature_cache.shards == 0,
-       "feature_cache.shards must be >= 1 when the cache is enabled");
-  flag(feature_cache.enabled && feature_cache.capacity != 0 &&
-           feature_cache.byte_budget == 0,
-       "feature_cache.byte_budget must be >= 1 when the cache is enabled");
-  flag(mask_cache.enabled && mask_cache.capacity == 0,
-       "mask_cache.capacity must be >= 1 when the cache is enabled");
-  flag(mask_cache.enabled && mask_cache.capacity != 0 && mask_cache.shards == 0,
-       "mask_cache.shards must be >= 1 when the cache is enabled");
-  flag(mask_cache.enabled && mask_cache.capacity != 0 &&
-           mask_cache.byte_budget == 0,
-       "mask_cache.byte_budget must be >= 1 when the cache is enabled");
-  if (!tensor::backend_available(kernel_backend)) {
-    std::string msg = "kernel_backend '" + kernel_backend +
-                      "' is unknown or unavailable on this CPU (available:"
-                      " auto";
-    for (const auto& name : tensor::available_backends()) msg += " " + name;
-    issues.push_back(msg + ")");
-  }
-  if (precision != "auto" && precision != "fp32" && precision != "int8") {
-    issues.push_back("precision '" + precision +
-                     "' is unknown (expected auto, fp32 or int8)");
-  }
+  flag(feature_cache.capacity != 0 && feature_cache.shards == 0,
+       "feature_cache.shards must be >= 1 when the cache is on");
+  flag(feature_cache.capacity != 0 && feature_cache.byte_budget == 0,
+       "feature_cache.byte_budget must be >= 1 when the cache is on");
+  flag(mask_cache.capacity != 0 && mask_cache.shards == 0,
+       "mask_cache.shards must be >= 1 when the cache is on");
+  flag(mask_cache.capacity != 0 && mask_cache.byte_budget == 0,
+       "mask_cache.byte_budget must be >= 1 when the cache is on");
   return issues;
 }
 
 std::uint64_t decode_config_fingerprint(const PipelineConfig& cfg) {
   std::uint64_t h = cache::kFnvOffset;
-  h = cache::fnv1a_value(h, cache::hash_backbone_config(cfg.grounding.backbone));
+  h = cache::fnv1a_value(h, cache::hash_backbone_weights(cfg.grounding.backbone));
   h = cache::fnv1a_value(h, cfg.grounding.box_threshold);
   h = cache::fnv1a_value(h, cfg.grounding.text_threshold);
   h = cache::fnv1a_value(h, cfg.grounding.min_patches);
   h = cache::fnv1a_value(h, cfg.grounding.pad_fraction);
-  h = cache::fnv1a_value(h, cache::hash_backbone_config(cfg.sam.backbone));
+  h = cache::fnv1a_value(h, cache::hash_backbone_weights(cfg.sam.backbone));
   h = cache::fnv1a_value(h, cfg.sam.grow_tolerance);
   h = cache::fnv1a_value(h, cfg.sam.grow_tolerance_cap);
   h = cache::fnv1a_value(h, cfg.sam.min_contrast_cut);
@@ -94,22 +74,6 @@ std::uint64_t decode_config_fingerprint(const PipelineConfig& cfg) {
   h = cache::fnv1a_value(h, cfg.heuristic.replace_missing);
   h = cache::fnv1a_value(h, cfg.max_boxes);
   h = cache::fnv1a_value(h, cfg.enable_heuristic_refine);
-  // Resolved kernel backend: "auto" means whatever the process-wide
-  // selection (ZENESIS_KERNEL or CPU detection) lands on, so the name
-  // actually producing the floats is hashed, not the knob's spelling.
-  const std::string resolved = cfg.kernel_backend == "auto"
-                                   ? std::string(tensor::backend_name())
-                                   : cfg.kernel_backend;
-  h = cache::fnv1a_value(h, resolved.size());
-  h = cache::fnv1a_bytes(h, resolved.data(), resolved.size());
-  // Resolved precision, same rule: hash the name actually producing the
-  // floats ("auto" → the process-wide ZENESIS_PRECISION selection), so
-  // fp32 and int8 masks can never alias in the mask cache.
-  const std::string precision = cfg.precision == "auto"
-                                    ? std::string(tensor::quant::precision_name())
-                                    : cfg.precision;
-  h = cache::fnv1a_value(h, precision.size());
-  h = cache::fnv1a_bytes(h, precision.data(), precision.size());
   return h;
 }
 
@@ -135,29 +99,28 @@ PipelineConfig checked(const PipelineConfig& cfg) {
     for (const auto& issue : issues) msg << "\n  - " << issue;
     throw std::invalid_argument(msg.str());
   }
-  // A concrete backend name is applied process-wide before any member
-  // model runs its first kernel. "auto" deliberately does NOT call
-  // set_backend — it defers to ZENESIS_KERNEL / CPU detection, so a
-  // default-configured pipeline never clobbers an explicit selection.
-  if (cfg.kernel_backend != "auto") {
-    tensor::set_backend(cfg.kernel_backend);  // validated above
-  }
-  // Precision follows the same contract.
-  if (cfg.precision != "auto") {
-    tensor::quant::set_precision(cfg.precision);  // validated above
-  }
   return cfg;
 }
 
+/// Request-hash prefix shared by both mask-cache keys: the call-shape
+/// tag, the decode fingerprint, and the kernel backend and precision
+/// active right now (read per key, because tensor::set_backend /
+/// set_precision can switch them while the pipeline lives).
+std::uint64_t request_hash_prefix(std::uint32_t tag,
+                                  std::uint64_t fingerprint) {
+  std::uint64_t h = cache::kFnvOffset;
+  h = cache::fnv1a_value(h, tag);
+  h = cache::fnv1a_value(h, fingerprint);
+  return cache::fold_kernel_selection(h);
+}
+
 /// Mask-cache key for a text-grounded slice request. The image hash is
-/// one half; the other folds a call-shape tag, the decode fingerprint,
+/// one half; the other folds the request-hash prefix (call-shape tag 1)
 /// and the prompt, so the two request kinds can never alias.
 cache::Key128 slice_request_key(const image::ImageF32& ready,
                                 const std::string& prompt,
                                 std::uint64_t fingerprint) {
-  std::uint64_t h = cache::kFnvOffset;
-  h = cache::fnv1a_value(h, std::uint32_t{1});  // call-shape tag
-  h = cache::fnv1a_value(h, fingerprint);
+  std::uint64_t h = request_hash_prefix(1, fingerprint);
   h = cache::fnv1a_value(h, prompt.size());
   h = cache::fnv1a_bytes(h, prompt.data(), prompt.size());
   return {cache::hash_image(ready), h};
@@ -168,9 +131,7 @@ cache::Key128 box_request_key(const image::ImageF32& ready,
                               const image::Box& box,
                               const BoxPromptOptions& opts,
                               std::uint64_t fingerprint) {
-  std::uint64_t h = cache::kFnvOffset;
-  h = cache::fnv1a_value(h, std::uint32_t{2});  // call-shape tag
-  h = cache::fnv1a_value(h, fingerprint);
+  std::uint64_t h = request_hash_prefix(2, fingerprint);
   h = cache::fnv1a_value(h, box.x);
   h = cache::fnv1a_value(h, box.y);
   h = cache::fnv1a_value(h, box.w);
@@ -231,8 +192,7 @@ SliceResult ZenesisPipeline::segment(const image::AnyImage& raw,
 
 SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
                                            const std::string& prompt) const {
-  const bool memoize =
-      cfg_.mask_cache.enabled && cfg_.mask_cache.capacity != 0;
+  const bool memoize = cfg_.mask_cache.capacity != 0;
   cache::Key128 key;
   if (memoize) {
     // The key hashes the whole image, so deriving it is lookup work.
@@ -266,8 +226,7 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
   // forcing SAM ranking reproduces that path bit-exactly).
   const bool text_ranked = opts.prompt.has_value() &&
                            opts.ranking != BoxPromptOptions::Ranking::kSamScore;
-  const bool memoize =
-      cfg_.mask_cache.enabled && cfg_.mask_cache.capacity != 0;
+  const bool memoize = cfg_.mask_cache.capacity != 0;
   cache::Key128 key;
   if (memoize) {
     obs::Span span("cache.mask_lookup", 0);
@@ -457,11 +416,11 @@ VolumeRequest VolumeRequest::streamed(VolumeSource src, std::string text) {
 }
 
 VolumeRequest VolumeRequest::from_file(std::string path, std::string text,
-                                       const io::TiffOpenOptions& open) {
+                                       const io::TiffReadLimits& limits) {
   VolumeRequest r;
   r.tiff_path = std::move(path);
   r.prompt = std::move(text);
-  r.tiff_open = open;
+  r.tiff_limits = limits;
   return r;
 }
 
@@ -505,7 +464,7 @@ VolumeResult ZenesisPipeline::segment_volume(const VolumeRequest& request) const
     // from parse or decode propagates to the caller — serve maps it into
     // core::Error via error_from_current_exception.
     const io::TiffVolumeReader reader = io::TiffVolumeReader::open(
-        *request.tiff_path, request.tiff_open);
+        *request.tiff_path, request.tiff_limits);
     reader.require_uniform_geometry();
     VolumeSource source;
     source.depth = reader.pages();

@@ -17,7 +17,6 @@
 #include "zenesis/image/image.hpp"
 #include "zenesis/image/normalize.hpp"
 #include "zenesis/io/tiff_error.hpp"
-#include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/models/auto_mask.hpp"
 #include "zenesis/models/grounding.hpp"
 #include "zenesis/models/sam.hpp"
@@ -41,33 +40,17 @@ struct PipelineConfig {
   /// thread); 1 = serial; N > 1 = a dedicated pool of N workers owned by
   /// the pipeline. Results are byte-identical for every setting.
   std::size_t volume_threads = 0;
-  /// Backbone feature/encoder memoization (off switch + LRU sizing +
-  /// optional persistent tier via `disk_path`).
+  /// Backbone feature/encoder memoization (LRU sizing, capacity 0 = off,
+  /// plus an optional persistent tier via `disk_path`).
   cache::FeatureCacheConfig feature_cache;
-  /// Mask-result memoization in front of the decode stage: a repeated
-  /// (image, prompt, options) request under an unchanged decode
-  /// configuration reuses the finished SliceResult instead of re-running
-  /// grounding + SAM. Keys fold in decode_config_fingerprint(), so any
-  /// knob change is a clean miss.
+  /// Mask-result memoization in front of the decode stage (capacity 0 =
+  /// off): a repeated (image, prompt, options) request under an unchanged
+  /// decode configuration reuses the finished SliceResult instead of
+  /// re-running grounding + SAM. Keys fold in decode_config_fingerprint()
+  /// and the kernel backend and precision active when the key is
+  /// computed, so any knob change or tensor::set_backend /
+  /// set_precision switch is a clean miss.
   cache::ShardedCacheConfig mask_cache;
-  /// Tensor kernel backend for all model math: "auto" (default — honor
-  /// ZENESIS_KERNEL / the process-wide selection), "scalar", "blocked",
-  /// or "avx2". A concrete name is applied process-wide at
-  /// pipeline construction via tensor::set_backend(); validate() rejects
-  /// names unavailable on this CPU. The *resolved* name is folded into
-  /// decode_config_fingerprint(), so cached masks never alias across
-  /// backends (different backends agree only to rounding, not by byte).
-  std::string kernel_backend = "auto";
-  /// Numeric precision of the encoder/attention GEMM path: "auto"
-  /// (default — honor ZENESIS_PRECISION / the process-wide selection),
-  /// "fp32", or "int8" (dynamic per-row quantization, tensor/quant.hpp).
-  /// A concrete name is applied process-wide at pipeline construction
-  /// via tensor::quant::set_precision(). The *resolved*
-  /// name is folded into decode_config_fingerprint() AND the feature
-  /// cache's backbone hash, so neither cached masks nor cached/persisted
-  /// embeddings ever alias across precisions.
-  std::string precision = "auto";
-
   /// Sanity-checks every knob and returns one human-readable message per
   /// violation (empty = valid). `ZenesisPipeline`'s constructor calls this
   /// and throws `std::invalid_argument` with the joined messages, so a
@@ -81,7 +64,9 @@ struct PipelineConfig {
 /// (backbones included), heuristic window, max_boxes, and the refine
 /// switch. The mask-result cache folds this into every key, so ANY
 /// decode-relevant knob change invalidates cached masks while
-/// decode-irrelevant state (thread counts, cache sizing) does not.
+/// decode-irrelevant state (thread counts, cache sizing) does not. The
+/// process-wide kernel backend and precision are not config fields; the
+/// mask keys read them when each key is computed.
 std::uint64_t decode_config_fingerprint(const PipelineConfig& cfg);
 
 /// Options for explicit-box segmentation (`segment_with_box`). Replaces
@@ -143,9 +128,9 @@ struct VolumeRequest {
   std::optional<image::VolumeU16> volume;  ///< materialized stack (owned)
   std::optional<VolumeSource> source;      ///< on-demand slice feed
   std::optional<std::string> tiff_path;    ///< streamed straight from disk
-  /// How `tiff_path` is opened: byte-source kind, parse/decode limits
-  /// and prefetch hints (ignored for the other sources).
-  io::TiffOpenOptions tiff_open{};
+  /// Parse/decode limits for `tiff_path` (ignored for the other
+  /// sources).
+  io::TiffReadLimits tiff_limits{};
 
   static VolumeRequest in_memory(image::VolumeU16 vol, std::string text);
   /// Borrows `vol` (no copy): the caller keeps ownership and must keep it
@@ -154,7 +139,7 @@ struct VolumeRequest {
   static VolumeRequest view(const image::VolumeU16& vol, std::string text);
   static VolumeRequest streamed(VolumeSource src, std::string text);
   static VolumeRequest from_file(std::string path, std::string text,
-                                 const io::TiffOpenOptions& open = {});
+                                 const io::TiffReadLimits& limits = {});
 
   /// One message per problem (source count, null slice fn, negative
   /// depth); empty = valid.
@@ -187,10 +172,10 @@ class ZenesisPipeline {
   const models::GroundingDetector& detector() const noexcept { return dino_; }
 
   /// Feature-cache hit/miss/eviction counters (all zero when the cache is
-  /// disabled — a disabled cache never records traffic).
+  /// off — capacity 0 never records traffic).
   cache::FeatureCacheStats cache_stats() const { return cache_->stats(); }
 
-  /// Mask-result cache counters (same disabled-means-silent contract).
+  /// Mask-result cache counters (same off-means-silent contract).
   cache::LruCacheStats mask_cache_stats() const {
     return mask_cache_->stats();
   }
@@ -279,7 +264,8 @@ class ZenesisPipeline {
   /// concurrent slice tasks.
   std::unique_ptr<cache::FeatureCache> cache_;
   /// Finished SliceResults keyed by (image hash, request hash); the
-  /// request hash folds in decode_fingerprint_. Internally synchronized.
+  /// request hash folds in decode_fingerprint_ and the active kernel
+  /// backend and precision. Internally synchronized.
   std::unique_ptr<cache::ShardedLruCache<SliceResult>> mask_cache_;
   std::uint64_t decode_fingerprint_ = 0;
   std::unique_ptr<parallel::ThreadPool> pool_;  ///< only when volume_threads > 1

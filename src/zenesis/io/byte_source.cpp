@@ -128,9 +128,7 @@ int PreadByteSource::max_concurrent_reads() const noexcept {
 // MmapByteSource
 // ---------------------------------------------------------------------------
 
-bool MmapByteSource::supported() noexcept { return true; }
-
-MmapByteSource::MmapByteSource(const std::string& path, bool prefetch) {
+MmapByteSource::MmapByteSource(const std::string& path) {
   const int fd = open_readonly(path, &size_);
   if (size_ == 0) {
     // mmap(0) is EINVAL; an empty file still fails header validation
@@ -145,15 +143,13 @@ MmapByteSource::MmapByteSource(const std::string& path, bool prefetch) {
     raise_truncated("mmap failed for " + path, 0);
   }
   map_ = static_cast<const std::uint8_t*>(m);
-  if (prefetch) {
-    // Advisory only: streaming volume decode walks strips in order
-    // (SEQUENTIAL widens readahead) and touches most of the file
-    // (WILLNEED starts it early). Failure is ignored by design.
-    (void)::posix_madvise(m, static_cast<std::size_t>(size_),
-                          POSIX_MADV_SEQUENTIAL);
-    (void)::posix_madvise(m, static_cast<std::size_t>(size_),
-                          POSIX_MADV_WILLNEED);
-  }
+  // Advisory only: streaming volume decode walks strips in order
+  // (SEQUENTIAL widens readahead) and touches most of the file
+  // (WILLNEED starts it early). Failure is ignored by design.
+  (void)::posix_madvise(m, static_cast<std::size_t>(size_),
+                        POSIX_MADV_SEQUENTIAL);
+  (void)::posix_madvise(m, static_cast<std::size_t>(size_),
+                        POSIX_MADV_WILLNEED);
 }
 
 MmapByteSource::~MmapByteSource() {

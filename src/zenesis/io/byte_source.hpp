@@ -29,6 +29,8 @@
 //                      decompressors without staging copies and keeps
 //                      RSS flat on volumes larger than memory budget
 //                      (pages are evictable, never dirtied).
+// TiffVolumeReader::open(path) always builds an MmapByteSource; the
+// other two reach the reader through open(shared_ptr<ByteSource>).
 
 #include <cstdint>
 #include <span>
@@ -103,19 +105,15 @@ class PreadByteSource final : public ByteSource {
 
 /// ByteSource over a read-only memory mapping. view() returns true
 /// zero-copy spans into the mapping; read_at copies out of it. The
-/// constructor applies madvise(SEQUENTIAL|WILLNEED) when `prefetch` is
-/// set — the access pattern of streaming volume decode. Views are
-/// invalidated when the source (or the reader owning it) is destroyed.
+/// constructor applies madvise(SEQUENTIAL|WILLNEED) — the access pattern
+/// of streaming volume decode. Views are invalidated when the source (or
+/// the reader owning it) is destroyed.
 class MmapByteSource final : public ByteSource {
  public:
-  explicit MmapByteSource(const std::string& path, bool prefetch = true);
+  explicit MmapByteSource(const std::string& path);
   ~MmapByteSource() override;
   MmapByteSource(const MmapByteSource&) = delete;
   MmapByteSource& operator=(const MmapByteSource&) = delete;
-
-  /// False on platforms without a usable mmap; open-time resolution
-  /// falls back to pread (warn-once) instead of failing.
-  static bool supported() noexcept;
 
   std::uint64_t size() const override { return size_; }
   void read_at(std::uint64_t off, std::uint8_t* dst,

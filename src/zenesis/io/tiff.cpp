@@ -489,9 +489,7 @@ class SpanByteSource final : public ByteSource {
 
 TiffStack materialize(std::shared_ptr<const ByteSource> src,
                       const TiffReadLimits& limits) {
-  TiffOpenOptions opts;
-  opts.limits = limits;
-  const TiffVolumeReader reader = TiffVolumeReader::open(std::move(src), opts);
+  const TiffVolumeReader reader = TiffVolumeReader::open(std::move(src), limits);
   // Cumulative allocation bound: a thousand-page stack of limit-sized
   // pages must not exceed the decoded-bytes budget just because each page
   // individually fits.

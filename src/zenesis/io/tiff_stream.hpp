@@ -10,14 +10,11 @@
 // per call and every ByteSource implementation is lock-free
 // thread-safe (positioned reads or immutable mappings).
 //
-// Opening goes through one front door:
-//
-//   auto reader = TiffVolumeReader::open(path, TiffOpenOptions{...});
-//
-// TiffOpenOptions picks the byte source (mmap for zero-copy streaming,
-// pread for portability, memory to slurp the file — kAuto resolves via
-// ZENESIS_TIFF_SOURCE and platform support), carries the read limits,
-// and toggles madvise prefetch hints.
+// Opening a path always maps the file (MmapByteSource: zero-copy views,
+// madvise prefetch for front-to-back streaming). Callers that want
+// another byte source (positioned pread, an in-memory buffer, a test
+// double) build it and hand it to open(shared_ptr<ByteSource>, limits).
+// TiffReadLimits is the only per-open setting.
 //
 // Format coverage (read): classic TIFF and BigTIFF (version 43), little-
 // and big-endian, strip and tile layouts, uncompressed, PackBits, LZW
@@ -29,9 +26,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "zenesis/image/image.hpp"
@@ -40,42 +35,16 @@
 
 namespace zenesis::io {
 
-/// Which ByteSource TiffVolumeReader::open(path, ...) builds.
+/// The concrete ByteSource kinds a file can be opened through.
 enum class TiffSourceKind {
-  kAuto,    ///< ZENESIS_TIFF_SOURCE env if set, else mmap, else pread
-  kMemory,  ///< slurp the whole file into a MemoryByteSource
-  kPread,   ///< PreadByteSource (positioned reads, no mapping)
-  kMmap,    ///< MmapByteSource (zero-copy views; falls back to pread
-            ///< with a warn-once message where mmap is unsupported)
+  kPread,  ///< PreadByteSource (positioned reads, no mapping)
+  kMmap,   ///< MmapByteSource (zero-copy views)
 };
 
 const char* to_string(TiffSourceKind kind) noexcept;
 
-/// Parses "auto" | "memory" | "pread" | "mmap"; nullopt otherwise.
-std::optional<TiffSourceKind> parse_source_kind(std::string_view name);
-
-/// Resolves a selector string against the known kinds, mirroring the
-/// ZENESIS_KERNEL / ZENESIS_PRECISION contract: an unknown value falls
-/// back to kAuto and describes itself in *warning (set to empty when
-/// the value was valid). Pure function, testable without the env.
-TiffSourceKind resolve_tiff_source_selector(std::string_view value,
-                                            std::string* warning);
-
-/// The process-default source kind: ZENESIS_TIFF_SOURCE when set (read
-/// once; an invalid value warns once on stderr and falls back), else
-/// kMmap where supported, else kPread. Never returns kAuto.
-TiffSourceKind default_source_kind();
-
-/// Everything TiffVolumeReader::open needs beyond the path/bytes: the
-/// byte-source choice, the untrusted-input limits and the prefetch
-/// toggle for mmap madvise hints.
-struct TiffOpenOptions {
-  TiffSourceKind source_kind = TiffSourceKind::kAuto;
-  TiffReadLimits limits{};
-  /// madvise(SEQUENTIAL|WILLNEED) on mmap sources — the right hint for
-  /// front-to-back volume streaming; disable for sparse page access.
-  bool prefetch = true;
-};
+/// The kind open(path) uses: always kMmap.
+TiffSourceKind default_source_kind() noexcept;
 
 /// Parsed per-page metadata: everything decode needs, nothing decoded.
 /// All fields are validated (limits, overflow, in-bounds) at parse time.
@@ -108,17 +77,17 @@ struct TiffPageInfo {
 /// bounded memory. const methods are safe to call concurrently.
 class TiffVolumeReader {
  public:
-  /// Opens a file without reading pixel data; the byte source is
-  /// picked per options.source_kind (see TiffSourceKind).
+  /// Maps the file (MmapByteSource) and parses it without reading
+  /// pixel data.
   static TiffVolumeReader open(const std::string& path,
-                               const TiffOpenOptions& options = {});
-  /// Parses an in-memory TIFF (tests, network buffers); always a
-  /// MemoryByteSource regardless of options.source_kind.
+                               const TiffReadLimits& limits = {});
+  /// Parses an in-memory TIFF (tests, network buffers).
   static TiffVolumeReader open(std::vector<std::uint8_t> bytes,
-                               const TiffOpenOptions& options = {});
-  /// Parses from a caller-provided source (object store, test double).
+                               const TiffReadLimits& limits = {});
+  /// Parses from a caller-provided source (pread, object store, test
+  /// double).
   static TiffVolumeReader open(std::shared_ptr<const ByteSource> source,
-                               const TiffOpenOptions& options = {});
+                               const TiffReadLimits& limits = {});
 
   std::int64_t pages() const noexcept {
     return static_cast<std::int64_t>(pages_.size());
@@ -147,18 +116,13 @@ class TiffVolumeReader {
   image::VolumeU16 read_volume_u16() const;
 
   const TiffReadLimits& limits() const noexcept { return limits_; }
-  /// The concrete source kind this reader ended up with (kAuto and
-  /// unsupported-mmap fallbacks resolved); kMemory for byte/source
-  /// opens.
-  TiffSourceKind source_kind() const noexcept { return resolved_kind_; }
 
  private:
   TiffVolumeReader(std::shared_ptr<const ByteSource> source,
-                   const TiffOpenOptions& options, TiffSourceKind resolved);
+                   const TiffReadLimits& limits);
 
   std::shared_ptr<const ByteSource> source_;
   TiffReadLimits limits_;
-  TiffSourceKind resolved_kind_ = TiffSourceKind::kMemory;
   std::vector<TiffPageInfo> pages_;
 };
 

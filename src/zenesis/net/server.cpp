@@ -702,7 +702,7 @@ void Server::handle_request_frame(const std::shared_ptr<Conn>& conn,
     opts = parsed->options;
     sreq = serve::Request::volume_file(std::move(parsed->path),
                                        std::move(parsed->prompt),
-                                       cfg_.tiff_open);
+                                       cfg_.tiff_limits);
   }
   sreq.priority = opts.priority;
   if (opts.deadline_ms > 0) {

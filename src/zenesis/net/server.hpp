@@ -80,10 +80,10 @@ struct ServerConfig {
   std::chrono::milliseconds partial_frame_timeout{5000};
   /// Bound on flushing outstanding responses during stop().
   std::chrono::milliseconds drain_timeout{5000};
-  /// Ingestion knobs applied to every wire VolumeFile request (byte-source
-  /// kind, TIFF read limits, prefetch). Server-side policy: clients name a
-  /// path, the operator decides how it is opened.
-  io::TiffOpenOptions tiff_open{};
+  /// TIFF read limits applied to every wire VolumeFile request.
+  /// Server-side policy: clients name a path, the operator bounds what
+  /// opening it may cost.
+  io::TiffReadLimits tiff_limits{};
 
   /// One message per invalid knob; empty = valid.
   std::vector<std::string> validate() const;

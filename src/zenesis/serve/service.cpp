@@ -96,12 +96,12 @@ Request Request::volume_batch(image::VolumeU16 vol, std::string text) {
 }
 
 Request Request::volume_file(std::string tiff_path, std::string text,
-                             io::TiffOpenOptions open) {
+                             io::TiffReadLimits limits) {
   Request r;
   r.kind = RequestKind::kVolume;
   r.volume_path = std::move(tiff_path);
   r.prompt = std::move(text);
-  r.tiff_open = open;
+  r.tiff_limits = limits;
   return r;
 }
 
@@ -533,7 +533,7 @@ void SegmentService::run_single(Pending& pending) {
           // with its kind mapped to an ErrorCode.
           r.volume = pipeline_.segment_volume(core::VolumeRequest::from_file(
               pending.req.volume_path, pending.req.prompt,
-              pending.req.tiff_open));
+              pending.req.tiff_limits));
         } else {
           // Borrow the queued stack — `pending` outlives the call, and
           // copying gigabytes into the request would defeat the point of

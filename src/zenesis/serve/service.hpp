@@ -125,9 +125,8 @@ struct Request {
   /// dispatch time. A queued request then holds a path, not gigabytes of
   /// pixels, so volume traffic cannot memory-bomb the admission queue.
   std::string volume_path;
-  /// Ingestion knobs for `volume_path` (byte-source kind, read limits,
-  /// prefetch); defaults mean auto-selected source with default limits.
-  io::TiffOpenOptions tiff_open{};
+  /// Read limits for `volume_path` (the file is always mapped).
+  io::TiffReadLimits tiff_limits{};
   std::string prompt;                 ///< kSlice / kVolume text prompt
   std::vector<std::string> prompts;   ///< kMultiObject class prompts
   image::Box box;                     ///< kBox prompt box
@@ -154,10 +153,10 @@ struct Request {
   /// horizontal predictor) is opened and decoded slice-by-slice when
   /// the request dispatches. A malformed or oversized file produces a
   /// kError response carrying the io::TiffError message; the service
-  /// itself is unaffected. `open` picks the byte source (mmap/pread/
-  /// memory), read limits and prefetch behaviour.
+  /// itself is unaffected. `limits` bounds what the file may make the
+  /// reader parse and allocate.
   static Request volume_file(std::string tiff_path, std::string text,
-                             io::TiffOpenOptions open = {});
+                             io::TiffReadLimits limits = {});
 
   // Fluent knobs: Request::slice(img, p).with_priority(2).with_deadline_in(5ms)
   Request& with_priority(int p) & { priority = p; return *this; }

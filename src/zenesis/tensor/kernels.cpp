@@ -32,8 +32,8 @@ std::once_flag g_env_once;
 /// One-time ZENESIS_KERNEL resolution. An unknown or unavailable value
 /// must not abort a long pipeline run at startup — resolve_selector
 /// falls back to the best available backend and the note is printed
-/// exactly once (this function runs under a call_once; the validated
-/// PipelineConfig knob is the strict path).
+/// exactly once (this function runs under a call_once; set_backend,
+/// which rejects unknown names, is the strict path).
 void init_from_env() {
   const char* env = std::getenv("ZENESIS_KERNEL");
   std::string warning;

@@ -22,17 +22,19 @@
 // Selection: the first kernel call resolves the backend from the
 // ZENESIS_KERNEL environment variable ("scalar" | "blocked" | "avx2" |
 // "auto"); unset or "auto" picks the best available (avx2 > blocked).
-// tensor::set_backend() overrides at any point.
+// tensor::set_backend() overrides at any point. These two are the only
+// selectors; no configuration struct carries a backend.
 //
 // Determinism contract: WITHIN a backend every kernel uses a fixed
 // per-output reduction order that does not depend on thread count or on
 // where parallel row chunks split, so results are byte-stable across
 // ZenesisPipeline thread configurations (the test_volume_parallel
 // guarantee). ACROSS backends results agree only to rounding (different
-// but fixed accumulation orders); the mask-result cache fingerprint
-// folds the backend name in so cached masks never alias across
-// backends, and tests/test_kernels.cpp gates end-to-end mask IoU/Dice
-// per backend against the scalar reference.
+// but fixed accumulation orders); the mask-cache and feature-cache keys
+// fold in the active backend name when each key is computed
+// (cache::fold_kernel_selection), so cached masks and embeddings never
+// alias across backends, and tests/test_kernels.cpp gates end-to-end
+// mask IoU/Dice per backend against the scalar reference.
 
 #include <cstdint>
 #include <string>

@@ -38,7 +38,7 @@ std::vector<image::AnyImage> mixed_batch() {
 core::PipelineConfig config_with(std::size_t threads, bool cache) {
   core::PipelineConfig cfg;
   cfg.volume_threads = threads;
-  cfg.feature_cache.enabled = cache;
+  if (!cache) cfg.feature_cache.capacity = 0;
   return cfg;
 }
 

@@ -45,7 +45,7 @@ Key128 key_in_shard(const C& cache, std::size_t shard, std::uint64_t salt) {
 TEST(ShardedLru, BudgetNeverAdmitsMoreThanBudgetBytes) {
   cache::ShardedCacheConfig cfg;
   cfg.shards = 4;
-  cfg.capacity = 0;  // byte budget is the only bound
+  cfg.capacity = 1 << 20;  // never reached: the byte budget is the bound
   cfg.byte_budget = 10'000;
   IntCache cache(cfg);
   std::mt19937_64 rng(7);
@@ -76,7 +76,7 @@ TEST(ShardedLru, ShardBudgetsSumExactlyToGlobalBudget) {
 TEST(ShardedLru, OversizedEntryIsRejectedNotAdmitted) {
   cache::ShardedCacheConfig cfg;
   cfg.shards = 1;
-  cfg.capacity = 0;
+  cfg.capacity = 1 << 20;  // never reached: the byte budget is the bound
   cfg.byte_budget = 100;
   IntCache cache(cfg);
   const Key128 k = key(1);
@@ -93,7 +93,7 @@ TEST(ShardedLru, OversizedEntryIsRejectedNotAdmitted) {
 TEST(ShardedLru, ReplacingAnEntryAdjustsByteAccounting) {
   cache::ShardedCacheConfig cfg;
   cfg.shards = 1;
-  cfg.capacity = 0;
+  cfg.capacity = 1 << 20;  // never reached: the byte budget is the bound
   cfg.byte_budget = 1000;
   IntCache cache(cfg);
   ASSERT_TRUE(cache.put(key(1), val(1), 600));
@@ -274,7 +274,7 @@ TEST(ShardedLru, ShardSelectionCoversAllShards) {
 
 TEST(ShardedLru, DisabledCacheAdmitsNothingAndCountsNothing) {
   cache::ShardedCacheConfig cfg;
-  cfg.enabled = false;
+  cfg.capacity = 0;
   IntCache cache(cfg);
   EXPECT_FALSE(cache.put(key(1), val(1), 1));
   EXPECT_EQ(cache.get(key(1)), nullptr);
@@ -390,7 +390,7 @@ TEST(MaskCache, ChangedDecodeKnobMissesAcrossPipelines) {
 
 TEST(MaskCache, DisabledMaskCacheRecordsNoTraffic) {
   core::PipelineConfig cfg;
-  cfg.mask_cache.enabled = false;
+  cfg.mask_cache.capacity = 0;
   const core::ZenesisPipeline pipe(cfg);
   image::ImageF32 img(32, 32, 1);
   img.fill(0.4f);
@@ -404,7 +404,7 @@ TEST(PipelineConfig, CacheMisconfigurationsAreFlagged) {
   core::PipelineConfig cfg;
   cfg.feature_cache.shards = 0;
   cfg.feature_cache.byte_budget = 0;
-  cfg.mask_cache.capacity = 0;
+  cfg.mask_cache.shards = 0;
   const auto issues = cfg.validate();
   EXPECT_EQ(issues.size(), 3u);
   EXPECT_THROW(core::ZenesisPipeline{cfg}, std::invalid_argument);

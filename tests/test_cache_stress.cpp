@@ -218,22 +218,22 @@ TEST_F(DeterminismSweep, MasksAreByteIdenticalAcrossCacheTopologies) {
 
   core::PipelineConfig baseline;
   baseline.volume_threads = 1;
-  baseline.feature_cache.enabled = false;
-  baseline.mask_cache.enabled = false;
+  baseline.feature_cache.capacity = 0;
+  baseline.mask_cache.capacity = 0;
   const core::VolumeResult want = run(baseline);
 
   {
     core::PipelineConfig cfg;
     cfg.volume_threads = 2;
     cfg.feature_cache.shards = 1;
-    cfg.mask_cache.enabled = false;
+    cfg.mask_cache.capacity = 0;
     expect_equal(want, run(cfg), "single-shard feature cache");
   }
   {
     core::PipelineConfig cfg;
     cfg.volume_threads = 2;
     cfg.feature_cache.shards = 8;
-    cfg.mask_cache.enabled = false;
+    cfg.mask_cache.capacity = 0;
     expect_equal(want, run(cfg), "sharded feature cache");
   }
   {

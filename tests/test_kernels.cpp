@@ -17,7 +17,7 @@
 // three layers, plus two contracts of its own: int8 payloads and scales
 // are bit-identical across backends (the shared single-op scale
 // formulas), and cached artifacts never alias across precisions (the
-// fingerprint / feature-cache key folds).
+// mask-cache / feature-cache key folds, which cover backends too).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -336,32 +336,38 @@ TEST_F(KernelBackendTest, WithinBackendByteDeterminismAcrossThreadCounts) {
   }
 }
 
-TEST_F(KernelBackendTest, PipelineConfigValidatesBackendKnob) {
-  core::PipelineConfig cfg;
-  cfg.kernel_backend = "not-a-backend";
-  const auto issues = cfg.validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("kernel_backend"), std::string::npos);
-  EXPECT_THROW(core::ZenesisPipeline{cfg}, std::invalid_argument);
-
-  cfg.kernel_backend = "scalar";
-  EXPECT_TRUE(cfg.validate().empty());
+/// A small synthetic slice both mask-cache switch tests segment.
+fibsem::SyntheticSlice small_slice() {
+  fibsem::SynthConfig synth;
+  synth.width = 64;
+  synth.height = 64;
+  synth.depth = 1;
+  synth.seed = 905;
+  return fibsem::generate_slice(synth, 0);
 }
 
-TEST_F(KernelBackendTest, FingerprintSeparatesBackends) {
-  // Cached masks must never alias across backends: the resolved backend
-  // name is part of the decode fingerprint.
-  core::PipelineConfig scalar_cfg, blocked_cfg, auto_cfg;
-  scalar_cfg.kernel_backend = "scalar";
-  blocked_cfg.kernel_backend = "blocked";
-  EXPECT_NE(core::decode_config_fingerprint(scalar_cfg),
-            core::decode_config_fingerprint(blocked_cfg));
-  // "auto" hashes the resolved name, so it collides with the concrete
-  // spelling of whatever is currently active — by design.
+TEST_F(KernelBackendTest, MaskCacheSeparatesBackends) {
+  // Cached masks must never alias across backends: a live pipeline's
+  // mask-cache key reads the backend active when the key is computed, so
+  // switching with set_backend() after construction misses, and switching
+  // back hits the entry computed under the first backend.
+  const fibsem::SyntheticSlice slice = small_slice();
+  const image::AnyImage raw(slice.raw);
+  const std::string prompt =
+      fibsem::default_prompt(fibsem::SampleType::kCrystalline);
+  ASSERT_TRUE(tensor::set_backend("scalar"));
+  const core::ZenesisPipeline pipe;
+  (void)pipe.segment(raw, prompt);
+  ASSERT_EQ(pipe.mask_cache_stats().hits, 0u);
+
   ASSERT_TRUE(tensor::set_backend("blocked"));
-  auto_cfg.kernel_backend = "auto";
-  EXPECT_EQ(core::decode_config_fingerprint(auto_cfg),
-            core::decode_config_fingerprint(blocked_cfg));
+  (void)pipe.segment(raw, prompt);
+  EXPECT_EQ(pipe.mask_cache_stats().hits, 0u)
+      << "scalar mask served under blocked";
+
+  ASSERT_TRUE(tensor::set_backend("scalar"));
+  (void)pipe.segment(raw, prompt);
+  EXPECT_EQ(pipe.mask_cache_stats().hits, 1u) << "scalar mask lost";
 }
 
 TEST_F(KernelBackendTest, EndToEndMaskAccuracyAcrossBackends) {
@@ -381,17 +387,16 @@ TEST_F(KernelBackendTest, EndToEndMaskAccuracyAcrossBackends) {
     const fibsem::SyntheticSlice slice = fibsem::generate_slice(synth, 0);
     const std::string prompt = fibsem::default_prompt(type);
 
-    core::PipelineConfig cfg;
-    cfg.kernel_backend = "scalar";
-    const core::ZenesisPipeline ref_pipe(cfg);
+    ASSERT_TRUE(tensor::set_backend("scalar"));
+    const core::ZenesisPipeline ref_pipe;
     const core::SliceResult ref =
         ref_pipe.segment(image::AnyImage(slice.raw), prompt);
     const eval::Metrics ref_gt =
         eval::compute_metrics(ref.mask, slice.ground_truth);
 
     for (const auto& backend : fast_backends()) {
-      cfg.kernel_backend = backend;
-      const core::ZenesisPipeline pipe(cfg);
+      ASSERT_TRUE(tensor::set_backend(backend));
+      const core::ZenesisPipeline pipe;
       const core::SliceResult got =
           pipe.segment(image::AnyImage(slice.raw), prompt);
       const eval::Metrics m = eval::compute_metrics(got.mask, ref.mask);
@@ -618,39 +623,24 @@ TEST_F(KernelBackendTest, SetPrecisionAndFastPath) {
   EXPECT_STREQ(tensor::quant::precision_name(), "int8");
 }
 
-TEST_F(KernelBackendTest, PipelineConfigValidatesPrecisionKnob) {
-  core::PipelineConfig cfg;
-  cfg.precision = "fp16";
-  const auto issues = cfg.validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_NE(issues[0].find("precision"), std::string::npos);
-  EXPECT_THROW(core::ZenesisPipeline{cfg}, std::invalid_argument);
-
-  // Every backend ships int8 kernels, so every combo validates cleanly.
-  for (const char* p : {"auto", "fp32", "int8"}) {
-    cfg.precision = p;
-    for (const auto& backend : tensor::available_backends()) {
-      cfg.kernel_backend = backend;
-      EXPECT_TRUE(cfg.validate().empty()) << p << " on " << backend;
-    }
-  }
-}
-
-TEST_F(KernelBackendTest, FingerprintSeparatesPrecisions) {
-  // Cached masks must never alias across precisions.
-  core::PipelineConfig fp32_cfg, int8_cfg, auto_cfg;
-  fp32_cfg.precision = "fp32";
-  int8_cfg.precision = "int8";
-  EXPECT_NE(core::decode_config_fingerprint(fp32_cfg),
-            core::decode_config_fingerprint(int8_cfg));
-  // "auto" hashes the resolved name — same rule as the backend knob.
-  ASSERT_TRUE(tensor::quant::set_precision("int8"));
-  auto_cfg.precision = "auto";
-  EXPECT_EQ(core::decode_config_fingerprint(auto_cfg),
-            core::decode_config_fingerprint(int8_cfg));
+TEST_F(KernelBackendTest, MaskCacheSeparatesPrecisions) {
+  // Same contract as MaskCacheSeparatesBackends for set_precision().
+  const fibsem::SyntheticSlice slice = small_slice();
+  const image::AnyImage raw(slice.raw);
+  const std::string prompt =
+      fibsem::default_prompt(fibsem::SampleType::kCrystalline);
   ASSERT_TRUE(tensor::quant::set_precision("fp32"));
-  EXPECT_EQ(core::decode_config_fingerprint(auto_cfg),
-            core::decode_config_fingerprint(fp32_cfg));
+  const core::ZenesisPipeline pipe;
+  (void)pipe.segment(raw, prompt);
+  ASSERT_EQ(pipe.mask_cache_stats().hits, 0u);
+
+  ASSERT_TRUE(tensor::quant::set_precision("int8"));
+  (void)pipe.segment(raw, prompt);
+  EXPECT_EQ(pipe.mask_cache_stats().hits, 0u) << "fp32 mask served under int8";
+
+  ASSERT_TRUE(tensor::quant::set_precision("fp32"));
+  (void)pipe.segment(raw, prompt);
+  EXPECT_EQ(pipe.mask_cache_stats().hits, 1u) << "fp32 mask lost";
 }
 
 TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
@@ -719,6 +709,63 @@ TEST_F(KernelBackendTest, FeatureCacheSeparatesPrecisions) {
   fs::remove_all(dir, ec);
 }
 
+TEST_F(KernelBackendTest, FeatureCacheSeparatesBackends) {
+  // The backend twin of FeatureCacheSeparatesPrecisions: backends agree
+  // only to rounding, so an embedding persisted under scalar must be a
+  // clean miss under blocked and hit again once scalar is restored.
+  namespace fs = std::filesystem;
+  static std::atomic<int> counter{0};
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("zenesis_backend_cache_" + std::to_string(::getpid()) + "_" +
+       std::to_string(counter.fetch_add(1)));
+  fs::create_directories(dir);
+
+  models::BackboneConfig bb;
+  bb.patch_size = 8;
+  bb.dim = 32;
+  bb.blocks = 1;
+  const models::VisionBackbone backbone(bb);
+  const fibsem::SyntheticSlice slice = small_slice();
+  const image::ImageF32 ready =
+      image::make_ai_ready(image::AnyImage(slice.raw), {});
+
+  cache::FeatureCacheConfig cache_cfg;
+  cache_cfg.disk_path = dir.string();
+
+  ASSERT_TRUE(tensor::set_backend("scalar"));
+  const std::uint64_t h_scalar = cache::hash_backbone_config(bb);
+  {
+    cache::FeatureCache warm(cache_cfg);
+    (void)warm.encode(ready, backbone);  // miss → L1 + disk write
+    const auto s = warm.stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.disk_writes, 1u);
+  }
+
+  ASSERT_TRUE(tensor::set_backend("blocked"));
+  EXPECT_NE(cache::hash_backbone_config(bb), h_scalar);
+  {
+    cache::FeatureCache cold(cache_cfg);
+    (void)cold.encode(ready, backbone);  // same image, other backend
+    const auto s = cold.stats();
+    EXPECT_EQ(s.disk_hits, 0u) << "scalar embedding served under blocked";
+    EXPECT_EQ(s.misses, 1u);
+  }
+
+  ASSERT_TRUE(tensor::set_backend("scalar"));
+  {
+    cache::FeatureCache back(cache_cfg);
+    (void)back.encode(ready, backbone);
+    const auto s = back.stats();
+    EXPECT_EQ(s.disk_hits, 1u) << "scalar embedding lost from the store";
+    EXPECT_EQ(s.misses, 0u);
+  }
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST_F(KernelBackendTest, Int8EndToEndMaskAccuracyPerBackend) {
   // The quantization accuracy gate: under every backend, the int8
   // pipeline mask must match that backend's fp32 mask at IoU/Dice >=
@@ -737,18 +784,17 @@ TEST_F(KernelBackendTest, Int8EndToEndMaskAccuracyPerBackend) {
     const std::string prompt = fibsem::default_prompt(type);
 
     for (const auto& backend : tensor::available_backends()) {
-      core::PipelineConfig cfg;
-      cfg.kernel_backend = backend;
+      ASSERT_TRUE(tensor::set_backend(backend));
 
-      cfg.precision = "fp32";
+      ASSERT_TRUE(tensor::quant::set_precision("fp32"));
       const core::SliceResult ref =
-          core::ZenesisPipeline(cfg).segment(image::AnyImage(slice.raw), prompt);
+          core::ZenesisPipeline().segment(image::AnyImage(slice.raw), prompt);
       const eval::Metrics ref_gt =
           eval::compute_metrics(ref.mask, slice.ground_truth);
 
-      cfg.precision = "int8";
+      ASSERT_TRUE(tensor::quant::set_precision("int8"));
       const core::SliceResult got =
-          core::ZenesisPipeline(cfg).segment(image::AnyImage(slice.raw), prompt);
+          core::ZenesisPipeline().segment(image::AnyImage(slice.raw), prompt);
       const eval::Metrics m = eval::compute_metrics(got.mask, ref.mask);
       EXPECT_GE(m.iou, 0.99) << backend << " int8 vs fp32, "
                              << fibsem::sample_type_name(type);
@@ -776,8 +822,8 @@ TEST_F(KernelBackendTest, VolumeDeterminismUnderInt8) {
   const std::string prompt =
       fibsem::default_prompt(fibsem::SampleType::kCrystalline);
 
+  ASSERT_TRUE(tensor::quant::set_precision("int8"));
   core::PipelineConfig cfg;
-  cfg.precision = "int8";
   cfg.volume_threads = 1;
   const core::VolumeResult serial = core::ZenesisPipeline(cfg).segment_volume(
       core::VolumeRequest::view(vol.volume, prompt));
@@ -812,9 +858,8 @@ TEST_F(KernelBackendTest, VolumeDeterminismPerBackendAcrossThreadCounts) {
       fibsem::default_prompt(fibsem::SampleType::kCrystalline);
 
   for (const auto& name : tensor::available_backends()) {
+    ASSERT_TRUE(tensor::set_backend(name));
     core::PipelineConfig cfg;
-    cfg.kernel_backend = name;
-
     cfg.volume_threads = 1;
     const core::VolumeResult serial = core::ZenesisPipeline(cfg).segment_volume(
         core::VolumeRequest::view(vol.volume, prompt));

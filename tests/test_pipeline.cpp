@@ -160,8 +160,7 @@ TEST(PipelineConfig, ValidateCollectsEveryIssue) {
   cfg.max_boxes = 0;
   cfg.heuristic.window = 0;
   cfg.grounding.box_threshold = -0.1f;
-  cfg.feature_cache.enabled = true;
-  cfg.feature_cache.capacity = 0;
+  cfg.feature_cache.shards = 0;
   const auto issues = cfg.validate();
   EXPECT_EQ(issues.size(), 4u);
   EXPECT_THROW(zc::ZenesisPipeline{cfg}, std::invalid_argument);
@@ -180,7 +179,6 @@ TEST(PipelineConfig, ConstructorMessageNamesTheKnob) {
 
 TEST(PipelineConfig, DisabledCacheMayHaveZeroCapacity) {
   zc::PipelineConfig cfg;
-  cfg.feature_cache.enabled = false;
   cfg.feature_cache.capacity = 0;
   EXPECT_TRUE(cfg.validate().empty());
   const zc::ZenesisPipeline pipe(cfg);  // must not throw

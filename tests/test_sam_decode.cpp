@@ -19,6 +19,8 @@
 #include "zenesis/fibsem/synth.hpp"
 #include "zenesis/image/normalize.hpp"
 #include "zenesis/parallel/rng.hpp"
+#include "zenesis/tensor/kernels.hpp"
+#include "zenesis/tensor/quant.hpp"
 
 namespace zc = zenesis::core;
 namespace zcv = zenesis::cv;
@@ -586,6 +588,28 @@ const std::map<std::string, std::uint64_t> kMedianGolden = {
     {"96x64.r96.top", 0x2336fef3363db4adull},
 };
 
+/// Selects the scalar backend in fp32 for one scope and restores the
+/// previous process-wide selection on exit.
+class ScalarFp32Scope {
+ public:
+  ScalarFp32Scope()
+      : backend_(zenesis::tensor::backend_name()),
+        precision_(zenesis::tensor::quant::precision_name()) {
+    zenesis::tensor::set_backend("scalar");
+    zenesis::tensor::quant::set_precision("fp32");
+  }
+  ~ScalarFp32Scope() {
+    zenesis::tensor::set_backend(backend_);
+    zenesis::tensor::quant::set_precision(precision_);
+  }
+  ScalarFp32Scope(const ScalarFp32Scope&) = delete;
+  ScalarFp32Scope& operator=(const ScalarFp32Scope&) = delete;
+
+ private:
+  std::string backend_;
+  std::string precision_;
+};
+
 }  // namespace
 
 TEST(SamDecodeGolden, CandidatesAndSelectionMatchReference) {
@@ -636,9 +660,8 @@ TEST(SamDecodeGolden, CleanupAndVetoKnobsMatchReference) {
 TEST(SamDecodeGolden, SegmentReadyAndWithBoxMatchReference) {
   // Text grounding scores differ across kernel backends by rounding, so
   // the end-to-end hashes pin the scalar reference backend in fp32.
-  zc::PipelineConfig base;
-  base.kernel_backend = "scalar";
-  base.precision = "fp32";
+  const ScalarFp32Scope scalar_fp32;
+  const zc::PipelineConfig base;
   for (const auto type : {zf::SampleType::kCrystalline, zf::SampleType::kAmorphous}) {
     for (const std::int64_t size : {128, 256}) {
       const zi::ImageF32 ready = ready_slice(type, size, 3);

@@ -153,7 +153,10 @@ TEST(Tiff, BigEndianHeaderParses) {
 // photometric handling, and the parameterized format sweep.
 // ---------------------------------------------------------------------------
 
+#include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "zenesis/io/tiff_stream.hpp"
 
@@ -418,17 +421,19 @@ TEST_P(TiffRoundTripSweep, PixelsSurviveExactly) {
         stack.pages[idx]);
   }
 
-  // Cross-source parity: the same file through every byte-source kind
-  // must produce byte-identical pages (zero-copy mmap views, positioned
-  // pread copies and the slurped memory buffer share one decode path).
+  // Cross-source parity: the same file through every byte source must
+  // produce byte-identical pages (zero-copy mmap views, positioned pread
+  // copies and an in-memory buffer share one decode path).
   const std::string path = temp_path("zen_sweep_case.tif");
   zio::write_tiff(path, stack, opt);
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kMemory, zio::TiffSourceKind::kPread,
-        zio::TiffSourceKind::kMmap}) {
-    zio::TiffOpenOptions oo;
-    oo.source_kind = kind;
-    const auto from_file = zio::TiffVolumeReader::open(path, oo);
+  const std::vector<std::pair<const char*, std::shared_ptr<const zio::ByteSource>>>
+      sources = {
+          {"memory", std::make_shared<zio::MemoryByteSource>(bytes)},
+          {"pread", std::make_shared<zio::PreadByteSource>(path)},
+          {"mmap", std::make_shared<zio::MmapByteSource>(path)},
+      };
+  for (const auto& [kind, source] : sources) {
+    const auto from_file = zio::TiffVolumeReader::open(source);
     ASSERT_EQ(from_file.pages(), pages);
     for (std::int64_t p = 0; p < pages; ++p) {
       const auto idx = static_cast<std::size_t>(p);
@@ -442,7 +447,7 @@ TEST_P(TiffRoundTripSweep, PixelsSurviveExactly) {
             ASSERT_EQ(pg.size(), pw.size());
             for (std::size_t i = 0; i < pw.size(); ++i) {
               ASSERT_EQ(pg[i], pw[i])
-                  << "source " << zio::to_string(kind) << ", page " << p;
+                  << "source " << kind << ", page " << p;
             }
           },
           stack.pages[idx]);

@@ -8,7 +8,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -184,10 +186,10 @@ TEST(TiffStream, ParseTimeLimitEnforcement) {
   zio::TiffStack stack;
   stack.pages.emplace_back(ramp<std::uint16_t>(32, 32, 0));
   const auto bytes = zio::write_tiff_bytes(stack);
-  zio::TiffOpenOptions oo;
-  oo.limits.max_decoded_bytes = 64;  // far below 32*32*2
+  zio::TiffReadLimits limits;
+  limits.max_decoded_bytes = 64;  // far below 32*32*2
   try {
-    (void)zio::TiffVolumeReader::open(bytes, oo);
+    (void)zio::TiffVolumeReader::open(bytes, limits);
     FAIL() << "expected TiffError at parse time, before any decode";
   } catch (const zio::TiffError& e) {
     EXPECT_EQ(e.kind(), zio::TiffErrorKind::kLimitExceeded);
@@ -196,18 +198,23 @@ TEST(TiffStream, ParseTimeLimitEnforcement) {
 }
 
 TEST(TiffStream, MissingFileThrowsTiffError) {
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kMemory, zio::TiffSourceKind::kPread,
-        zio::TiffSourceKind::kMmap}) {
-    zio::TiffOpenOptions oo;
-    oo.source_kind = kind;
+  // Every file-backed source fails the same way, through open(path) (the
+  // mmap source) and through the sources built directly.
+  const std::string missing = temp_path("zen_no_such_file.tif");
+  const auto expect_truncated = [](const auto& open_fn, const char* what) {
     try {
-      (void)zio::TiffVolumeReader::open(temp_path("zen_no_such_file.tif"), oo);
-      FAIL() << "expected TiffError for kind " << zio::to_string(kind);
+      (void)open_fn();
+      FAIL() << "expected TiffError for " << what;
     } catch (const zio::TiffError& e) {
-      EXPECT_EQ(e.kind(), zio::TiffErrorKind::kTruncated);
+      EXPECT_EQ(e.kind(), zio::TiffErrorKind::kTruncated) << what;
     }
-  }
+  };
+  expect_truncated([&] { return zio::TiffVolumeReader::open(missing); },
+                   "open(path)");
+  expect_truncated([&] { return zio::PreadByteSource(missing).size(); },
+                   "pread");
+  expect_truncated([&] { return zio::MmapByteSource(missing).size(); },
+                   "mmap");
 }
 
 // --- byte sources and the open() front door ------------------------------
@@ -228,46 +235,24 @@ TEST(TiffStream, SourceKindsDecodeByteIdentically) {
   zio::write_tiff(f.path, stack, opt);
 
   const zio::TiffStack want = zio::read_tiff(f.path);
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kMemory, zio::TiffSourceKind::kPread,
-        zio::TiffSourceKind::kMmap}) {
-    zio::TiffOpenOptions oo;
-    oo.source_kind = kind;
-    const auto reader = zio::TiffVolumeReader::open(f.path, oo);
-    // kMmap may legitimately resolve to kPread on platforms without
-    // mmap; everything else resolves to itself.
-    if (kind == zio::TiffSourceKind::kMmap && zio::MmapByteSource::supported()) {
-      EXPECT_EQ(reader.source_kind(), zio::TiffSourceKind::kMmap);
-    } else if (kind != zio::TiffSourceKind::kMmap) {
-      EXPECT_EQ(reader.source_kind(), kind);
-    }
-    ASSERT_EQ(reader.pages(), 2);
+  std::vector<std::pair<const char*, zio::TiffVolumeReader>> readers;
+  readers.emplace_back("memory", zio::TiffVolumeReader::open(
+                                     std::make_shared<zio::MemoryByteSource>(
+                                         zio::write_tiff_bytes(stack, opt))));
+  readers.emplace_back("pread", zio::TiffVolumeReader::open(
+                                    std::make_shared<zio::PreadByteSource>(f.path)));
+  readers.emplace_back("mmap", zio::TiffVolumeReader::open(
+                                   std::make_shared<zio::MmapByteSource>(f.path)));
+  // open(path) is the mmap source.
+  EXPECT_EQ(zio::default_source_kind(), zio::TiffSourceKind::kMmap);
+  readers.emplace_back("open(path)", zio::TiffVolumeReader::open(f.path));
+  for (const auto& [name, reader] : readers) {
+    ASSERT_EQ(reader.pages(), 2) << name;
     for (std::int64_t p = 0; p < reader.pages(); ++p) {
       expect_pages_equal<std::uint16_t>(reader.read_page(p),
                                         want.pages[static_cast<std::size_t>(p)]);
     }
   }
-}
-
-TEST(TiffStream, SourceSelectorResolvesAndWarns) {
-  for (const zio::TiffSourceKind kind :
-       {zio::TiffSourceKind::kAuto, zio::TiffSourceKind::kMemory,
-        zio::TiffSourceKind::kPread, zio::TiffSourceKind::kMmap}) {
-    const auto parsed = zio::parse_source_kind(zio::to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << zio::to_string(kind);
-    EXPECT_EQ(*parsed, kind);
-    std::string warning = "sentinel";
-    EXPECT_EQ(zio::resolve_tiff_source_selector(zio::to_string(kind), &warning),
-              kind);
-    EXPECT_TRUE(warning.empty());
-  }
-  EXPECT_FALSE(zio::parse_source_kind("fastest").has_value());
-  std::string warning;
-  EXPECT_EQ(zio::resolve_tiff_source_selector("fastest", &warning),
-            zio::TiffSourceKind::kAuto);
-  EXPECT_NE(warning.find("fastest"), std::string::npos) << warning;
-  // The process default is always concrete.
-  EXPECT_NE(zio::default_source_kind(), zio::TiffSourceKind::kAuto);
 }
 
 // Regression for a seek-under-mutex file source: N threads hammering
@@ -314,19 +299,24 @@ TEST(TiffStream, PreadReadsRunConcurrently) {
       << "8 threads of positioned reads never overlapped in 10s";
 }
 
-// The request-level knob: the TiffOpenOptions passed to from_file thread
-// through to the request unchanged.
-TEST(TiffStream, VolumeRequestValidatesSourceKind) {
-  zio::TiffOpenOptions oo;
-  oo.source_kind = zio::TiffSourceKind::kPread;
-  oo.limits.max_pages = 7;
-  oo.prefetch = false;
-  const zc::VolumeRequest r = zc::VolumeRequest::from_file("/tmp/x.tif", kPrompt, oo);
+// The request-level limits passed to from_file reach the reader: a
+// two-page stack under a one-page limit fails at open time.
+TEST(TiffStream, VolumeRequestAppliesReadLimits) {
+  const auto synth = make_volume(16, 2);
+  TempFile f("zen_request_limits.tif");
+  zio::write_volume_tiff(f.path, synth.volume, {});
+  zio::TiffReadLimits limits;
+  limits.max_pages = 1;
+  const zc::VolumeRequest r =
+      zc::VolumeRequest::from_file(f.path, kPrompt, limits);
   EXPECT_TRUE(r.validate().empty());
-  const zio::TiffOpenOptions& back = r.tiff_open;
-  EXPECT_EQ(back.source_kind, zio::TiffSourceKind::kPread);
-  EXPECT_EQ(back.limits.max_pages, 7u);
-  EXPECT_FALSE(back.prefetch);
+  EXPECT_EQ(r.tiff_limits.max_pages, 1u);
+  try {
+    (void)zc::ZenesisPipeline().segment_volume(r);
+    FAIL() << "expected TiffError from the one-page limit";
+  } catch (const zio::TiffError& e) {
+    EXPECT_EQ(e.kind(), zio::TiffErrorKind::kLimitExceeded);
+  }
 }
 
 // --- the ISSUE-4 acceptance test ----------------------------------------
@@ -392,10 +382,8 @@ TEST(TiffStream, ServeVolumeFileMatchesBlockingPath) {
       zc::VolumeRequest::in_memory(zio::read_volume_tiff_u16(f.path), kPrompt));
 
   zs::SegmentService service;
-  zio::TiffOpenOptions oo;
-  oo.source_kind = zio::TiffSourceKind::kPread;  // exercise the knob end to end
   const zs::Response r =
-      service.submit(zs::Request::volume_file(f.path, kPrompt, oo)).get();
+      service.submit(zs::Request::volume_file(f.path, kPrompt)).get();
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_TRUE(r.volume.has_value());
   ASSERT_EQ(r.volume->slices.size(), want.slices.size());

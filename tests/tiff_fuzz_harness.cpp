@@ -363,9 +363,7 @@ bool check_one(const std::string& label, const std::vector<std::uint8_t>& bytes,
   // The streaming reader must uphold the identical contract, including
   // during on-demand page decode.
   try {
-    TiffOpenOptions opts;
-    opts.limits = limits;
-    const TiffVolumeReader reader = TiffVolumeReader::open(bytes, opts);
+    const TiffVolumeReader reader = TiffVolumeReader::open(bytes, limits);
     for (std::int64_t p = 0; p < reader.pages(); ++p) {
       try {
         (void)reader.read_page(p);

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build + test the repo in eight stages — a default
 # RelWithDebInfo build with warnings as errors (ZENESIS_WERROR=ON)
-# running the full tier-1 suite plus a zen_load wire smoke run, a
+# running the full tier-1 suite plus a zen_load wire smoke run (after a
+# guard that the library reads exactly the four ZENESIS_* environment
+# variables it documents), a
 # ThreadSanitizer
 # build race-checking the concurrency surface (thread pool, parallel
 # Mode-B pipelines, feature cache, segmentation service, streaming TIFF
@@ -37,9 +39,10 @@ JOBS="${CI_JOBS:-$(nproc)}"
 # the full suite. test_tiff matches test_tiff, test_tiff_fuzz,
 # test_tiff_stream and test_tiff_codec, so the codec-aware mutation
 # fuzzer (LZW/Deflate/predictor corpus), the LZW/zlib/predictor unit
-# suite, and the mmap/pread byte-source suites (cross-source
-# byte-equality sweep, 8-thread pread concurrency regression) all run
-# under every sanitizer;
+# suite, and the byte-source suites (the cross-source byte-equality
+# sweeps, which build the memory, pread and mmap sources directly and
+# open each through TiffVolumeReader::open(source), and the 8-thread
+# pread concurrency regression) all run under every sanitizer;
 # test_cache matches test_cache, test_cache_disk and test_cache_stress,
 # so the sharded-LRU contention stress and disk-tier corruption suite
 # run under every sanitizer too. test_kernels puts the AVX2/blocked
@@ -59,6 +62,16 @@ JOBS="${CI_JOBS:-$(nproc)}"
 SAN_FILTER="${CI_SAN_FILTER:-test_parallel|test_volume_parallel|test_batch_images|test_serve|test_obs|test_pipeline|test_session|test_integration|test_tiff|test_cache|test_kernels|test_net|test_sam|test_filters|test_morphology|test_components|test_bitmask|test_grounded_box}"
 
 echo "=== [1/8] default build (-Werror) + full tier-1 suite ==="
+# Env guard: every decision has one selector. The library reads exactly
+# these environment variables; a new getenv("ZENESIS_...") under src/
+# fails here until this list (and README) say why it is needed.
+expected_env="ZENESIS_CACHE_BUDGET ZENESIS_KERNEL ZENESIS_PRECISION ZENESIS_TRACE"
+actual_env=$(grep -rhoE 'getenv\("ZENESIS_[A-Z0-9_]*"\)' src |
+             sed -E 's/^getenv\("(.*)"\)$/\1/' | sort -u | paste -sd' ' -)
+if [[ "$actual_env" != "$expected_env" ]]; then
+  echo "env guard: src/ reads [$actual_env], expected [$expected_env]" >&2
+  exit 1
+fi
 cmake -B build -S . -DZENESIS_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -189,10 +190,8 @@ int run_bench() {
     double stream_best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      zio::TiffOpenOptions oopt;
-      oopt.source_kind = zio::TiffSourceKind::kMmap;
       const zio::TiffVolumeReader reader =
-          zio::TiffVolumeReader::open(file.string(), oopt);
+          zio::TiffVolumeReader::open(file.string());
       const auto out = reader.read_volume_u16();
       const double pps = static_cast<double>(out.depth()) /
                          std::max(seconds_since(t0), 1e-9);
@@ -207,10 +206,8 @@ int run_bench() {
     double first_slice_s = 1e30;
     for (int rep = 0; rep < kReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      zio::TiffOpenOptions oopt;
-      oopt.source_kind = zio::TiffSourceKind::kMmap;
       const zio::TiffVolumeReader reader =
-          zio::TiffVolumeReader::open(file.string(), oopt);
+          zio::TiffVolumeReader::open(file.string());
       const auto img = reader.read_page_u16(0);
       first_slice_s = std::min(first_slice_s, std::max(seconds_since(t0), 1e-9));
     }
@@ -261,10 +258,8 @@ int run_bench() {
 
     const std::uint64_t rss_before = read_proc_status_bytes("VmRSS");
     std::uint64_t rss_peak = rss_before;
-    zio::TiffOpenOptions oopt;
-    oopt.source_kind = zio::TiffSourceKind::kPread;
-    const zio::TiffVolumeReader reader =
-        zio::TiffVolumeReader::open(file.string(), oopt);
+    const zio::TiffVolumeReader reader = zio::TiffVolumeReader::open(
+        std::make_shared<zio::PreadByteSource>(file.string()));
     for (std::int64_t p = 0; p < reader.pages(); ++p) {
       const auto img = reader.read_page_u16(p);
       rss_peak = std::max(rss_peak, read_proc_status_bytes("VmRSS"));
