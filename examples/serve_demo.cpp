@@ -1,7 +1,8 @@
 // Serving-layer demo: a burst of Mode-A requests (with repeats, a
 // deadline, a cancellation and a low-priority volume job) submitted to
 // the asynchronous SegmentService, then the Mode-C dashboard with the
-// service's serve_* runtime-stats block published into it.
+// service's serve_* runtime-stats block published into it. Exits 1 if
+// any response is an error (a rejected or cancelled one is not).
 //
 //   ./serve_demo [prompt]
 #include <chrono>
@@ -63,16 +64,20 @@ int main(int argc, char** argv) {
       serve::Request::volume_batch(fibsem::generate_volume(vcfg).volume, prompt)
           .with_priority(-5)));
 
-  int ok = 0, rejected = 0;
+  int ok = 0, rejected = 0, failed = 0;
   for (auto& f : futures) {
     const serve::Response r = f.get();
     if (r.ok()) {
       ++ok;
-    } else {
+    } else if (r.status == serve::Response::Status::kRejected) {
       ++rejected;
+    } else {
+      ++failed;
+      std::fprintf(stderr, "request failed: %s\n", r.error.message.c_str());
     }
   }
-  std::printf("responses: %d ok, %d rejected/cancelled\n", ok, rejected);
+  std::printf("responses: %d ok, %d rejected/cancelled, %d failed\n", ok,
+              rejected, failed);
 
   const serve::ServiceStats stats = service.stats();
   std::printf("batches: %llu (mean size %.2f), queue high-water %llu\n",
@@ -103,5 +108,5 @@ int main(int argc, char** argv) {
                 "(open in chrome://tracing)\n",
                 trace_path);
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

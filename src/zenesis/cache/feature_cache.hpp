@@ -4,8 +4,8 @@
 // the disk tier, across process restarts.
 //
 // Grounding-DINO + SAM pipelines are dominated by redundant image-encoder
-// work: the Zenesis pipeline encodes every slice once for the grounding
-// stage and once for the mask stage, the temporal heuristic re-segments
+// work: the grounding stage and the mask stage both need every slice's
+// encoding, the temporal heuristic re-segments
 // corrected slices, hierarchical "Further Segment" re-runs the encoders on
 // sub-ROIs, and multi-prompt Mode A encodes the same image once per
 // prompt. All of those recomputations are memoized here.
@@ -22,9 +22,9 @@
 // content hash of the backbone configuration). Because backbone weights
 // are derived procedurally from their config, two backbones with equal
 // configs produce bit-identical encodings — so the default pipeline, whose
-// DINO and SAM backbones share a config, shares one entry per slice
-// between both stages. Feature maps use a fixed smoothing sigma, which is
-// folded into the image hash domain.
+// DINO and SAM backbones share a config, looks each slice up once and
+// feeds that one entry to both stages. Feature maps use a fixed smoothing
+// sigma, which is folded into the image hash domain.
 //
 // Stats semantics: `hits` counts L1 hits, `disk_hits` counts L2 hits,
 // `misses` counts actual encoder computations — so hit_rate() is the

@@ -155,6 +155,8 @@ ZenesisPipeline::ZenesisPipeline(const PipelineConfig& cfg)
       mask_cache_(std::make_unique<cache::ShardedLruCache<SliceResult>>(
           cfg.mask_cache)),
       decode_fingerprint_(decode_config_fingerprint(cfg_)),
+      shared_backbone_(cache::hash_backbone_weights(cfg_.grounding.backbone) ==
+                       cache::hash_backbone_weights(cfg_.sam.backbone)),
       pool_(cfg.volume_threads > 1
                 ? std::make_unique<parallel::ThreadPool>(cfg.volume_threads)
                 : nullptr) {}
@@ -203,12 +205,15 @@ SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
       return *hit;
     }
   }
-  const auto enc = cache_->encode(ready, dino_.backbone());
+  const auto dino_enc = cache_->encode(ready, dino_.backbone());
   models::GroundingResult g = [&] {
     obs::Span span("dino.detect");
-    return dino_.detect(enc->maps, enc->enc, prompt);
+    return dino_.detect(dino_enc->maps, dino_enc->enc, prompt);
   }();
-  SliceResult res = assemble(ready, std::move(g));
+  // Equal backbone configs give bit-identical encodings (the weights are
+  // procedural), so the default pipeline looks the image up once.
+  const auto sam_enc = shared_backbone_ ? dino_enc : encode_cached(ready);
+  SliceResult res = assemble(ready, std::move(g), *sam_enc);
   if (memoize) {
     obs::Span span("cache.mask_store");
     mask_cache_->put(key, std::make_shared<const SliceResult>(res),
@@ -236,13 +241,14 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
       return *hit;
     }
   }
+  const auto enc = encode_cached(ready);
   SliceResult res = [&] {
     if (text_ranked) {
-      return assemble(ready, dino_.ground_box(box, *opts.prompt));
+      return assemble(ready, dino_.ground_box(box, *opts.prompt), *enc);
     }
     models::GroundingResult g;
     g.boxes.push_back({box, 1.0});
-    return assemble(ready, std::move(g));
+    return assemble(ready, std::move(g), *enc);
   }();
   if (memoize) {
     obs::Span span("cache.mask_store");
@@ -328,12 +334,11 @@ class AlignmentScorer {
 }  // namespace
 
 SliceResult ZenesisPipeline::assemble(image::ImageF32 ready,
-                                      models::GroundingResult grounding) const {
+                                      models::GroundingResult grounding,
+                                      const models::SamEncoded& enc) const {
   obs::Span span("sam.decode", grounding.boxes.size());
   SliceResult res;
   res.mask = image::Mask(ready.width(), ready.height());
-  const auto enc_ptr = encode_cached(ready);
-  const models::SamEncoded& enc = *enc_ptr;
   const bool have_relevance = grounding.has_direction;
   const int k = std::max(1, cfg_.max_boxes);
   const std::size_t n =
@@ -398,14 +403,23 @@ VolumeRequest VolumeRequest::in_memory(image::VolumeU16 vol, std::string text) {
   return r;
 }
 
-VolumeRequest VolumeRequest::view(const image::VolumeU16& vol,
-                                  std::string text) {
+namespace {
+
+/// Slice feed over a materialized stack; `vol` must outlive the feed.
+VolumeSource stack_source(const image::VolumeU16& vol) {
   VolumeSource source;
   source.depth = vol.depth();
   source.slice = [v = &vol](std::int64_t z) {
     return image::AnyImage(v->slice(z));
   };
-  return streamed(std::move(source), std::move(text));
+  return source;
+}
+
+}  // namespace
+
+VolumeRequest VolumeRequest::view(const image::VolumeU16& vol,
+                                  std::string text) {
+  return streamed(stack_source(vol), std::move(text));
 }
 
 VolumeRequest VolumeRequest::streamed(VolumeSource src, std::string text) {
@@ -451,12 +465,7 @@ VolumeResult ZenesisPipeline::segment_volume(const VolumeRequest& request) const
     throw std::invalid_argument(msg.str());
   }
   if (request.volume) {
-    VolumeSource source;
-    source.depth = request.volume->depth();
-    source.slice = [vol = &*request.volume](std::int64_t z) {
-      return image::AnyImage(vol->slice(z));
-    };
-    return run_volume(source, request.prompt);
+    return run_volume(stack_source(*request.volume), request.prompt);
   }
   if (request.tiff_path) {
     // Streamed ingestion: parse once, decode slices on demand from the
@@ -476,12 +485,6 @@ VolumeResult ZenesisPipeline::segment_volume(const VolumeRequest& request) const
 
 VolumeResult ZenesisPipeline::run_volume(const VolumeSource& source,
                                          const std::string& prompt) const {
-  if (!source.slice) {
-    throw std::invalid_argument("segment_volume: VolumeSource::slice not set");
-  }
-  if (source.depth < 0) {
-    throw std::invalid_argument("segment_volume: negative VolumeSource depth");
-  }
   obs::Span volume_span("pipeline.volume", source.depth);
   VolumeResult res;
   const std::int64_t depth = source.depth;

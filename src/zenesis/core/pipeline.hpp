@@ -241,13 +241,15 @@ class ZenesisPipeline {
 
  private:
   /// Shared Mode-B body: all segment_volume spellings land here with a
-  /// validated slice feed.
+  /// validated slice feed (non-null `slice`, depth >= 0).
   VolumeResult run_volume(const VolumeSource& source,
                           const std::string& prompt) const;
 
-  /// Runs SAM over the top-k grounded boxes and unions the masks.
-  SliceResult assemble(image::ImageF32 ready,
-                       models::GroundingResult grounding) const;
+  /// Runs SAM over the top-k grounded boxes and unions the masks. `enc`
+  /// is `ready`'s encoding under the SAM backbone; the caller looks it
+  /// up, so each request makes one lookup per distinct backbone.
+  SliceResult assemble(image::ImageF32 ready, models::GroundingResult grounding,
+                       const models::SamEncoded& enc) const;
 
   /// Pool used for Mode-B slice scheduling (global or dedicated).
   parallel::ThreadPool& volume_pool() const;
@@ -268,6 +270,9 @@ class ZenesisPipeline {
   /// backend and precision. Internally synchronized.
   std::unique_ptr<cache::ShardedLruCache<SliceResult>> mask_cache_;
   std::uint64_t decode_fingerprint_ = 0;
+  /// DINO and SAM backbones have equal weights (the default), so one
+  /// encoding serves both stages of segment_ready.
+  bool shared_backbone_ = false;
   std::unique_ptr<parallel::ThreadPool> pool_;  ///< only when volume_threads > 1
 };
 

@@ -12,8 +12,11 @@ const double kLogRatio = std::log(kRatio);
 
 int Histogram::bucket_of(double value) {
   if (value <= 1.0) return 0;
-  const int b = 1 + static_cast<int>(std::log(value) / kLogRatio);
-  return std::min(b, kBuckets - 1);
+  // Compared before the cast: a float→int conversion of an out-of-range
+  // value (+inf, 1e300) is undefined.
+  static const double top_lo = bucket_lo(kBuckets - 1);
+  if (value >= top_lo) return kBuckets - 1;
+  return 1 + static_cast<int>(std::log(value) / kLogRatio);
 }
 
 double Histogram::bucket_lo(int bucket) {
@@ -25,7 +28,7 @@ double Histogram::bucket_hi(int bucket) {
 }
 
 void Histogram::record(double value) {
-  value = std::max(value, 0.0);
+  if (!(value > 0.0)) value = 0.0;  // negatives and NaN
   counts_[static_cast<std::size_t>(bucket_of(value))] += 1;
   count_ += 1;
   sum_ += value;

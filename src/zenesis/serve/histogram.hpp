@@ -15,7 +15,9 @@ namespace zenesis::serve {
 
 class Histogram {
  public:
-  /// Records one sample. Negative values clamp to zero.
+  /// Records one sample. Negative values and NaN record as zero; values
+  /// beyond the top bucket's lower edge (+inf included) land in the top
+  /// bucket.
   void record(double value);
 
   std::uint64_t count() const noexcept { return count_; }

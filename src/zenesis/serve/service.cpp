@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "zenesis/cache/feature_cache.hpp"
@@ -403,16 +402,12 @@ void SegmentService::run_batch(std::vector<Pending> batch) {
       stats_.queue_us.record(us_between(p.enqueued, dispatched));
     }
   }
-  // Backstop: the stages below wrap every pipeline call per request, so
-  // nothing should reach these handlers — but an exception escaping here
-  // would leave requests uncompleted and std::terminate the process, so fail
-  // the remainder of the batch instead.
+  // Backstop: run_one wraps every pipeline call per request, so nothing
+  // should reach this handler — but an exception escaping here would leave
+  // requests uncompleted and std::terminate the process, so fail the
+  // remainder of the batch instead.
   try {
-    if (live.front().req.kind == RequestKind::kSlice) {
-      run_slice_batch(live);
-    } else {
-      run_single(live.front());  // non-slice kinds dispatch as singletons
-    }
+    fan_out(live.size(), [&](std::size_t i) { run_one(live[i]); });
   } catch (...) {
     fail_unfinished(live,
                     core::error_from_current_exception("serve.dispatch"));
@@ -431,130 +426,61 @@ void SegmentService::fail_unfinished(std::vector<Pending>& batch,
   }
 }
 
-void SegmentService::run_slice_batch(std::vector<Pending>& batch) {
-  const std::size_t n = batch.size();
-  const std::string prompt = batch.front().req.prompt;
-
-  // Stage 1 — shared backbone encode. Readiness runs per request, then
-  // each *unique* image (by content hash) is encoded exactly once, warming
-  // the FeatureCache so every stage-2 decode hits. Every pipeline call is
-  // guarded per request: a malformed input (e.g. an empty image) fails
-  // only its own request with kError instead of throwing through the
-  // fan-out into the dispatcher thread.
-  const Clock::time_point t_encode = Clock::now();
-  std::vector<image::ImageF32> ready(n);
-  std::vector<std::optional<core::Error>> prep_error(n);
-  {
-    obs::Span encode_span("serve.encode", n);
-    fan_out(n, [&](std::size_t i) {
-      obs::TraceScope trace(batch[i].trace_id);
-      try {
-        ready[i] = pipeline_.make_ready(batch[i].req.image);
-      } catch (...) {
-        prep_error[i] = core::error_from_current_exception("serve.readiness");
-      }
-    });
-    std::unordered_map<std::uint64_t, std::size_t> seen;
-    std::vector<std::size_t> unique_idx;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (prep_error[i]) continue;
-      if (seen.emplace(cache::hash_image(ready[i]), i).second) {
-        unique_idx.push_back(i);
-      }
-    }
-    fan_out(unique_idx.size(), [&](std::size_t j) {
-      try {
-        pipeline_.encode_cached(ready[unique_idx[j]]);
-      } catch (...) {
-        // Warm-up is best-effort: stage 2's segment_ready re-runs the
-        // encode and reports the error on the owning request.
-      }
-    });
-  }
-  {
-    std::lock_guard<std::mutex> sl(stats_mutex_);
-    stats_.encode_us.record(us_between(t_encode, Clock::now()));
-  }
-
-  // Stage 2 — per-request decode, cache-hot.
-  fan_out(n, [&](std::size_t i) {
-    obs::TraceScope trace(batch[i].trace_id);
-    std::optional<obs::Span> decode_span;
-    decode_span.emplace("serve.decode", i);
-    const Clock::time_point t0 = Clock::now();
-    Response r;
-    r.kind = RequestKind::kSlice;
-    if (prep_error[i]) {
-      r.status = Response::Status::kError;
-      r.error = *prep_error[i];
-    } else {
-      try {
-        r.slice = pipeline_.segment_ready(ready[i], prompt);
-      } catch (...) {
-        r.status = Response::Status::kError;
-        r.error = core::error_from_current_exception("serve.decode");
-      }
-    }
-    const double decode_us = us_between(t0, Clock::now());
-    decode_span.reset();  // the completion below is the caller's time
-    finish(batch[i], std::move(r), decode_us);
-  });
-}
-
-void SegmentService::run_single(Pending& pending) {
+void SegmentService::run_one(Pending& pending) {
   obs::TraceScope trace(pending.trace_id);
   std::optional<obs::Span> decode_span;
   decode_span.emplace("serve.decode",
                       static_cast<std::uint64_t>(pending.req.kind));
   const Clock::time_point t0 = Clock::now();
+  const Request& req = pending.req;
   Response r;
-  r.kind = pending.req.kind;
-  double encode_us = 0.0;
-  Clock::time_point t_decode = t0;
+  r.kind = req.kind;
+  // Every pipeline call is guarded per request: a malformed input (e.g.
+  // an empty image) fails only its own request with kError instead of
+  // throwing through the fan-out into the dispatcher thread. The encoding
+  // is looked up inside the pipeline, so batch-mates that share an image
+  // share its FeatureCache entry.
+  const char* stage = "serve.decode";
+  const auto ready_image = [&] {
+    stage = "serve.readiness";
+    image::ImageF32 ready = pipeline_.make_ready(req.image);
+    stage = "serve.decode";
+    return ready;
+  };
   try {
-    switch (pending.req.kind) {
-      case RequestKind::kBox: {
-        const image::ImageF32 ready = pipeline_.make_ready(pending.req.image);
-        pipeline_.encode_cached(ready);  // warm: decode below hits
-        encode_us = us_between(t0, Clock::now());
-        t_decode = Clock::now();
-        r.slice = pipeline_.segment_with_box(ready, pending.req.box,
-                                             pending.req.box_options);
+    switch (req.kind) {
+      case RequestKind::kSlice:
+        r.slice = pipeline_.segment_ready(ready_image(), req.prompt);
         break;
-      }
+      case RequestKind::kBox:
+        r.slice = pipeline_.segment_with_box(ready_image(), req.box,
+                                             req.box_options);
+        break;
       case RequestKind::kMultiObject:
-        r.multi = pipeline_.segment_multi(pending.req.image, pending.req.prompts);
+        r.multi = pipeline_.segment_multi(req.image, req.prompts);
         break;
       case RequestKind::kVolume:
-        if (!pending.req.volume_path.empty()) {
+        if (!req.volume_path.empty()) {
           // Streamed ingestion: the pipeline parses once and decodes
           // slices on demand from its workers. TiffError (malformed
           // upload, limits) lands in the catch below as a kError response
           // with its kind mapped to an ErrorCode.
           r.volume = pipeline_.segment_volume(core::VolumeRequest::from_file(
-              pending.req.volume_path, pending.req.prompt,
-              pending.req.tiff_limits));
+              req.volume_path, req.prompt, req.tiff_limits));
         } else {
           // Borrow the queued stack — `pending` outlives the call, and
           // copying gigabytes into the request would defeat the point of
           // admission holding it only once.
-          r.volume = pipeline_.segment_volume(core::VolumeRequest::view(
-              pending.req.volume, pending.req.prompt));
+          r.volume = pipeline_.segment_volume(
+              core::VolumeRequest::view(req.volume, req.prompt));
         }
-        break;
-      case RequestKind::kSlice:
-        r.slice = pipeline_.segment(pending.req.image, pending.req.prompt);
         break;
     }
   } catch (...) {
     r.status = Response::Status::kError;
-    r.error = core::error_from_current_exception("serve.decode");
+    r.error = core::error_from_current_exception(stage);
   }
-  if (encode_us > 0.0) {
-    std::lock_guard<std::mutex> sl(stats_mutex_);
-    stats_.encode_us.record(encode_us);
-  }
-  const double decode_us = us_between(t_decode, Clock::now());
+  const double decode_us = us_between(t0, Clock::now());
   decode_span.reset();  // the completion below is the caller's time
   finish(pending, std::move(r), decode_us);
 }
@@ -637,7 +563,6 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
     dashboard.set_stat(prefix + "_p99", h.percentile(99.0));
   };
   set_hist("serve_queue_us", s.queue_us);
-  set_hist("serve_encode_us", s.encode_us);
   set_hist("serve_decode_us", s.decode_us);
   set_hist("serve_total_us", s.total_us);
   // Cache effectiveness as seen from the serving layer: how much of the

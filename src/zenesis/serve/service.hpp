@@ -19,11 +19,12 @@
 //   admission before rejecting, so cancellation relieves backpressure),
 //   groups compatible Mode-A slice requests — same prompt, picked by the
 //   same rotation — into a micro-batch, and fans the batch out on the
-//   re-entrant ThreadPool: stage 1 shares the expensive backbone encode
-//   of each unique image through the pipeline's FeatureCache, stage 2
-//   runs the cheap per-request decodes. This is SAM's
-//   embed-once/prompt-many amortization applied across requests instead
-//   of within one.
+//   re-entrant ThreadPool, one task per request: readiness, then the
+//   pipeline call, then the completion. The pipeline owns every encoding
+//   lookup: a request whose mask is cached completes without an encode
+//   and without a batch-wide encode stage to wait for, and requests with
+//   the same image share one FeatureCache entry — SAM's
+//   embed-once/prompt-many amortization applied across requests.
 //
 // Tenant fairness: every Request names a tenant (in-process callers use
 // tenant 0). Each tenant has a TenantPolicy: `max_queued` bounds its
@@ -47,7 +48,7 @@
 //
 // Observability: ServiceStats carries admission/rejection counters, the
 // queue-depth high-water mark, per-stage latency histograms (queue wait,
-// batch encode, per-request decode, end-to-end) and a batch-size
+// per-request pipeline run, end-to-end) and a batch-size
 // histogram; publish_stats() copies the block into a Mode-C dashboard
 // next to the feature-cache counters.
 
@@ -198,7 +199,7 @@ struct Response {
   core::Error error;
   RequestKind kind = RequestKind::kSlice;
   /// The request's obs trace id, allocated at submit. Spans recorded for
-  /// this request (queue wait, encode, decode — across the submitter,
+  /// this request (queue wait, decode — across the submitter,
   /// dispatcher and fan-out threads) all carry this id, so a slow
   /// response can be looked up in the Chrome trace export directly.
   std::uint64_t trace_id = 0;
@@ -210,8 +211,10 @@ struct Response {
   std::optional<core::VolumeResult> volume;
 
   // Per-request timings (µs). Zero for responses rejected at submit.
-  double queue_us = 0.0;   ///< time not spent decoding (queueing + batching)
-  double decode_us = 0.0;  ///< pipeline run (post-encode) for this request
+  double queue_us = 0.0;   ///< total_us - decode_us (queueing + batching)
+  /// This request's pipeline run: readiness, the encoding lookup (and the
+  /// encode on a miss) and the decode.
+  double decode_us = 0.0;
   double total_us = 0.0;   ///< admission → completion
 
   bool ok() const noexcept { return status == Status::kOk; }
@@ -255,8 +258,7 @@ struct ServiceStats {
   std::uint64_t queue_depth_high_water = 0;
 
   Histogram queue_us;    ///< admission → dispatch, per request
-  Histogram encode_us;   ///< shared-backbone stage, per batch
-  Histogram decode_us;   ///< pipeline decode, per request
+  Histogram decode_us;   ///< pipeline run (Response::decode_us), per request
   Histogram total_us;    ///< admission → completion, per request
   Histogram batch_size;  ///< requests per dispatched batch
 
@@ -349,9 +351,11 @@ class SegmentService {
   /// Pops the next micro-batch (priority pivot + compatible slice
   /// requests, both by rotation; admission order). Caller holds mutex_.
   std::vector<Pending> pop_batch_locked();
+  /// Fans run_one out over the batch's live (uncancelled) members.
   void run_batch(std::vector<Pending> batch);
-  void run_slice_batch(std::vector<Pending>& batch);
-  void run_single(Pending& pending);
+  /// Runs one request through the pipeline call for its kind and
+  /// completes it; pipeline errors become a kError response.
+  void run_one(Pending& pending);
   /// Runs body(i) for i in [0, n) on the fan-out substrate.
   void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
   void finish(Pending& pending, Response&& response, double decode_us);

@@ -92,9 +92,20 @@ TEST(BatchImages, RepeatedRunsAreDeterministic) {
   const std::vector<image::AnyImage> images = mixed_batch();
   const core::ZenesisPipeline pipe(config_with(8, true));
   const auto first = pipe.segment_images(images, kPrompt);
+  // Each image is answered by the mask cache or makes exactly one
+  // feature-cache lookup. Which one the duplicate pair gets depends on
+  // how the two race, but the sum does not.
+  const cache::FeatureCacheStats feat = pipe.cache_stats();
+  const cache::LruCacheStats mask = pipe.mask_cache_stats();
+  EXPECT_EQ(feat.hits + feat.misses + feat.disk_hits + mask.hits,
+            images.size());
   const auto second = pipe.segment_images(images, kPrompt);  // cache-hot
   expect_slice_results_equal(first, second);
-  EXPECT_GT(pipe.cache_stats().hits, 0u);
+  // The second run is all mask hits: no new encoding lookups.
+  const cache::FeatureCacheStats feat2 = pipe.cache_stats();
+  EXPECT_EQ(feat2.hits + feat2.misses + feat2.disk_hits,
+            feat.hits + feat.misses + feat.disk_hits);
+  EXPECT_EQ(pipe.mask_cache_stats().hits, mask.hits + images.size());
 }
 
 TEST(BatchImages, SessionWrapperMatchesPipeline) {

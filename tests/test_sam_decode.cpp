@@ -692,6 +692,31 @@ TEST(SamDecodeGolden, SegmentReadyAndWithBoxMatchReference) {
   }
 }
 
+TEST(Pipeline, SegmentReadyLooksUpEncodingOnce) {
+  const ScalarFp32Scope scalar_fp32;
+  const zi::ImageF32 ready = ready_slice(zf::SampleType::kCrystalline, 128, 3);
+  const std::string prompt = zf::default_prompt(zf::SampleType::kCrystalline);
+  {
+    // Default config: DINO and SAM share a backbone config, so grounding
+    // and decode use one encoding, looked up once.
+    const zc::ZenesisPipeline pipe;
+    (void)pipe.segment_ready(ready, prompt);
+    const zenesis::cache::FeatureCacheStats st = pipe.cache_stats();
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.hits + st.disk_hits, 0u);
+  }
+  // Differing backbones need one encoding each: exactly two misses. The
+  // hash was recorded when assemble looked the SAM encoding up itself.
+  zc::PipelineConfig cfg;
+  cfg.sam.backbone.seed += 1;
+  const zc::ZenesisPipeline pipe(cfg);
+  const std::uint64_t h = hash_slice(pipe.segment_ready(ready, prompt));
+  const zenesis::cache::FeatureCacheStats st = pipe.cache_stats();
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.hits + st.disk_hits, 0u);
+  EXPECT_EQ(h, 0x38ee16b44ad5fc75ull) << std::hex << h;
+}
+
 namespace {
 
 /// Smooth gradient + blobs + noise, values spilling slightly outside

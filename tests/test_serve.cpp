@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -366,6 +368,32 @@ TEST(Serve, PublishesStatsIntoDashboardViaSession) {
   ASSERT_TRUE(stats.count("feature_cache_hits"));
 }
 
+// A slice request's only encoding lookup is the pipeline's: readiness,
+// then segment_ready, with no serve-side warm-up encode in front of it.
+TEST(Serve, SliceRequestLooksUpItsEncodingOnce) {
+  const auto s = make_slice(48, 16);
+  zs::SegmentService service;
+  const auto feature_lookups = [&] {
+    const zenesis::cache::FeatureCacheStats f = service.pipeline().cache_stats();
+    return f.hits + f.misses + f.disk_hits;
+  };
+  ASSERT_TRUE(service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt))
+                  .get()
+                  .ok());
+  EXPECT_EQ(feature_lookups(), 1u);
+  const zenesis::cache::LruCacheStats cold = service.pipeline().mask_cache_stats();
+  EXPECT_EQ(cold.hits + cold.misses, 1u);
+
+  // The repeat is a mask hit and never reaches the feature cache.
+  ASSERT_TRUE(service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt))
+                  .get()
+                  .ok());
+  EXPECT_EQ(feature_lookups(), 1u);
+  const zenesis::cache::LruCacheStats warm = service.pipeline().mask_cache_stats();
+  EXPECT_EQ(warm.hits, cold.hits + 1);
+  EXPECT_EQ(warm.misses, cold.misses);
+}
+
 // Regression: a malformed request inside a micro-batch fails with kError
 // instead of throwing through the fan-out and terminating the dispatcher;
 // healthy requests in the same batch are unaffected.
@@ -642,4 +670,16 @@ TEST(ServeHistogram, PercentilesTrackSamples) {
   EXPECT_NEAR(h.percentile(95.0), 950.0, 240.0);
   EXPECT_NEAR(h.percentile(99.0), 990.0, 250.0);
   EXPECT_LE(h.percentile(100.0), 1000.0 + 1e-9);
+}
+
+TEST(ServeHistogram, NonFiniteSamplesStayInBounds) {
+  // NaN and negatives record as 0; values at or beyond the top bucket's
+  // lower edge, +inf included, land in the top bucket.
+  zenesis::serve::Histogram h;
+  h.record(std::numeric_limits<double>::quiet_NaN());
+  h.record(-std::numeric_limits<double>::infinity());
+  h.record(std::numeric_limits<double>::infinity());
+  h.record(1e300);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_TRUE(std::isfinite(h.percentile(50.0)));
 }
