@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig cfg;
   cfg.queue_capacity = 32;
-  cfg.max_batch = 6;
   serve::SegmentService service(cfg);
 
   core::Session session;
@@ -80,9 +79,7 @@ int main(int argc, char** argv) {
               rejected, failed);
 
   const serve::ServiceStats stats = service.stats();
-  std::printf("batches: %llu (mean size %.2f), queue high-water %llu\n",
-              static_cast<unsigned long long>(stats.batches),
-              stats.batch_size.mean(),
+  std::printf("queue high-water %llu\n",
               static_cast<unsigned long long>(stats.queue_depth_high_water));
   std::printf("latency p50/p95/p99 (ms): %.2f / %.2f / %.2f\n",
               stats.total_us.percentile(50.0) / 1000.0,

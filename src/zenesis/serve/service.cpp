@@ -1,7 +1,6 @@
 #include "zenesis/serve/service.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -10,7 +9,6 @@
 #include "zenesis/cache/feature_cache.hpp"
 #include "zenesis/io/tiff_stream.hpp"
 #include "zenesis/obs/trace.hpp"
-#include "zenesis/parallel/parallel_for.hpp"
 #include "zenesis/tensor/kernels.hpp"
 #include "zenesis/tensor/quant.hpp"
 
@@ -107,7 +105,6 @@ Request Request::volume_file(std::string tiff_path, std::string text,
 std::vector<std::string> ServiceConfig::validate() const {
   std::vector<std::string> issues = pipeline.validate();
   if (queue_capacity < 1) issues.push_back("queue_capacity must be >= 1");
-  if (max_batch < 1) issues.push_back("max_batch must be >= 1");
   const auto check_policy = [&](const TenantPolicy& p, const std::string& who) {
     if (p.weight < 1) issues.push_back(who + ": weight must be >= 1");
     if (p.max_queued < 1) issues.push_back(who + ": max_queued must be >= 1");
@@ -125,6 +122,7 @@ SegmentService::SegmentService(const ServiceConfig& cfg)
       pool_(cfg.fanout_threads > 1
                 ? std::make_unique<parallel::ThreadPool>(cfg.fanout_threads)
                 : nullptr),
+      slots_(cfg.fanout_threads == 1 ? 1 : fanout_pool().size()),
       paused_(cfg.start_paused) {
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -133,25 +131,6 @@ SegmentService::~SegmentService() { shutdown(); }
 
 parallel::ThreadPool& SegmentService::fanout_pool() const {
   return pool_ ? *pool_ : parallel::ThreadPool::global();
-}
-
-void SegmentService::fan_out(std::size_t n,
-                             const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (cfg_.fanout_threads == 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  // Grain 1: request cost is irregular; idle workers pull dynamically.
-  // body must not throw (every pipeline call below is wrapped).
-  parallel::parallel_for_chunked(
-      0, static_cast<std::int64_t>(n), 1,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          body(static_cast<std::size_t>(i));
-        }
-      },
-      fanout_pool());
 }
 
 std::future<Response> SegmentService::submit(Request req) {
@@ -164,8 +143,8 @@ std::future<Response> SegmentService::submit(Request req) {
 
 void SegmentService::submit(Request req, Completion done) {
   // One trace id per request, allocated on the submitting thread: every
-  // span this request produces — here, in the dispatcher, on fan-out
-  // workers — carries it, and the Response echoes it back to the caller.
+  // span this request produces — here, in the dispatcher, on a fan-out
+  // worker — carries it, and the Response echoes it back to the caller.
   // A submitter that already carries a trace context (the zen_net server
   // wrapping a wire request) keeps its id, so wire-level spans and the
   // service's spans stitch into one trace.
@@ -207,9 +186,8 @@ void SegmentService::submit(Request req, Completion done) {
     } else {
       stats_.admitted += 1;
       tenant_queued_[req.tenant] += 1;
-      queue_.push_back(Pending{std::move(req), std::move(done), next_seq_++,
-                               now, false, trace_id,
-                               obs::enabled() ? obs::now_ns() : 0});
+      queue_.push_back(Pending{std::move(req), std::move(done), now, false,
+                               trace_id, obs::enabled() ? obs::now_ns() : 0});
       stats_.queue_depth_high_water =
           std::max<std::uint64_t>(stats_.queue_depth_high_water, queue_.size());
     }
@@ -266,14 +244,17 @@ void SegmentService::dispatcher_loop() {
       continue;  // re-evaluate state after re-locking
     }
     if (queue_.empty()) {
-      if (stopping_) break;
+      // Drained: exit once every running task's completion has run.
+      if (stopping_ && running_ == 0) break;
       cv_.wait(lk);
       continue;
     }
-    if (paused_ && !stopping_) {  // shutdown drains even a paused service
+    // Shutdown drains even a paused service, but every request needs a
+    // free slot.
+    if ((paused_ && !stopping_) || running_ == slots_) {
       // Queue is non-empty: wake at the earliest queued deadline, or
       // shortly regardless — cancellation has no wake-up signal, so a
-      // bounded wait keeps the sweep responsive while paused.
+      // bounded wait keeps the sweep responsive while paused or full.
       Clock::time_point wake = now + std::chrono::milliseconds(50);
       for (const auto& p : queue_) {
         if (p.req.deadline && *p.req.deadline < wake) wake = *p.req.deadline;
@@ -281,9 +262,10 @@ void SegmentService::dispatcher_loop() {
       cv_.wait_until(lk, wake);
       continue;
     }
-    std::vector<Pending> batch = pop_batch_locked();
+    Pending next = pop_locked();
+    if (cfg_.fanout_threads != 1) running_ += 1;
     lk.unlock();
-    if (!batch.empty()) run_batch(std::move(batch));
+    start(std::move(next));
     lk.lock();
   }
 }
@@ -317,112 +299,75 @@ const TenantPolicy& SegmentService::policy_for(std::uint32_t tenant) const {
   return it != cfg_.tenants.end() ? it->second : cfg_.default_tenant;
 }
 
-std::vector<SegmentService::Queue::iterator> SegmentService::rotate_locked(
-    const std::function<bool(const Pending&)>& eligible, std::size_t n) {
-  // Eligible entries per tenant, oldest first (queue_ is admission-ordered).
-  std::map<std::uint32_t, std::deque<Queue::iterator>> lists;
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (eligible(*it)) lists[it->req.tenant].push_back(it);
-  }
-  std::vector<Queue::iterator> picked;
-  while (picked.size() < n && !lists.empty()) {
-    // Stay with the visited tenant until it has had `weight` picks or has
-    // nothing eligible, then move on in ascending tenant id (wrapping).
-    auto it = lists.find(rr_tenant_);
-    if (it == lists.end() || rr_used_ >= policy_for(rr_tenant_).weight) {
-      it = lists.upper_bound(rr_tenant_);
-      if (it == lists.end()) it = lists.begin();
-      rr_tenant_ = it->first;
-      rr_used_ = 0;
-    }
-    rr_used_ += 1;
-    picked.push_back(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) lists.erase(it);
-  }
-  return picked;
-}
-
-std::vector<SegmentService::Pending> SegmentService::pop_batch_locked() {
-  std::vector<Pending> batch;
-  if (queue_.empty()) return batch;
-  // Pivot: the rotation's pick among the highest-priority entries.
+SegmentService::Pending SegmentService::pop_locked() {
+  // The highest priority queued.
   int top = queue_.front().req.priority;
   for (const Pending& p : queue_) top = std::max(top, p.req.priority);
-  std::vector<Queue::iterator> take = rotate_locked(
-      [&](const Pending& p) { return p.req.priority == top; }, 1);
-  const Pending& lead = *take.front();
-  if (lead.req.kind == RequestKind::kSlice && cfg_.max_batch > 1) {
-    // Riders: same-prompt slice requests of any priority, picked by the
-    // same rotation.
-    const auto riders = rotate_locked(
-        [&](const Pending& p) {
-          return &p != &lead && p.req.kind == RequestKind::kSlice &&
-                 p.req.prompt == lead.req.prompt;
-        },
-        cfg_.max_batch - 1);
-    take.insert(take.end(), riders.begin(), riders.end());
+  // Each tenant's oldest entry at that priority (queue_ is
+  // admission-ordered, and emplace keeps the first).
+  std::map<std::uint32_t, Queue::iterator> oldest;
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    if (it->req.priority == top) oldest.emplace(it->req.tenant, it);
   }
-  // Admission order inside the batch.
-  std::sort(take.begin(), take.end(),
-            [](const auto& a, const auto& b) { return a->seq < b->seq; });
-  batch.reserve(take.size());
-  for (const auto it : take) batch.push_back(remove_locked(it));
-  return batch;
+  // Stay with the visited tenant until it has had `weight` picks or has
+  // nothing eligible, then move on in ascending tenant id (wrapping).
+  auto it = oldest.find(rr_tenant_);
+  if (it == oldest.end() || rr_used_ >= policy_for(rr_tenant_).weight) {
+    it = oldest.upper_bound(rr_tenant_);
+    if (it == oldest.end()) it = oldest.begin();
+    rr_tenant_ = it->first;
+    rr_used_ = 0;
+  }
+  rr_used_ += 1;
+  return remove_locked(it->second);
 }
 
-void SegmentService::run_batch(std::vector<Pending> batch) {
-  const Clock::time_point dispatched = Clock::now();
-  std::vector<Pending> live;
-  live.reserve(batch.size());
-  for (auto& p : batch) {
-    if (p.req.cancel && p.req.cancel->cancelled()) {
-      finish_rejected(p, RejectReason::kCancelled);
-    } else {
-      live.push_back(std::move(p));
-    }
+void SegmentService::start(Pending pending) {
+  if (cfg_.fanout_threads == 1) {
+    run(pending);
+    return;
   }
-  if (live.empty()) return;  // all cancelled: no batch was dispatched
+  // std::function needs a copyable callable, hence the shared_ptr; the
+  // task holds the only reference.
+  fanout_pool().submit(
+      [this, p = std::make_shared<Pending>(std::move(pending))]() mutable {
+        run(*p);
+        // The request and its completion die first; then the slot is
+        // freed and cv_ notified under mutex_, so once shutdown() can see
+        // running_ == 0 this task touches nothing of the service.
+        p.reset();
+        std::lock_guard<std::mutex> lk(mutex_);
+        running_ -= 1;
+        cv_.notify_all();
+      });
+}
+
+void SegmentService::run(Pending& pending) noexcept {
+  if (pending.req.cancel && pending.req.cancel->cancelled()) {
+    finish_rejected(pending, RejectReason::kCancelled);
+    return;
+  }
+  // The queue wait, begun on the submit thread (obs_enqueued_ns), ends
+  // here as the request starts running.
   if (obs::enabled()) {
-    // Each request's queue wait, stitched to its trace id: begun on the
-    // submit thread (obs_enqueued_ns), closed here at dispatch.
-    const std::int64_t now_ns = obs::now_ns();
-    for (const auto& p : live) {
-      obs::record_span("serve.queue", p.trace_id, p.obs_enqueued_ns, now_ns);
-    }
+    obs::record_span("serve.queue", pending.trace_id, pending.obs_enqueued_ns,
+                     obs::now_ns());
   }
-  obs::Span batch_span("serve.batch", live.size());
   {
-    // Batch stats cover only the live subset — cancelled requests never
-    // ran, so counting them would skew the serve_* histograms.
     std::lock_guard<std::mutex> sl(stats_mutex_);
-    stats_.batches += 1;
-    stats_.batch_size.record(static_cast<double>(live.size()));
-    for (const auto& p : live) {
-      stats_.queue_us.record(us_between(p.enqueued, dispatched));
-    }
+    stats_.queue_us.record(us_between(pending.enqueued, Clock::now()));
   }
-  // Backstop: run_one wraps every pipeline call per request, so nothing
-  // should reach this handler — but an exception escaping here would leave
-  // requests uncompleted and std::terminate the process, so fail the
-  // remainder of the batch instead.
+  // run_one guards every pipeline call, so nothing should reach this
+  // handler; if something does, the request still completes exactly once.
   try {
-    fan_out(live.size(), [&](std::size_t i) { run_one(live[i]); });
+    run_one(pending);
   } catch (...) {
-    fail_unfinished(live,
-                    core::error_from_current_exception("serve.dispatch"));
-  }
-}
-
-void SegmentService::fail_unfinished(std::vector<Pending>& batch,
-                                     const core::Error& error) {
-  for (auto& p : batch) {
-    if (p.done) continue;
+    if (pending.done) return;
     Response r;
-    r.kind = p.req.kind;
+    r.kind = pending.req.kind;
     r.status = Response::Status::kError;
-    r.error = error;
-    finish(p, std::move(r), 0.0);
+    r.error = core::error_from_current_exception("serve.dispatch");
+    finish(pending, std::move(r), 0.0);
   }
 }
 
@@ -436,9 +381,8 @@ void SegmentService::run_one(Pending& pending) {
   Response r;
   r.kind = req.kind;
   // Every pipeline call is guarded per request: a malformed input (e.g.
-  // an empty image) fails only its own request with kError instead of
-  // throwing through the fan-out into the dispatcher thread. The encoding
-  // is looked up inside the pipeline, so batch-mates that share an image
+  // an empty image) fails only its own request with kError. The encoding
+  // is looked up inside the pipeline, so requests that share an image
   // share its FeatureCache entry.
   const char* stage = "serve.decode";
   const auto ready_image = [&] {
@@ -553,10 +497,7 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   set_u64("serve_rejected_shutting_down", s.rejected_shutting_down);
   set_u64("serve_expired", s.expired);
   set_u64("serve_cancelled", s.cancelled);
-  set_u64("serve_batches", s.batches);
   set_u64("serve_queue_high_water", s.queue_depth_high_water);
-  dashboard.set_stat("serve_batch_size_mean", s.batch_size.mean());
-  dashboard.set_stat("serve_batch_size_max", s.batch_size.max());
   const auto set_hist = [&](const std::string& prefix, const Histogram& h) {
     dashboard.set_stat(prefix + "_p50", h.percentile(50.0));
     dashboard.set_stat(prefix + "_p95", h.percentile(95.0));
@@ -566,7 +507,7 @@ void SegmentService::publish_stats(eval::Dashboard& dashboard) const {
   set_hist("serve_decode_us", s.decode_us);
   set_hist("serve_total_us", s.total_us);
   // Cache effectiveness as seen from the serving layer: how much of the
-  // batch work the two cache tiers absorbed.
+  // request work the two cache tiers absorbed.
   const cache::FeatureCacheStats fc = pipeline_.cache_stats();
   dashboard.set_stat("serve_feature_cache_hit_rate", fc.hit_rate());
   set_u64("serve_feature_cache_disk_hits", fc.disk_hits);

@@ -11,18 +11,19 @@
 //        └─▶ dispatcher ──▶ completion(Response&&), exactly once
 //
 //   submit(Request) is the same path with a std::future<Response> as the
-//   completion. The single dispatcher thread picks the highest-priority
-//   request (tenants in weighted rotation, FIFO within a tenant), sweeps
-//   expired deadlines and cancelled entries (they complete with
-//   DeadlineExpired / Cancelled WITHOUT running the pipeline; the sweep
-//   also runs while paused, and a full queue purges such entries at
-//   admission before rejecting, so cancellation relieves backpressure),
-//   groups compatible Mode-A slice requests — same prompt, picked by the
-//   same rotation — into a micro-batch, and fans the batch out on the
-//   re-entrant ThreadPool, one task per request: readiness, then the
-//   pipeline call, then the completion. The pipeline owns every encoding
-//   lookup: a request whose mask is cached completes without an encode
-//   and without a batch-wide encode stage to wait for, and requests with
+//   completion. The single dispatcher thread sweeps expired deadlines and
+//   cancelled entries (they complete with DeadlineExpired / Cancelled
+//   WITHOUT running the pipeline; the sweep also runs while paused, and a
+//   full queue purges such entries at admission before rejecting, so
+//   cancellation relieves backpressure), then pops ONE request — the
+//   highest priority, tenants in weighted rotation, FIFO within a tenant —
+//   and starts it in a free dispatch slot: inline on the dispatcher when
+//   fanout_threads == 1, otherwise as one task on the fan-out pool, with
+//   one slot per pool worker. The task runs readiness, then the pipeline
+//   call, then the completion, and frees its slot. A request waits in one
+//   place only, the admission queue; it never waits for an unrelated
+//   request to finish. The pipeline owns every encoding lookup: a request
+//   whose mask is cached completes without an encode, and requests with
 //   the same image share one FeatureCache entry — SAM's
 //   embed-once/prompt-many amortization applied across requests.
 //
@@ -35,22 +36,22 @@
 //
 // Invariants:
 //   * Responses are byte-identical to the equivalent blocking
-//     ZenesisPipeline call, for every batch size and fan-out width (the
-//     FeatureCache returns exactly the value a cold computation would).
+//     ZenesisPipeline call, for every fan-out width (the FeatureCache
+//     returns exactly the value a cold computation would).
 //   * Backpressure is explicit: a full queue or tenant quota rejects
 //     immediately; the service never buffers unboundedly and never blocks
 //     the submitting thread.
-//   * shutdown() drains everything already admitted, then the dispatcher
-//     exits; submissions during/after the drain get Rejected{ShuttingDown}.
-//   * A batch runs to completion before the next pop, so one giant volume
-//     request can head-of-line block later arrivals; use `priority` to let
-//     urgent requests jump the queue between batches.
+//   * shutdown() drains everything already admitted and returns only after
+//     every running request's completion has run; submissions during/after
+//     the drain get Rejected{ShuttingDown}.
+//   * A running request holds its slot until its completion returns, so
+//     giant volume requests can occupy every slot; use `priority` to let
+//     urgent requests take the next free slot first.
 //
 // Observability: ServiceStats carries admission/rejection counters, the
-// queue-depth high-water mark, per-stage latency histograms (queue wait,
-// per-request pipeline run, end-to-end) and a batch-size
-// histogram; publish_stats() copies the block into a Mode-C dashboard
-// next to the feature-cache counters.
+// queue-depth high-water mark and per-stage latency histograms (queue
+// wait, per-request pipeline run, end-to-end); publish_stats() copies the
+// block into a Mode-C dashboard next to the feature-cache counters.
 
 #include <atomic>
 #include <chrono>
@@ -211,7 +212,7 @@ struct Response {
   std::optional<core::VolumeResult> volume;
 
   // Per-request timings (µs). Zero for responses rejected at submit.
-  double queue_us = 0.0;   ///< total_us - decode_us (queueing + batching)
+  double queue_us = 0.0;   ///< total_us - decode_us (admission-queue wait)
   /// This request's pipeline run: readiness, the encoding lookup (and the
   /// encode on a miss) and the decode.
   double decode_us = 0.0;
@@ -225,10 +226,9 @@ struct ServiceConfig {
   /// Admission bound: submissions beyond this many queued requests are
   /// rejected with Rejected{QueueFull} (explicit backpressure).
   std::size_t queue_capacity = 64;
-  /// Maximum compatible slice requests fused into one micro-batch.
-  std::size_t max_batch = 8;
-  /// Fan-out width inside a batch: 0 = process-global pool, 1 = run on
-  /// the dispatcher thread, N > 1 = dedicated pool of N workers.
+  /// Where requests run, one dispatch slot per worker: 0 = the
+  /// process-global pool, 1 = inline on the dispatcher thread (one slot),
+  /// N > 1 = a dedicated pool of N workers.
   std::size_t fanout_threads = 0;
   /// Start with dispatch paused (admission still runs) — deterministic
   /// queue buildup for tests and staged warm-up; call resume() to serve.
@@ -237,7 +237,7 @@ struct ServiceConfig {
   std::map<std::uint32_t, TenantPolicy> tenants;
   TenantPolicy default_tenant;
 
-  /// One message per invalid knob (queue/batch/tenant bounds plus everything
+  /// One message per invalid knob (queue/tenant bounds plus everything
   /// PipelineConfig::validate reports); empty = valid.
   std::vector<std::string> validate() const;
 };
@@ -254,13 +254,11 @@ struct ServiceStats {
   std::uint64_t rejected_shutting_down = 0;
   std::uint64_t expired = 0;    ///< DeadlineExpired (at submit or in queue)
   std::uint64_t cancelled = 0;
-  std::uint64_t batches = 0;
   std::uint64_t queue_depth_high_water = 0;
 
   Histogram queue_us;    ///< admission → dispatch, per request
   Histogram decode_us;   ///< pipeline run (Response::decode_us), per request
   Histogram total_us;    ///< admission → completion, per request
-  Histogram batch_size;  ///< requests per dispatched batch
 
   /// Resolved tensor kernel backend the service's math runs on
   /// ("scalar", "blocked", "avx2"). Snapshot of
@@ -302,12 +300,16 @@ class SegmentService {
   /// submit() with a future as the completion.
   std::future<Response> submit(Request req);
 
-  /// Stops admission, drains every queued request, then joins the
-  /// dispatcher. Idempotent and safe to call concurrently.
+  /// Stops admission, drains every queued request, waits until every
+  /// running request's completion has run, then joins the dispatcher.
+  /// Idempotent and safe to call concurrently; must not be called from a
+  /// completion.
   void shutdown();
 
-  /// Pause/resume dispatch (admission unaffected). While paused, queued
-  /// deadlines only expire once dispatch resumes.
+  /// Pause/resume dispatch (admission unaffected). While paused the
+  /// dispatcher still sweeps: queued requests whose deadline passes or
+  /// whose CancelToken fires complete at once with DeadlineExpired /
+  /// Cancelled. Requests already running finish normally.
   void pause();
   void resume();
 
@@ -324,9 +326,8 @@ class SegmentService {
   struct Pending {
     Request req;
     Completion completion;
-    std::uint64_t seq = 0;
     Clock::time_point enqueued{};
-    bool done = false;  ///< set before completion runs (run_batch backstop)
+    bool done = false;  ///< set before completion runs (run's backstop)
     std::uint64_t trace_id = 0;      ///< obs id allocated at submit
     std::int64_t obs_enqueued_ns = 0;  ///< obs clock at admission (0 = off)
   };
@@ -335,7 +336,7 @@ class SegmentService {
     Pending pending;
     RejectReason reason;
   };
-  /// Admission-ordered; a list so batch picks anywhere in it are O(1).
+  /// Admission-ordered; a list so a pick anywhere in it is O(1).
   using Queue = std::list<Pending>;
 
   void dispatcher_loop();
@@ -344,40 +345,37 @@ class SegmentService {
   /// Removes every cancelled or expired entry. Caller holds mutex_.
   std::vector<Swept> sweep_locked(Clock::time_point now);
   const TenantPolicy& policy_for(std::uint32_t tenant) const;
-  /// Up to `n` picks by weighted tenant rotation among the entries
-  /// `eligible` accepts, FIFO within a tenant. Caller holds mutex_.
-  std::vector<Queue::iterator> rotate_locked(
-      const std::function<bool(const Pending&)>& eligible, std::size_t n);
-  /// Pops the next micro-batch (priority pivot + compatible slice
-  /// requests, both by rotation; admission order). Caller holds mutex_.
-  std::vector<Pending> pop_batch_locked();
-  /// Fans run_one out over the batch's live (uncancelled) members.
-  void run_batch(std::vector<Pending> batch);
+  /// Pops the next request: the weighted tenant rotation's pick among the
+  /// highest-priority entries, FIFO within a tenant. Caller holds mutex_
+  /// and the queue is non-empty.
+  Pending pop_locked();
+  /// Runs `pending` in its dispatch slot: inline when fanout_threads == 1,
+  /// else as one fan-out pool task that frees the slot when done.
+  void start(Pending pending);
+  /// Dispatch-time cancel check, queue-wait accounting, then run_one.
+  /// Backstop: anything escaping run_one completes the request with kError.
+  void run(Pending& pending) noexcept;
   /// Runs one request through the pipeline call for its kind and
   /// completes it; pipeline errors become a kError response.
   void run_one(Pending& pending);
-  /// Runs body(i) for i in [0, n) on the fan-out substrate.
-  void fan_out(std::size_t n, const std::function<void(std::size_t)>& body);
   void finish(Pending& pending, Response&& response, double decode_us);
   void finish_rejected(Pending& pending, RejectReason reason);
-  /// Backstop: completes every not-yet-finished request with kError so no
-  /// exception can leave a request uncompleted or escape the dispatcher.
-  void fail_unfinished(std::vector<Pending>& batch, const core::Error& error);
   parallel::ThreadPool& fanout_pool() const;
 
   ServiceConfig cfg_;
   core::ZenesisPipeline pipeline_;
   std::unique_ptr<parallel::ThreadPool> pool_;  ///< when fanout_threads > 1
+  std::size_t slots_;  ///< dispatch slots: fan-out pool size, 1 inline
 
-  mutable std::mutex mutex_;  ///< everything down to rr_used_
+  mutable std::mutex mutex_;  ///< everything down to running_
   std::condition_variable cv_;
   Queue queue_;
   std::map<std::uint32_t, std::size_t> tenant_queued_;  ///< nonzero only
   bool stopping_ = false;
   bool paused_ = false;
-  std::uint64_t next_seq_ = 0;
   std::uint32_t rr_tenant_ = 0;  ///< tenant the rotation is visiting
   std::uint32_t rr_used_ = 0;    ///< picks it has had this visit
+  std::size_t running_ = 0;      ///< pool tasks holding a slot
 
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;

@@ -1,16 +1,17 @@
 // SegmentService contract tests (the ISSUE-2 acceptance list):
 //   (a) responses are byte-identical to the equivalent blocking
-//       ZenesisPipeline call for every batch size / fan-out width,
+//       ZenesisPipeline call for every fan-out width,
 //   (b) a full queue rejects immediately instead of blocking or dropping,
 //   (c) expired deadlines complete with DeadlineExpired without running
 //       the pipeline,
-//   (d) shutdown drains admitted requests and rejects new ones,
+//   (d) shutdown drains admitted requests, waits out running ones and
+//       rejects new ones,
 //   (e) the completion runs exactly once on every path, never under the
 //       service's locks (it may re-enter the service),
-//   (f) tenant quotas and weighted tenant rotation, for pivots and
-//       micro-batch riders alike.
-// Plus cancellation, priority ordering, stats/dashboard publication, and
-// config validation surfacing. Run under TSAN and ASAN via tools/ci.sh.
+//   (f) tenant quotas and weighted tenant rotation.
+// Plus cancellation, priority ordering, a running request not blocking
+// the next dispatch, stats/dashboard publication, and config validation
+// surfacing. Run under TSAN and ASAN via tools/ci.sh.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -97,42 +98,12 @@ zs::Request tenant_slice(const zi::AnyImage& img, std::uint32_t tenant) {
   return r;
 }
 
-/// Tenant ids in completion order for 8 tenant-1 (weight 1) then 8
-/// tenant-2 (weight 3) requests, all admitted before dispatch starts.
-/// fanout_threads = 1 completes in dispatch order on the dispatcher.
-std::vector<std::uint32_t> weighted_completion_order(std::size_t max_batch,
-                                                     std::uint64_t* batches) {
-  zs::ServiceConfig cfg;
-  cfg.max_batch = max_batch;
-  cfg.fanout_threads = 1;
-  cfg.start_paused = true;
-  cfg.tenants[1] = {1, 256};
-  cfg.tenants[2] = {3, 256};
-  zs::SegmentService service(cfg);
-  std::mutex mu;
-  std::vector<std::uint32_t> order;
-  const auto img = zi::AnyImage(make_slice(24, 8).raw);
-  for (const std::uint32_t tenant : {1u, 2u}) {
-    for (int i = 0; i < 8; ++i) {
-      service.submit(tenant_slice(img, tenant), [&, tenant](zs::Response&& r) {
-        EXPECT_TRUE(r.ok()) << r.error;
-        std::lock_guard<std::mutex> lk(mu);
-        order.push_back(tenant);
-      });
-    }
-  }
-  service.resume();
-  service.shutdown();  // drains all sixteen
-  *batches = service.stats().batches;
-  return order;
-}
-
 }  // namespace
 
-// (a) Byte-identical to blocking calls for every batch size / fan-out.
+// (a) Byte-identical to blocking calls for every fan-out width.
 TEST(Serve, SliceResponsesMatchBlockingPipeline) {
   // A small request mix with repeats — repeats are exactly the
-  // cache-amortized traffic the micro-batcher targets.
+  // cache-amortized traffic concurrent requests share.
   std::vector<zf::SyntheticSlice> slices;
   for (std::uint64_t s : {11u, 22u, 33u}) slices.push_back(make_slice(64, s));
   const std::vector<std::size_t> traffic = {0, 1, 0, 2, 1, 0, 2, 2};
@@ -144,36 +115,30 @@ TEST(Serve, SliceResponsesMatchBlockingPipeline) {
         reference.segment(zi::AnyImage(slices[idx].raw), kPrompt));
   }
 
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t fanout : {std::size_t{1}, std::size_t{4}}) {
-      zs::ServiceConfig cfg;
-      cfg.max_batch = max_batch;
-      cfg.fanout_threads = fanout;
-      cfg.start_paused = true;  // admit everything, then one resume —
-                                // exercises real micro-batch grouping
-      zs::SegmentService service(cfg);
-      std::vector<std::future<zs::Response>> futures;
-      for (const std::size_t idx : traffic) {
-        futures.push_back(service.submit(
-            zs::Request::slice(zi::AnyImage(slices[idx].raw), kPrompt)));
-      }
-      service.resume();
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        const zs::Response r = futures[i].get();
-        ASSERT_TRUE(r.ok()) << "batch=" << max_batch << " fanout=" << fanout
-                            << " err=" << r.error;
-        ASSERT_TRUE(r.slice.has_value());
-        expect_masks_equal(r.slice->mask, expected[i].mask);
-        EXPECT_EQ(r.slice->primary_box, expected[i].primary_box);
-        EXPECT_EQ(r.slice->confidence, expected[i].confidence);
-      }
-      const zs::ServiceStats st = service.stats();
-      EXPECT_EQ(st.completed, traffic.size());
-      EXPECT_EQ(st.admitted, traffic.size());
-      if (max_batch > 1) {
-        EXPECT_LT(st.batches, traffic.size());
-      }
+  for (const std::size_t fanout :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+    zs::ServiceConfig cfg;
+    cfg.fanout_threads = fanout;
+    cfg.start_paused = true;  // admit everything, then one resume —
+                              // every slot fills at once
+    zs::SegmentService service(cfg);
+    std::vector<std::future<zs::Response>> futures;
+    for (const std::size_t idx : traffic) {
+      futures.push_back(service.submit(
+          zs::Request::slice(zi::AnyImage(slices[idx].raw), kPrompt)));
     }
+    service.resume();
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const zs::Response r = futures[i].get();
+      ASSERT_TRUE(r.ok()) << "fanout=" << fanout << " err=" << r.error;
+      ASSERT_TRUE(r.slice.has_value());
+      expect_masks_equal(r.slice->mask, expected[i].mask);
+      EXPECT_EQ(r.slice->primary_box, expected[i].primary_box);
+      EXPECT_EQ(r.slice->confidence, expected[i].confidence);
+    }
+    const zs::ServiceStats st = service.stats();
+    EXPECT_EQ(st.completed, traffic.size());
+    EXPECT_EQ(st.admitted, traffic.size());
   }
 }
 
@@ -310,6 +275,34 @@ TEST(Serve, ShutdownDrainsInFlightAndRejectsNew) {
   service.shutdown();  // idempotent
 }
 
+// (d) shutdown() returns only after every running request's completion
+// has run, on the global pool and on a dedicated one.
+TEST(Serve, ShutdownWaitsOutRunningWork) {
+  const auto img = zi::AnyImage(make_slice(32, 21).raw);
+  for (const std::size_t fanout : {std::size_t{0}, std::size_t{4}}) {
+    std::vector<std::promise<zs::Response>> done(8);
+    std::vector<std::future<zs::Response>> futures;
+    for (auto& p : done) futures.push_back(p.get_future());
+    zs::ServiceConfig cfg;
+    cfg.fanout_threads = fanout;
+    zs::SegmentService service(cfg);
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      service.submit(zs::Request::slice(img, kPrompt),
+                     [&done, i](zs::Response&& r) {
+                       // A slow completion that shutdown() must wait out.
+                       std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                       done[i].set_value(std::move(r));
+                     });
+    }
+    service.shutdown();
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+          << "fanout=" << fanout;
+      EXPECT_TRUE(f.get().ok());
+    }
+  }
+}
+
 TEST(Serve, CancelTokenRejectsBeforeDispatch) {
   const auto s = make_slice(48, 9);
   zs::ServiceConfig cfg;
@@ -332,7 +325,7 @@ TEST(Serve, CancelTokenRejectsBeforeDispatch) {
 TEST(Serve, PriorityJumpsTheQueue) {
   const auto s = make_slice(48, 10);
   zs::ServiceConfig cfg;
-  cfg.max_batch = 1;  // dispatch one at a time → completion order observable
+  cfg.fanout_threads = 1;  // one at a time → completion order observable
   cfg.start_paused = true;
   zs::SegmentService service(cfg);
 
@@ -346,6 +339,34 @@ TEST(Serve, PriorityJumpsTheQueue) {
   ASSERT_TRUE(r_low.ok());
   // The urgent request dispatched first: it spent less time queued.
   EXPECT_LT(r_high.total_us, r_low.total_us);
+}
+
+// A running request holds one slot, not the dispatcher: with two slots, a
+// request submitted while the first one's completion is still running
+// completes before that completion returns.
+TEST(Serve, RunningRequestDoesNotBlockTheNextDispatch) {
+  const auto img = zi::AnyImage(make_slice(32, 12).raw);
+  std::promise<void> first_started;
+  std::promise<zs::Response> second_done;
+  const std::shared_future<zs::Response> second =
+      second_done.get_future().share();
+  std::promise<bool> overlapped;
+  zs::ServiceConfig cfg;
+  cfg.fanout_threads = 2;
+  zs::SegmentService service(cfg);
+
+  service.submit(zs::Request::slice(img, kPrompt), [&](zs::Response&& r) {
+    EXPECT_TRUE(r.ok()) << r.error;
+    first_started.set_value();
+    overlapped.set_value(second.wait_for(std::chrono::seconds(5)) ==
+                         std::future_status::ready);
+  });
+  first_started.get_future().wait();
+  service.submit(zs::Request::slice(img, kPrompt), [&](zs::Response&& r) {
+    second_done.set_value(std::move(r));
+  });
+  EXPECT_TRUE(overlapped.get_future().get());
+  EXPECT_TRUE(second.get().ok());
 }
 
 TEST(Serve, PublishesStatsIntoDashboardViaSession) {
@@ -394,14 +415,12 @@ TEST(Serve, SliceRequestLooksUpItsEncodingOnce) {
   EXPECT_EQ(warm.misses, cold.misses);
 }
 
-// Regression: a malformed request inside a micro-batch fails with kError
-// instead of throwing through the fan-out and terminating the dispatcher;
-// healthy requests in the same batch are unaffected.
-TEST(Serve, MalformedSliceRequestFailsWithoutKillingTheBatch) {
+// Regression: a malformed request fails with kError instead of throwing
+// into the dispatcher; a healthy request dispatched with it is unaffected.
+TEST(Serve, MalformedSliceRequestFailsWithoutKillingTheDispatcher) {
   const auto s = make_slice(48, 14);
   zs::ServiceConfig cfg;
-  cfg.max_batch = 4;
-  cfg.start_paused = true;  // both requests join one micro-batch
+  cfg.start_paused = true;  // both requests dispatch on one resume
   zs::SegmentService service(cfg);
 
   auto bad = service.submit(zs::Request::slice(zi::AnyImage(), kPrompt));
@@ -496,7 +515,6 @@ TEST(ServeCompletion, RunsExactlyOnceOnEveryPath) {
   const auto good = zi::AnyImage(make_slice(48, 16).raw);
   zs::ServiceConfig cfg;
   cfg.queue_capacity = 4;
-  cfg.max_batch = 4;
   cfg.start_paused = true;
   zs::SegmentService service(cfg);
   CompletionLog log;
@@ -622,11 +640,30 @@ TEST(ServeTenants, QuotaExhaustsAndRecovers) {
 // (f) Weighted rotation under saturation: with weights 1:3 every window
 // of 4 dispatches is 1x tenant 1 + 3x tenant 2, starting with tenant 1.
 TEST(ServeTenants, WeightedFairnessUnderSaturation) {
-  std::uint64_t batches = 0;
-  const std::vector<std::uint32_t> order =
-      weighted_completion_order(/*max_batch=*/1, &batches);
+  // 8 tenant-1 (weight 1) then 8 tenant-2 (weight 3) requests, all
+  // admitted before dispatch starts; fanout_threads = 1 completes them in
+  // dispatch order on the dispatcher.
+  zs::ServiceConfig cfg;
+  cfg.fanout_threads = 1;
+  cfg.start_paused = true;
+  cfg.tenants[1] = {1, 256};
+  cfg.tenants[2] = {3, 256};
+  zs::SegmentService service(cfg);
+  std::mutex mu;
+  std::vector<std::uint32_t> order;
+  const auto img = zi::AnyImage(make_slice(24, 8).raw);
+  for (const std::uint32_t tenant : {1u, 2u}) {
+    for (int i = 0; i < 8; ++i) {
+      service.submit(tenant_slice(img, tenant), [&, tenant](zs::Response&& r) {
+        EXPECT_TRUE(r.ok()) << r.error;
+        std::lock_guard<std::mutex> lk(mu);
+        order.push_back(tenant);
+      });
+    }
+  }
+  service.resume();
+  service.shutdown();  // drains all sixteen
   ASSERT_EQ(order.size(), 16u);
-  EXPECT_EQ(batches, 16u);
   int t1 = 0, t2 = 0;
   for (std::size_t i = 0; i < 8; ++i) {
     if (order[i] == 1) ++t1;
@@ -638,24 +675,6 @@ TEST(ServeTenants, WeightedFairnessUnderSaturation) {
   // Once tenant 2 runs dry, tenant 1 takes every pick.
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 2, 2, 1, 2, 2, 2,
                                                1, 2, 2, 1, 1, 1, 1, 1}));
-}
-
-// (f) Micro-batch riders follow the same rotation: the first batch is
-// 2x tenant 1 + 6x tenant 2, not the first eight admitted (all tenant 1).
-TEST(ServeTenants, BatchRidersFollowTheRotation) {
-  std::uint64_t batches = 0;
-  const std::vector<std::uint32_t> order =
-      weighted_completion_order(/*max_batch=*/8, &batches);
-  ASSERT_EQ(order.size(), 16u);
-  EXPECT_EQ(batches, 2u);
-  int t1 = 0, t2 = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (order[i] == 1) ++t1;
-    if (order[i] == 2) ++t2;
-  }
-  EXPECT_EQ(t1, 2);
-  EXPECT_EQ(t2, 6);
-  EXPECT_EQ(order[0], 1u);  // batch members complete in admission order
 }
 
 TEST(ServeHistogram, PercentilesTrackSamples) {

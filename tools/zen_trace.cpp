@@ -42,7 +42,6 @@ void run_serve_workload(const std::string& prompt) {
   }
   serve::ServiceConfig cfg;
   cfg.queue_capacity = 32;
-  cfg.max_batch = 6;
   serve::SegmentService service(cfg);
   std::vector<std::future<serve::Response>> futures;
   for (int i = 0; i < 9; ++i) {
