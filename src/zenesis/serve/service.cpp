@@ -119,10 +119,9 @@ std::vector<std::string> ServiceConfig::validate() const {
 SegmentService::SegmentService(const ServiceConfig& cfg)
     : cfg_(checked(cfg)),
       pipeline_(cfg.pipeline),
-      pool_(cfg.fanout_threads > 1
+      pool_(cfg.fanout_threads > 0
                 ? std::make_unique<parallel::ThreadPool>(cfg.fanout_threads)
                 : nullptr),
-      slots_(cfg.fanout_threads == 1 ? 1 : fanout_pool().size()),
       paused_(cfg.start_paused) {
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -251,7 +250,7 @@ void SegmentService::dispatcher_loop() {
     }
     // Shutdown drains even a paused service, but every request needs a
     // free slot.
-    if ((paused_ && !stopping_) || running_ == slots_) {
+    if ((paused_ && !stopping_) || running_ == fanout_pool().size()) {
       // Queue is non-empty: wake at the earliest queued deadline, or
       // shortly regardless — cancellation has no wake-up signal, so a
       // bounded wait keeps the sweep responsive while paused or full.
@@ -263,7 +262,7 @@ void SegmentService::dispatcher_loop() {
       continue;
     }
     Pending next = pop_locked();
-    if (cfg_.fanout_threads != 1) running_ += 1;
+    running_ += 1;
     lk.unlock();
     start(std::move(next));
     lk.lock();
@@ -323,10 +322,6 @@ SegmentService::Pending SegmentService::pop_locked() {
 }
 
 void SegmentService::start(Pending pending) {
-  if (cfg_.fanout_threads == 1) {
-    run(pending);
-    return;
-  }
   // std::function needs a copyable callable, hence the shared_ptr; the
   // task holds the only reference.
   fanout_pool().submit(

@@ -17,12 +17,12 @@
 //   full queue purges such entries at admission before rejecting, so
 //   cancellation relieves backpressure), then pops ONE request — the
 //   highest priority, tenants in weighted rotation, FIFO within a tenant —
-//   and starts it in a free dispatch slot: inline on the dispatcher when
-//   fanout_threads == 1, otherwise as one task on the fan-out pool, with
-//   one slot per pool worker. The task runs readiness, then the pipeline
-//   call, then the completion, and frees its slot. A request waits in one
-//   place only, the admission queue; it never waits for an unrelated
-//   request to finish. The pipeline owns every encoding lookup: a request
+//   and starts it in a free dispatch slot, as one task on the fan-out
+//   pool, with one slot per pool worker. The task runs readiness, then the
+//   pipeline call, then the completion, and frees its slot; the dispatcher
+//   keeps sweeping meanwhile. A request waits in one place only, the
+//   admission queue; it never waits for an unrelated request to finish,
+//   only for a free slot. The pipeline owns every encoding lookup: a request
 //   whose mask is cached completes without an encode, and requests with
 //   the same image share one FeatureCache entry — SAM's
 //   embed-once/prompt-many amortization applied across requests.
@@ -227,8 +227,8 @@ struct ServiceConfig {
   /// rejected with Rejected{QueueFull} (explicit backpressure).
   std::size_t queue_capacity = 64;
   /// Where requests run, one dispatch slot per worker: 0 = the
-  /// process-global pool, 1 = inline on the dispatcher thread (one slot),
-  /// N > 1 = a dedicated pool of N workers.
+  /// process-global pool, N >= 1 = a dedicated pool of N workers (1 = one
+  /// request at a time).
   std::size_t fanout_threads = 0;
   /// Start with dispatch paused (admission still runs) — deterministic
   /// queue buildup for tests and staged warm-up; call resume() to serve.
@@ -349,8 +349,8 @@ class SegmentService {
   /// highest-priority entries, FIFO within a tenant. Caller holds mutex_
   /// and the queue is non-empty.
   Pending pop_locked();
-  /// Runs `pending` in its dispatch slot: inline when fanout_threads == 1,
-  /// else as one fan-out pool task that frees the slot when done.
+  /// Runs `pending` in its dispatch slot: one fan-out pool task that frees
+  /// the slot when done.
   void start(Pending pending);
   /// Dispatch-time cancel check, queue-wait accounting, then run_one.
   /// Backstop: anything escaping run_one completes the request with kError.
@@ -364,8 +364,7 @@ class SegmentService {
 
   ServiceConfig cfg_;
   core::ZenesisPipeline pipeline_;
-  std::unique_ptr<parallel::ThreadPool> pool_;  ///< when fanout_threads > 1
-  std::size_t slots_;  ///< dispatch slots: fan-out pool size, 1 inline
+  std::unique_ptr<parallel::ThreadPool> pool_;  ///< when fanout_threads > 0
 
   mutable std::mutex mutex_;  ///< everything down to running_
   std::condition_variable cv_;

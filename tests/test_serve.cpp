@@ -369,6 +369,47 @@ TEST(Serve, RunningRequestDoesNotBlockTheNextDispatch) {
   EXPECT_TRUE(second.get().ok());
 }
 
+// The dispatcher keeps sweeping while every slot is busy: with one slot,
+// queued requests that are cancelled or whose deadline passes complete
+// while the running request's completion is still running.
+TEST(Serve, SweepRunsWhileEverySlotIsBusy) {
+  const auto img = zi::AnyImage(make_slice(32, 13).raw);
+  std::promise<void> first_started;
+  std::promise<zs::Response> cancelled_done;
+  std::promise<zs::Response> expired_done;
+  const std::shared_future<zs::Response> cancelled =
+      cancelled_done.get_future().share();
+  const std::shared_future<zs::Response> expired =
+      expired_done.get_future().share();
+  std::promise<bool> swept_meanwhile;
+  zs::ServiceConfig cfg;
+  cfg.fanout_threads = 1;
+  zs::SegmentService service(cfg);
+
+  service.submit(zs::Request::slice(img, kPrompt), [&](zs::Response&& r) {
+    EXPECT_TRUE(r.ok()) << r.error;
+    first_started.set_value();
+    const auto until = zs::Clock::now() + std::chrono::seconds(5);
+    swept_meanwhile.set_value(
+        cancelled.wait_until(until) == std::future_status::ready &&
+        expired.wait_until(until) == std::future_status::ready);
+  });
+  first_started.get_future().wait();
+  auto token = std::make_shared<zs::CancelToken>();
+  service.submit(zs::Request::slice(img, kPrompt).with_cancel(token),
+                 [&](zs::Response&& r) {
+                   cancelled_done.set_value(std::move(r));
+                 });
+  service.submit(
+      zs::Request::slice(img, kPrompt)
+          .with_deadline_in(std::chrono::milliseconds(20)),
+      [&](zs::Response&& r) { expired_done.set_value(std::move(r)); });
+  token->cancel();
+  EXPECT_TRUE(swept_meanwhile.get_future().get());
+  EXPECT_EQ(cancelled.get().reject, zs::RejectReason::kCancelled);
+  EXPECT_EQ(expired.get().reject, zs::RejectReason::kDeadlineExpired);
+}
+
 TEST(Serve, PublishesStatsIntoDashboardViaSession) {
   const auto s = make_slice(48, 11);
   zc::Session session;
@@ -569,11 +610,11 @@ TEST(ServeCompletion, RunsExactlyOnceOnEveryPath) {
 }
 
 // (e) The completion runs outside the service's locks: it may query and
-// submit from inside itself, on the dispatcher and inside submit().
+// submit from inside itself, on a fan-out worker and inside submit().
 TEST(ServeCompletion, MayReenterTheService) {
   const auto img = zi::AnyImage(make_slice(32, 17).raw);
   zs::ServiceConfig cfg;
-  cfg.fanout_threads = 1;  // completions run on the dispatcher thread
+  cfg.fanout_threads = 1;  // completions run on the one fan-out worker
   zs::SegmentService service(cfg);
 
   std::promise<zs::Response> chained;
@@ -641,8 +682,8 @@ TEST(ServeTenants, QuotaExhaustsAndRecovers) {
 // of 4 dispatches is 1x tenant 1 + 3x tenant 2, starting with tenant 1.
 TEST(ServeTenants, WeightedFairnessUnderSaturation) {
   // 8 tenant-1 (weight 1) then 8 tenant-2 (weight 3) requests, all
-  // admitted before dispatch starts; fanout_threads = 1 completes them in
-  // dispatch order on the dispatcher.
+  // admitted before dispatch starts; fanout_threads = 1 (one slot)
+  // completes them in dispatch order.
   zs::ServiceConfig cfg;
   cfg.fanout_threads = 1;
   cfg.start_paused = true;

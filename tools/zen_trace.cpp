@@ -30,7 +30,8 @@ using namespace zenesis;
 #if !defined(ZENESIS_OBS_DISABLED)
 namespace {
 
-void run_serve_workload(const std::string& prompt) {
+// Returns the number of responses that were not ok.
+int run_serve_workload(const std::string& prompt) {
   std::vector<image::AnyImage> slices;
   for (std::uint64_t seed : {61u, 62u, 63u}) {
     fibsem::SynthConfig cfg;
@@ -48,8 +49,21 @@ void run_serve_workload(const std::string& prompt) {
     futures.push_back(service.submit(
         serve::Request::slice(slices[static_cast<std::size_t>(i % 3)], prompt)));
   }
-  for (auto& f : futures) (void)f.get();
+  int ok = 0;
+  int failed = 0;
+  for (auto& f : futures) {
+    const serve::Response r = f.get();
+    if (r.ok()) {
+      ok += 1;
+    } else {
+      failed += 1;
+      std::fprintf(stderr, "serve request failed: %s\n",
+                   r.error.message.c_str());
+    }
+  }
   service.shutdown();
+  std::printf("responses: %d ok, %d failed\n", ok, failed);
+  return failed;
 }
 
 void run_volume_workload(const std::string& prompt) {
@@ -127,7 +141,10 @@ int main(int argc, char** argv) {
   obs::set_enabled(true);
   obs::TraceCollector::global().clear();
 
-  if (workload == "serve" || workload == "both") run_serve_workload(prompt);
+  int failed = 0;
+  if (workload == "serve" || workload == "both") {
+    failed = run_serve_workload(prompt);
+  }
   if (workload == "volume" || workload == "both") run_volume_workload(prompt);
 
   print_stage_table();
@@ -136,6 +153,6 @@ int main(int argc, char** argv) {
     std::printf("chrome trace written to %s (open in chrome://tracing)\n",
                 out.c_str());
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 #endif
 }
