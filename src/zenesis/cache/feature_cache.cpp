@@ -70,7 +70,8 @@ FeatureCache::FeatureCache(const FeatureCacheConfig& cfg)
 }
 
 std::shared_ptr<const models::SamEncoded> FeatureCache::encode(
-    const image::ImageF32& img, const models::VisionBackbone& backbone) {
+    const image::ImageF32& img, const models::VisionBackbone& backbone,
+    std::optional<std::uint64_t> image_hash) {
   const bool active = cfg_.capacity != 0;
   const auto compute = [&] {
     // The expensive path: feature maps + backbone encode. Span arg 0/1
@@ -83,7 +84,8 @@ std::shared_ptr<const models::SamEncoded> FeatureCache::encode(
   };
   if (!active) return compute();
 
-  const Key128 key{hash_image(img), hash_backbone_config(backbone.config())};
+  const Key128 key{image_hash ? *image_hash : hash_image(img),
+                   hash_backbone_config(backbone.config())};
   if (auto hit = l1_.get(key)) return hit;
 
   if (disk_ != nullptr) {

@@ -107,8 +107,12 @@ class FeatureCache {
 
   /// Feature maps + encoder tokens for `img` under `backbone`'s
   /// configuration; computed and inserted on miss, shared on hit.
+  /// `image_hash`, when given, must be hash_image(img): a caller that
+  /// already hashed the image for its own key saves the second pass over
+  /// the pixels (the key is the same either way).
   std::shared_ptr<const models::SamEncoded> encode(
-      const image::ImageF32& img, const models::VisionBackbone& backbone);
+      const image::ImageF32& img, const models::VisionBackbone& backbone,
+      std::optional<std::uint64_t> image_hash = std::nullopt);
 
   FeatureCacheStats stats() const;
   /// Drops every L1 entry (disk records survive); counters survive too,

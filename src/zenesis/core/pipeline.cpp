@@ -196,23 +196,25 @@ SliceResult ZenesisPipeline::segment_ready(const image::ImageF32& ready,
                                            const std::string& prompt) const {
   const bool memoize = cfg_.mask_cache.capacity != 0;
   cache::Key128 key;
+  std::optional<std::uint64_t> image_hash;  // the feature key reuses it
   if (memoize) {
     // The key hashes the whole image, so deriving it is lookup work.
     obs::Span span("cache.mask_lookup", 0);
     key = slice_request_key(ready, prompt, decode_fingerprint_);
+    image_hash = key.lo;
     if (const auto hit = mask_cache_->get(key)) {
       span.set_arg(1);
       return *hit;
     }
   }
-  const auto dino_enc = cache_->encode(ready, dino_.backbone());
+  const auto dino_enc = cache_->encode(ready, dino_.backbone(), image_hash);
   models::GroundingResult g = [&] {
     obs::Span span("dino.detect");
     return dino_.detect(dino_enc->maps, dino_enc->enc, prompt);
   }();
   // Equal backbone configs give bit-identical encodings (the weights are
   // procedural), so the default pipeline looks the image up once.
-  const auto sam_enc = shared_backbone_ ? dino_enc : encode_cached(ready);
+  const auto sam_enc = shared_backbone_ ? dino_enc : encode_cached(ready, image_hash);
   SliceResult res = assemble(ready, std::move(g), *sam_enc);
   if (memoize) {
     obs::Span span("cache.mask_store");
@@ -233,15 +235,17 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
                            opts.ranking != BoxPromptOptions::Ranking::kSamScore;
   const bool memoize = cfg_.mask_cache.capacity != 0;
   cache::Key128 key;
+  std::optional<std::uint64_t> image_hash;
   if (memoize) {
     obs::Span span("cache.mask_lookup", 0);
     key = box_request_key(ready, box, opts, decode_fingerprint_);
+    image_hash = key.lo;
     if (const auto hit = mask_cache_->get(key)) {
       span.set_arg(1);
       return *hit;
     }
   }
-  const auto enc = encode_cached(ready);
+  const auto enc = encode_cached(ready, image_hash);
   SliceResult res = [&] {
     if (text_ranked) {
       return assemble(ready, dino_.ground_box(box, *opts.prompt), *enc);
@@ -261,15 +265,31 @@ SliceResult ZenesisPipeline::segment_with_box(const image::ImageF32& ready,
 namespace {
 
 /// Pixel-level text alignment: the prompt's aggregated concept direction
-/// dotted with a pixel's mean-centered engineered features.
+/// dotted with a pixel's mean-centered engineered features, computed once
+/// per box into a box-local plane that every candidate's score reads.
 class AlignmentScorer {
  public:
   AlignmentScorer(const models::GroundingResult& g,
                   const models::SamEncoded& enc, const image::Box& box)
-      : g_(g), enc_(enc), box_(box.clipped(enc.maps.width, enc.maps.height)) {
+      : box_(box.clipped(enc.maps.width, enc.maps.height)) {
     if (!g.has_direction || box_.empty()) return;
+    std::array<float, models::kFeatureChannels> mean{};
+    std::array<const float*, models::kFeatureChannels> channel{};
     for (int c = 0; c < models::kFeatureChannels; ++c) {
-      mean_[static_cast<std::size_t>(c)] = enc.enc.mean_feature.at(c);
+      const auto ci = static_cast<std::size_t>(c);
+      mean[ci] = enc.enc.mean_feature.at(c);
+      channel[ci] = enc.maps.channels[ci].pixels().data();
+    }
+    const std::int64_t w = enc.maps.width;
+    plane_.reserve(static_cast<std::size_t>(box_.area()));
+    for (std::int64_t y = box_.y; y < box_.bottom(); ++y) {
+      for (std::int64_t x = box_.x; x < box_.right(); ++x) {
+        float dot = 0.0f;
+        for (std::size_t c = 0; c < channel.size(); ++c) {
+          dot += g.concept_direction[c] * (channel[c][y * w + x] - mean[c]);
+        }
+        plane_.push_back(dot);
+      }
     }
     // Background level θ (box median alignment) and a light area penalty
     // λ derived from the box's alignment spread: a candidate is rewarded
@@ -277,13 +297,7 @@ class AlignmentScorer {
     // more than the penalty. This prefers covering all prompt-consistent
     // pixels (dim agglomerate cores included) while still dropping bulk
     // background whose alignment hovers at θ.
-    std::vector<float> values;
-    values.reserve(static_cast<std::size_t>(box_.area()));
-    for (std::int64_t y = box_.y; y < box_.bottom(); ++y) {
-      for (std::int64_t x = box_.x; x < box_.right(); ++x) {
-        values.push_back(at(x, y));
-      }
-    }
+    std::vector<float> values = plane_;
     auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
     std::nth_element(values.begin(), mid, values.end());
     theta_ = *mid;
@@ -293,42 +307,30 @@ class AlignmentScorer {
                      values.begin() + static_cast<std::ptrdiff_t>(p90),
                      values.end());
     lambda_ = 0.40 * std::max(0.0f, values[p90] - theta_);
-    valid_ = true;
   }
 
-  bool valid() const noexcept { return valid_; }
+  bool valid() const noexcept { return !plane_.empty(); }
 
-  /// Alignment of one pixel.
-  float at(std::int64_t x, std::int64_t y) const {
-    float dot = 0.0f;
-    for (int c = 0; c < models::kFeatureChannels; ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      dot += g_.concept_direction[ci] *
-             (enc_.maps.channels[ci].at(x, y) - mean_[ci]);
-    }
-    return dot;
-  }
-
-  /// Total evidence of a mask: Σ over foreground of (alignment − θ − λ).
+  /// Total evidence of a frame-sized mask: Σ over foreground of
+  /// (alignment − θ − λ).
   double score(const image::Mask& mask) const {
     double sum = 0.0;
+    const float* a = plane_.data();
     for (std::int64_t y = box_.y; y < box_.bottom(); ++y) {
-      for (std::int64_t x = box_.x; x < box_.right(); ++x) {
-        if (mask.at(x, y) == 0) continue;
-        sum += static_cast<double>(at(x, y)) - theta_ - lambda_;
+      const std::uint8_t* m = mask.pixels().data() + y * mask.width();
+      for (std::int64_t x = box_.x; x < box_.right(); ++x, ++a) {
+        if (m[x] == 0) continue;
+        sum += static_cast<double>(*a) - theta_ - lambda_;
       }
     }
     return sum;
   }
 
  private:
-  const models::GroundingResult& g_;
-  const models::SamEncoded& enc_;
   image::Box box_;
-  std::array<float, models::kFeatureChannels> mean_{};
+  std::vector<float> plane_;  ///< alignment over box_, row-major
   float theta_ = 0.0f;
   double lambda_ = 0.0;
-  bool valid_ = false;
 };
 
 }  // namespace

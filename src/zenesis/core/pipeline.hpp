@@ -183,10 +183,11 @@ class ZenesisPipeline {
   /// Cached (or freshly computed, when caching is off) encoder output for
   /// `ready` under the SAM backbone. Interactive flows that prompt the
   /// same slice repeatedly (HITL rectification) share the pipeline's
-  /// cache through this.
+  /// cache through this. `image_hash`: see FeatureCache::encode.
   std::shared_ptr<const models::SamEncoded> encode_cached(
-      const image::ImageF32& ready) const {
-    return cache_->encode(ready, sam_.backbone());
+      const image::ImageF32& ready,
+      std::optional<std::uint64_t> image_hash = std::nullopt) const {
+    return cache_->encode(ready, sam_.backbone(), image_hash);
   }
 
   /// Readiness layer only (Fig. 1 transform).

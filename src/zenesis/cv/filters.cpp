@@ -160,149 +160,117 @@ constexpr int kMedianBins = 256;
 constexpr int kSegBins = 16;  ///< fine bins per coarse bucket
 constexpr int kSegments = kMedianBins / kSegBins;
 
-/// Bin value of a pixel the masked filter leaves out of every window.
-constexpr std::uint16_t kExcludedBin = kMedianBins;
-
-/// Pre-quantized bin plane covering the rectangle the windows can reach
-/// (row-major: every sliding step reads one whole plane row). Each pixel
-/// is binned once up front; excluded pixels carry kExcludedBin.
-struct BinPlane {
-  std::vector<std::uint16_t> bins;
-  std::int64_t x0 = 0, y0 = 0, stride = 0;
-
-  const std::uint16_t* row(std::int64_t y) const {
-    return bins.data() + (y - y0) * stride;
-  }
-};
-
-BinPlane quantize_plane(const ImageF32& img, const image::Box& rect,
-                        const image::Mask* exclude, image::Point exclude_origin) {
-  BinPlane p;
-  p.x0 = rect.x;
-  p.y0 = rect.y;
-  p.stride = rect.w;
-  p.bins.resize(static_cast<std::size_t>(rect.area()));
-  const image::Box ex =
-      exclude != nullptr
-          ? image::Box{exclude_origin.x, exclude_origin.y, exclude->width(),
-                       exclude->height()}
-          : image::Box{};
-  for (std::int64_t y = rect.y; y < rect.bottom(); ++y) {
-    std::uint16_t* row = p.bins.data() + (y - rect.y) * p.stride;
-    for (std::int64_t x = rect.x; x < rect.right(); ++x) {
-      if (ex.contains({x, y}) &&
-          exclude->at(x - exclude_origin.x, y - exclude_origin.y) != 0) {
-        row[x - rect.x] = kExcludedBin;
-        continue;
-      }
-      const float v = std::clamp(img.at(x, y), 0.0f, 1.0f);
-      row[x - rect.x] = static_cast<std::uint16_t>(std::clamp(
-          static_cast<int>(v * kMedianBins), 0, kMedianBins - 1));
-    }
-  }
-  return p;
+/// Median value of a bin (the centre of its 1/256 slot).
+float bin_value(int bin) {
+  return (static_cast<float>(bin) + 0.5f) / kMedianBins;
 }
 
-/// Two-level (16-bucket coarse / 256-bin fine) histogram. Column
-/// histograms (16-bit counts: a column holds at most one window height)
-/// and the kernel's row-start histogram are kept in this form.
-template <typename Count>
-struct Hist {
-  std::array<Count, kMedianBins> fine{};
-  std::array<Count, kSegments> coarse{};
-  Count count = 0;
-
-  void add(std::uint16_t b) {
-    ++fine[b];
-    ++coarse[static_cast<std::size_t>(b / kSegBins)];
-    ++count;
-  }
-  void del(std::uint16_t b) {
-    --fine[b];
-    --coarse[static_cast<std::size_t>(b / kSegBins)];
-    --count;
-  }
+/// Pixels a masked median leaves out of its windows: the set pixels of
+/// `mask`, placed at `origin` in image coordinates (none when null).
+struct Exclusion {
+  const image::Mask* mask = nullptr;
+  image::Point origin;
 };
 
-/// Constant-time sliding median (Perreault & Hébert 2007) over rows
-/// [ya, yb) and columns [roi.x, roi.right()) of `plane`, windows clamped
-/// to the w×h image. One histogram per plane column covers the window's
-/// rows and slides down one row per output row; the kernel histogram
-/// slides right by adding/removing whole column histograms — coarse
-/// buckets eagerly, fine segments lazily, only for the bucket the median
-/// lands in. Every window holds exactly the multiset the direct O(r)
-/// scan collects, so the selected bin is identical. `emit(x, y, bin)`
-/// receives each median bin; a window whose valid count falls below a
-/// quarter of its size gets bin -1 (the masked filter's fallback rule).
-template <typename Emit>
-void sliding_median_rows(const BinPlane& plane, std::int64_t w, std::int64_t h,
-                         int radius, const image::Box& roi, std::int64_t ya,
-                         std::int64_t yb, bool sparse_rule, Emit&& emit) {
-  const std::int64_t ncols = plane.stride;
-  std::vector<Hist<std::uint16_t>> cols(static_cast<std::size_t>(ncols));
-  // Kernel window of the row's first output pixel, maintained alongside
-  // the column histograms so each row starts without re-summing them.
-  const std::int64_t start_lo = clampi(roi.x - radius, 0, w - 1);
-  const std::int64_t start_hi = clampi(roi.x + radius, 0, w - 1);
-  Hist<std::int32_t> start;
-  const auto slide_row = [&](std::int64_t yy, bool add) {
-    const std::uint16_t* row = plane.row(yy);
-    for (std::int64_t c = 0; c < ncols; ++c) {
-      const std::uint16_t b = row[c];
-      if (b == kExcludedBin) continue;
-      Hist<std::uint16_t>& col = cols[static_cast<std::size_t>(c)];
-      add ? col.add(b) : col.del(b);
+/// Runs `f(count)` with the narrowest unsigned type that holds the pixel
+/// count of one window of `radius` in a w×h image: a 16-bit kernel
+/// histogram halves the bytes every sliding step adds and subtracts.
+template <typename F>
+void with_count_type(std::int64_t w, std::int64_t h, int radius, F&& f) {
+  const std::int64_t side = 2 * static_cast<std::int64_t>(radius) + 1;
+  if (std::min(side, w) * std::min(side, h) <= 0xFFFF) {
+    f(std::uint16_t{});
+  } else {
+    f(std::uint32_t{});
+  }
+}
+
+/// Constant-time sliding median (Perreault & Hébert 2007) of one radius
+/// over the columns of `roi`, one output row at a time, reading a bin
+/// plane that covers every window (windows clamp to the w×h image). One
+/// histogram per column covers the window's rows and slides down one row
+/// per output row; the kernel histogram slides right by adding and
+/// removing whole column histograms, coarse buckets eagerly and fine
+/// segments lazily, only for the bucket the median lands in. A row
+/// starts from a row-start kernel kept alongside the columns. Every
+/// window holds exactly the multiset the direct O(r) scan collects, so
+/// the selected bin is identical.
+///
+/// With an exclusion the columns skip excluded pixels, so each window is
+/// the unmasked window minus the excluded pixels in it (the same
+/// multiset as binning the masked image). A window that lost none of its
+/// pixels, or kept fewer than a quarter of them, gets bin -1: the
+/// unmasked median at this radius, which the caller already holds.
+template <typename Count>
+class Sweep {
+ public:
+  Sweep(const std::uint8_t* plane, const image::Box& rect, std::int64_t w,
+        std::int64_t h, int radius, const image::Box& roi, Exclusion ex,
+        std::int64_t ya)
+      : plane_(plane),
+        rect_(rect),
+        w_(w),
+        h_(h),
+        r_(radius),
+        roi_(roi),
+        ex_(ex),
+        cx0_(std::max<std::int64_t>(roi.x - radius, 0)),
+        ncols_(std::min(roi.right() + radius, w) - cx0_),
+        start_cols_(std::min(roi.x + radius, w - 1) - cx0_ + 1),
+        fine_(static_cast<std::size_t>(ncols_ * kMedianBins)),
+        coarse_(static_cast<std::size_t>(ncols_ * kSegments)),
+        count_(ex.mask != nullptr ? static_cast<std::size_t>(ncols_) : 0),
+        y_(ya) {
+    for (std::int64_t yy = std::max<std::int64_t>(ya - radius, 0);
+         yy <= std::min(ya + radius, h - 1); ++yy) {
+      slide<true>(yy);
     }
-    for (std::int64_t x = start_lo; x <= start_hi; ++x) {
-      const std::uint16_t b = row[x - plane.x0];
-      if (b == kExcludedBin) continue;
-      add ? start.add(b) : start.del(b);
-    }
-  };
-  for (std::int64_t yy = clampi(ya - radius, 0, h - 1);
-       yy <= clampi(ya + radius, 0, h - 1); ++yy) {
-    slide_row(yy, true);
   }
 
-  const auto col = [&](std::int64_t x) -> const Hist<std::uint16_t>& {
-    return cols[static_cast<std::size_t>(x - plane.x0)];
-  };
-  std::array<std::int32_t, kMedianBins> fine{};
-  std::array<std::int64_t, kSegments> seg_lo{}, seg_hi{};
-  for (std::int64_t y = ya; y < yb; ++y) {
-    if (y > ya) {
-      if (y - radius - 1 >= 0) slide_row(y - radius - 1, false);
-      if (y + radius < h) slide_row(y + radius, true);
+  /// Emits `emit(x, y, bin)` for every ROI pixel of row `y`, which is the
+  /// row of the constructor's `ya` or the one after the last call's.
+  template <typename Emit>
+  void row(std::int64_t y, Emit&& emit) {
+    if (y > y_) {
+      if (y - r_ - 1 >= 0) slide<false>(y - r_ - 1);
+      if (y + r_ < h_) slide<true>(y + r_);
+      y_ = y;
     }
-    const std::int64_t rows = clampi(y + radius, 0, h - 1) -
-                              clampi(y - radius, 0, h - 1) + 1;
-    std::array<std::int32_t, kSegments> coarse = start.coarse;
-    std::int32_t count = start.count;
-    fine = start.fine;
-    seg_lo.fill(start_lo);
-    seg_hi.fill(start_hi);
-    std::int64_t lo = start_lo, hi = start_hi;
-    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
-      if (x > roi.x) {
-        if (x + radius < w) {
-          hi = x + radius;
-          const auto& in = col(hi);
-          for (int s = 0; s < kSegments; ++s) coarse[s] += in.coarse[s];
-          count += in.count;
+    const std::int64_t rows = std::min(y + r_, h_ - 1) -
+                              std::max<std::int64_t>(y - r_, 0) + 1;
+    const bool masked = ex_.mask != nullptr;
+    std::array<Count, kSegments> coarse = start_.coarse;
+    std::array<Count, kMedianBins> fine = start_.fine;
+    std::int64_t count = start_.count;
+    std::array<std::int64_t, kSegments> seg_lo, seg_hi;
+    seg_lo.fill(0);
+    seg_hi.fill(start_cols_ - 1);
+    // Window columns [lo, hi], relative to cx0_.
+    std::int64_t lo = 0, hi = start_cols_ - 1;
+    for (std::int64_t x = roi_.x; x < roi_.right(); ++x) {
+      if (x > roi_.x) {
+        if (x + r_ < w_) {
+          ++hi;
+          const std::uint16_t* in = coarse_col(hi);
+          for (int s = 0; s < kSegments; ++s) coarse[s] += in[s];
+          if (masked) count += count_[static_cast<std::size_t>(hi)];
         }
-        if (x - radius - 1 >= 0) {
-          const auto& gone = col(x - radius - 1);
-          for (int s = 0; s < kSegments; ++s) coarse[s] -= gone.coarse[s];
-          count -= gone.count;
-          lo = x - radius;
+        if (x - r_ - 1 >= 0) {
+          const std::uint16_t* gone = coarse_col(lo);
+          for (int s = 0; s < kSegments; ++s) coarse[s] -= gone[s];
+          if (masked) count -= count_[static_cast<std::size_t>(lo)];
+          ++lo;
         }
       }
-      if (sparse_rule && static_cast<std::int64_t>(count) * 4 < rows * (hi - lo + 1)) {
+      const std::int64_t full = rows * (hi - lo + 1);
+      if (!masked) {
+        count = full;
+      } else if (count == full || count * 4 < full) {
         emit(x, y, -1);
         continue;
       }
-      const std::int32_t half = (count + 1) / 2;
-      std::int32_t seen = 0;
+      const std::int64_t half = (count + 1) / 2;
+      std::int64_t seen = 0;
       int s = 0;
       for (; s + 1 < kSegments; ++s) {
         if (seen + coarse[static_cast<std::size_t>(s)] >= half) break;
@@ -311,10 +279,10 @@ void sliding_median_rows(const BinPlane& plane, std::int64_t w, std::int64_t h,
       // Bring fine segment s from its last column range to [lo, hi]:
       // whichever is cheaper of rebuilding and exchanging the columns
       // that left/entered (ranges only ever move right within a row).
-      std::int32_t* seg = fine.data() + s * kSegBins;
-      const auto fold = [&](std::int64_t xa, std::int64_t xb, bool add) {
-        for (std::int64_t xx = xa; xx <= xb; ++xx) {
-          const std::uint16_t* src = col(xx).fine.data() + s * kSegBins;
+      Count* seg = fine.data() + s * kSegBins;
+      const auto fold = [&](std::int64_t ca, std::int64_t cb, bool add) {
+        for (std::int64_t c = ca; c <= cb; ++c) {
+          const std::uint16_t* src = fine_col(c) + s * kSegBins;
           if (add) {
             for (int b = 0; b < kSegBins; ++b) seg[b] += src[b];
           } else {
@@ -326,7 +294,7 @@ void sliding_median_rows(const BinPlane& plane, std::int64_t w, std::int64_t h,
       std::int64_t& shi = seg_hi[static_cast<std::size_t>(s)];
       if (slo != lo || shi != hi) {
         if (shi < lo || (lo - slo) + (hi - shi) > hi - lo + 1) {
-          std::fill(seg, seg + kSegBins, 0);
+          std::fill(seg, seg + kSegBins, Count{0});
           fold(lo, hi, true);
         } else {
           fold(slo, lo - 1, false);
@@ -343,28 +311,86 @@ void sliding_median_rows(const BinPlane& plane, std::int64_t w, std::int64_t h,
       emit(x, y, s * kSegBins + b);
     }
   }
-}
 
-/// Shared body of both median filters: ROI-local output (roi clipped to
-/// the image), rows split into bands when the ROI is tall enough to
-/// repay each band's column-histogram start-up.
-ImageF32 median_roi(const ImageF32& img, int radius, const image::Box& roi_in,
-                    const image::Mask* exclude, image::Point exclude_origin,
-                    const ImageF32* fallback) {
-  const std::int64_t w = img.width(), h = img.height();
-  const image::Box roi = roi_in.clipped(w, h);
-  if (roi.empty()) return ImageF32(0, 0, 1);
-  if (std::min<std::int64_t>(2 * static_cast<std::int64_t>(radius) + 1, h) > 0xFFFF) {
-    throw std::invalid_argument("median_filter_large: window taller than 65535 rows");
-  }
-  const image::Box reach = roi.expanded(radius).clipped(w, h);
-  const BinPlane plane = quantize_plane(img, reach, exclude, exclude_origin);
-  ImageF32 out(roi.w, roi.h, 1);
-  const auto emit = [&](std::int64_t x, std::int64_t y, int bin) {
-    out.at(x - roi.x, y - roi.y) =
-        bin < 0 ? fallback->at(x - roi.x, y - roi.y)
-                : (static_cast<float>(bin) + 0.5f) / kMedianBins;
+ private:
+  struct Window {
+    std::array<Count, kMedianBins> fine{};
+    std::array<Count, kSegments> coarse{};
+    std::int64_t count = 0;
   };
+
+  std::uint16_t* fine_col(std::int64_t c) {
+    return fine_.data() + c * kMedianBins;
+  }
+  std::uint16_t* coarse_col(std::int64_t c) {
+    return coarse_.data() + c * kSegments;
+  }
+
+  /// Adds (kAdd) or removes plane row `yy` to/from every column and the
+  /// row-start kernel, skipping excluded pixels.
+  template <bool kAdd>
+  void slide(std::int64_t yy) {
+    const std::uint8_t* bins = plane_ + (yy - rect_.y) * rect_.w + (cx0_ - rect_.x);
+    // Columns [ma, mb) of this row lie on the mask row `skip`, which
+    // starts at column `off`.
+    const std::uint8_t* skip = nullptr;
+    std::int64_t ma = ncols_, mb = ncols_, off = 0;
+    if (ex_.mask != nullptr && yy >= ex_.origin.y &&
+        yy < ex_.origin.y + ex_.mask->height()) {
+      off = ex_.origin.x - cx0_;
+      ma = std::clamp<std::int64_t>(off, 0, ncols_);
+      mb = std::clamp<std::int64_t>(off + ex_.mask->width(), 0, ncols_);
+      skip = ex_.mask->pixels().data() + (yy - ex_.origin.y) * ex_.mask->width();
+    }
+    const auto step = [](auto& v) {
+      if constexpr (kAdd) {
+        ++v;
+      } else {
+        --v;
+      }
+    };
+    const auto each = [&](std::int64_t n, auto&& put) {
+      const std::int64_t a = std::min(ma, n), b = std::min(mb, n);
+      for (std::int64_t c = 0; c < a; ++c) put(c, bins[c]);
+      for (std::int64_t c = a; c < b; ++c) {
+        if (skip[c - off] == 0) put(c, bins[c]);
+      }
+      for (std::int64_t c = std::max(a, b); c < n; ++c) put(c, bins[c]);
+    };
+    const bool masked = ex_.mask != nullptr;
+    each(ncols_, [&](std::int64_t c, std::uint8_t bin) {
+      step(fine_col(c)[bin]);
+      step(coarse_col(c)[bin / kSegBins]);
+      if (masked) step(count_[static_cast<std::size_t>(c)]);
+    });
+    each(start_cols_, [&](std::int64_t, std::uint8_t bin) {
+      step(start_.fine[bin]);
+      step(start_.coarse[bin / kSegBins]);
+      step(start_.count);
+    });
+  }
+
+  const std::uint8_t* plane_;
+  image::Box rect_;
+  std::int64_t w_, h_;
+  std::int64_t r_;
+  image::Box roi_;
+  Exclusion ex_;
+  std::int64_t cx0_;         ///< image column of column histogram 0
+  std::int64_t ncols_;       ///< column histograms the ROI's windows reach
+  std::int64_t start_cols_;  ///< columns of the row-start kernel
+  // Column histograms (16-bit counts: a column holds at most one window
+  // height), fine and coarse kept apart so the eager coarse steps read
+  // one small array.
+  std::vector<std::uint16_t> fine_, coarse_, count_;
+  Window start_;
+  std::int64_t y_;
+};
+
+/// Runs `body(ya, yb)` over bands of the ROI's rows: one band unless the
+/// ROI is tall enough to repay each band's column-histogram start-up.
+template <typename Body>
+void for_row_bands(const image::Box& roi, Body&& body) {
   constexpr std::int64_t kBandRows = 64;
   auto& pool = parallel::ThreadPool::global();
   const std::int64_t bands =
@@ -377,22 +403,106 @@ ImageF32 median_roi(const ImageF32& img, int radius, const image::Box& roi_in,
     for (std::int64_t band = lo; band < hi; ++band) {
       const std::int64_t ya = roi.y + band * per;
       const std::int64_t yb = std::min(roi.bottom(), ya + per);
-      if (ya < yb) {
-        sliding_median_rows(plane, w, h, radius, roi, ya, yb,
-                            exclude != nullptr, emit);
-      }
+      if (ya < yb) body(ya, yb);
     }
   });
-  return out;
 }
 
 }  // namespace
+
+MedianPlane::MedianPlane(const ImageF32& img, int reach, const image::Box& roi)
+    : w_(img.width()), h_(img.height()), reach_(reach), roi_(roi.clipped(w_, h_)) {
+  require_gray(img, "MedianPlane: single channel required");
+  if (reach <= 0) throw std::invalid_argument("MedianPlane: reach must be positive");
+  if (roi_.empty()) return;
+  if (std::min<std::int64_t>(2 * static_cast<std::int64_t>(reach) + 1, h_) > 0xFFFF) {
+    throw std::invalid_argument("median_filter_large: window taller than 65535 rows");
+  }
+  rect_ = roi_.expanded(reach).clipped(w_, h_);
+  bins_.resize(static_cast<std::size_t>(rect_.area()));
+  const float* src = img.pixels().data();
+  for (std::int64_t y = rect_.y; y < rect_.bottom(); ++y) {
+    const float* in = src + y * w_ + rect_.x;
+    std::uint8_t* out = bins_.data() + (y - rect_.y) * rect_.w;
+    for (std::int64_t i = 0; i < rect_.w; ++i) {
+      const float v = std::clamp(in[i], 0.0f, 1.0f);
+      out[i] = static_cast<std::uint8_t>(std::clamp(
+          static_cast<int>(v * kMedianBins), 0, kMedianBins - 1));
+    }
+  }
+}
+
+void MedianPlane::check_radius(int radius) const {
+  if (radius <= 0 || radius > reach_) {
+    throw std::invalid_argument("MedianPlane: radius outside (0, reach]");
+  }
+}
+
+void MedianPlane::medians(int r_a, ImageF32& a, int r_b, ImageF32* b) const {
+  check_radius(r_a);
+  if (b != nullptr) check_radius(r_b);
+  a = ImageF32(roi_.w, roi_.h, 1);
+  if (b != nullptr) *b = ImageF32(roi_.w, roi_.h, 1);
+  if (roi_.empty()) return;
+  const auto to = [this](ImageF32& out) {
+    float* px = out.pixels().data();
+    return [this, px](std::int64_t x, std::int64_t y, int bin) {
+      px[(y - roi_.y) * roi_.w + (x - roi_.x)] = bin_value(bin);
+    };
+  };
+  const auto emit_a = to(a);
+  for_row_bands(roi_, [&](std::int64_t ya, std::int64_t yb) {
+    with_count_type(w_, h_, r_a, [&](auto ca) {
+      Sweep<decltype(ca)> sa(bins_.data(), rect_, w_, h_, r_a, roi_, {}, ya);
+      if (b == nullptr) {
+        for (std::int64_t y = ya; y < yb; ++y) sa.row(y, emit_a);
+        return;
+      }
+      const auto emit_b = to(*b);
+      with_count_type(w_, h_, r_b, [&](auto cb) {
+        Sweep<decltype(cb)> sb(bins_.data(), rect_, w_, h_, r_b, roi_, {}, ya);
+        for (std::int64_t y = ya; y < yb; ++y) {
+          sa.row(y, emit_a);
+          sb.row(y, emit_b);
+        }
+      });
+    });
+  });
+}
+
+ImageF32 MedianPlane::masked(int radius, const image::Mask& exclude,
+                             image::Point exclude_origin,
+                             const ImageF32& context) const {
+  check_radius(radius);
+  if (context.width() != roi_.w || context.height() != roi_.h) {
+    throw std::invalid_argument(
+        "median_filter_large_masked: fallback does not cover the ROI");
+  }
+  ImageF32 out(roi_.w, roi_.h, 1);
+  if (roi_.empty()) return out;
+  float* px = out.pixels().data();
+  const float* ctx = context.pixels().data();
+  const auto emit = [&](std::int64_t x, std::int64_t y, int bin) {
+    const std::int64_t i = (y - roi_.y) * roi_.w + (x - roi_.x);
+    px[i] = bin < 0 ? ctx[i] : bin_value(bin);
+  };
+  for_row_bands(roi_, [&](std::int64_t ya, std::int64_t yb) {
+    with_count_type(w_, h_, radius, [&](auto count) {
+      Sweep<decltype(count)> sweep(bins_.data(), rect_, w_, h_, radius, roi_,
+                                   {&exclude, exclude_origin}, ya);
+      for (std::int64_t y = ya; y < yb; ++y) sweep.row(y, emit);
+    });
+  });
+  return out;
+}
 
 ImageF32 median_filter_large(const ImageF32& img, int radius,
                              const image::Box& roi) {
   require_gray(img, "median_filter_large: single channel required");
   if (radius <= 0 || img.pixel_count() == 0) return image::crop(img, roi);
-  return median_roi(img, radius, roi, nullptr, {}, nullptr);
+  ImageF32 out;
+  MedianPlane(img, radius, roi).medians(radius, out, 0, nullptr);
+  return out;
 }
 
 ImageF32 median_filter_large(const ImageF32& img, int radius) {
@@ -407,15 +517,11 @@ ImageF32 median_filter_large_masked(const ImageF32& img, int radius,
                                     const ImageF32* fallback) {
   require_gray(img, "median_filter_large_masked: single channel required");
   if (radius <= 0 || img.pixel_count() == 0) return image::crop(img, roi);
-  const image::Box clipped = roi.clipped(img.width(), img.height());
-  const ImageF32 own_fallback =
-      fallback == nullptr ? median_filter_large(img, radius, clipped) : ImageF32();
-  const ImageF32* fb = fallback != nullptr ? fallback : &own_fallback;
-  if (fb->width() != clipped.w || fb->height() != clipped.h) {
-    throw std::invalid_argument(
-        "median_filter_large_masked: fallback does not cover the ROI");
-  }
-  return median_roi(img, radius, clipped, &exclude, exclude_origin, fb);
+  const MedianPlane plane(img, radius, roi);
+  ImageF32 own_fallback;
+  if (fallback == nullptr) plane.medians(radius, own_fallback, 0, nullptr);
+  return plane.masked(radius, exclude, exclude_origin,
+                      fallback != nullptr ? *fallback : own_fallback);
 }
 
 ImageF32 median_filter_large_masked(const ImageF32& img, int radius,

@@ -3,6 +3,9 @@
 // clamp-to-edge throughout (the FIB-SEM field of view has no wrap-around
 // semantics).
 
+#include <cstdint>
+#include <vector>
+
 #include "zenesis/image/geometry.hpp"
 #include "zenesis/image/image.hpp"
 
@@ -38,8 +41,7 @@ image::ImageF32 median_filter_large(const image::ImageF32& img, int radius);
 /// as a roi.w × roi.h image: pixel (x, y) of the result is pixel
 /// (roi.x + x, roi.y + y) of the full-image filter, byte for byte
 /// (windows still clamp to the *image* border, not the ROI). Cost scales
-/// with the ROI — the SAM surrogate's decoder only reads its context
-/// medians inside the prompt box, so it pays for the box, not the frame.
+/// with the ROI; MedianPlane serves several medians of one ROI.
 image::ImageF32 median_filter_large(const image::ImageF32& img, int radius,
                                     const image::Box& roi);
 
@@ -56,8 +58,7 @@ image::ImageF32 median_filter_large_masked(const image::ImageF32& img,
 /// {exclude_origin, exclude.width() × exclude.height()}, and image pixels
 /// outside it count as not excluded. `fallback`, when non-null, must be
 /// the ROI median of (img, radius) over the same ROI — callers that
-/// already hold it (the decoder's refit pass re-estimates against the
-/// context it just computed) skip a second median pass.
+/// already hold it skip a second median pass.
 image::ImageF32 median_filter_large_masked(const image::ImageF32& img,
                                            int radius,
                                            const image::Mask& exclude,
@@ -65,6 +66,39 @@ image::ImageF32 median_filter_large_masked(const image::ImageF32& img,
                                            const image::Box& roi,
                                            const image::ImageF32* fallback =
                                                nullptr);
+
+/// One plane binned once for several large-window medians over the same
+/// ROI — the box decoder's context, halo and refit medians of one scale.
+/// The constructor bins `img` over `roi` (clipped to the image) expanded
+/// by `reach`; every median below reads that plane, takes a radius in
+/// (0, reach] and returns a roi.w × roi.h image equal, byte for byte, to
+/// the median_filter_large / median_filter_large_masked call it names.
+class MedianPlane {
+ public:
+  MedianPlane(const image::ImageF32& img, int reach, const image::Box& roi);
+
+  /// `a` = median_filter_large(img, r_a, roi) and, when `b` is non-null,
+  /// `*b` = median_filter_large(img, r_b, roi), both in one row pass.
+  void medians(int r_a, image::ImageF32& a, int r_b, image::ImageF32* b) const;
+
+  /// median_filter_large_masked(img, radius, exclude, exclude_origin,
+  /// roi, &context). `context` must be this plane's median at `radius`:
+  /// each window is refitted as the unmasked window minus the excluded
+  /// pixels in it, and a window that holds no excluded pixel takes its
+  /// `context` value unsearched.
+  image::ImageF32 masked(int radius, const image::Mask& exclude,
+                         image::Point exclude_origin,
+                         const image::ImageF32& context) const;
+
+ private:
+  void check_radius(int radius) const;
+
+  std::int64_t w_ = 0, h_ = 0;
+  int reach_ = 0;
+  image::Box roi_;   ///< the ROI, clipped to the image
+  image::Box rect_;  ///< the binned rectangle: roi_ expanded by reach_, clipped
+  std::vector<std::uint8_t> bins_;  ///< row-major over rect_, 256 bins
+};
 
 /// Sobel gradient magnitude (L2 of the 3x3 Sobel pair).
 image::ImageF32 sobel_magnitude(const image::ImageF32& img);

@@ -73,6 +73,9 @@ struct ScaleContext {
 
   image::ImageF32 blurred;  ///< smoothed intensity over the median reach
   PlaneView smoothed;       ///< `blurred`, or the raw intensity channel
+  /// `smoothed` binned once over the box's r_refit reach: the context,
+  /// halo and both refit medians of this scale all read it.
+  std::optional<cv::MedianPlane> plane;
   image::ImageF32 context;  ///< large-window median (box-local)
   /// Box-local smoothed − background, before the polarity sign: against
   /// `context` (or the rim constant) and against the small-window median
@@ -276,14 +279,14 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
     } else {
       ctx.smoothed = {&intensity, 0, 0};
     }
-    const image::Box local_box = ctx.smoothed.local(box);
-    ctx.context = cv::median_filter_large(*ctx.smoothed.img, r_large, local_box);
+    // One bin plane per scale: the large and small context medians come
+    // out of one row pass over it, and the refits read it again.
+    ctx.plane.emplace(*ctx.smoothed.img, r_large, ctx.smoothed.local(box));
+    image::ImageF32 small;
+    ctx.plane->medians(r_large, ctx.context, r_small,
+                       r_small < r_large ? &small : nullptr);
     ctx.diff = contrast(ctx.smoothed, &ctx.context, 0.0f);
-    if (r_small < r_large) {
-      const image::ImageF32 small =
-          cv::median_filter_large(*ctx.smoothed.img, r_small, local_box);
-      ctx.diff_local = contrast(ctx.smoothed, &small, 0.0f);
-    }
+    if (r_small < r_large) ctx.diff_local = contrast(ctx.smoothed, &small, 0.0f);
     ctx.r_refit = r_large;
   };
 
@@ -417,11 +420,12 @@ std::vector<MaskPrediction> SamModel::predict_box_candidates(
       image::ImageF32 refit;
       if (!sc.rim) {
         // The refit radius equals the large context radius, so `context`
-        // IS the unmasked median the sparse-window fallback needs.
-        refit = cv::median_filter_large_masked(
-            *sc.smoothed.img, sc.r_refit, mask,
-            {box.x - sc.smoothed.x0, box.y - sc.smoothed.y0},
-            sc.smoothed.local(box), &sc.context);
+        // IS the unmasked median: the refit subtracts the mask from the
+        // scale's shared plane and keeps `context` wherever a window
+        // holds no masked pixel or too few unmasked ones.
+        refit = sc.plane->masked(sc.r_refit, mask,
+                                 {box.x - sc.smoothed.x0, box.y - sc.smoothed.y0},
+                                 sc.context);
         // The re-estimated background becomes its contrast in place.
         float* const d = refit.pixels().data();
         for (std::int64_t by = 0; by < bh; ++by) {
@@ -536,23 +540,41 @@ double SamModel::boundary_adherence(const SamEncoded& enc, const image::Mask& ma
                                     const image::Box& box) const {
   // Morphological gradient (3×3 dilation minus erosion, outside the frame
   // counts as background) of a mask that lives inside the decode ROI: its
-  // outline lies within one pixel of the mask, hence inside the ROI.
+  // outline lies within one pixel of the mask, hence inside the ROI. Each
+  // row's 3-wide any/all runs are built once and combined over 3 rows.
   const auto& edge = enc.maps.channels[kEdge];
   const image::Box roi = decode_roi(enc, box);
+  const std::int64_t w = mask.width(), h = mask.height();
+  const std::int64_t rw = roi.w;
+  // Rows roi.y - 1 .. roi.bottom(); rows outside the frame stay 0.
+  std::vector<std::uint8_t> any_run(static_cast<std::size_t>(rw * (roi.h + 2)), 0);
+  std::vector<std::uint8_t> all_run(any_run.size(), 0);
+  for (std::int64_t y = std::max<std::int64_t>(roi.y - 1, 0);
+       y <= std::min(roi.bottom(), h - 1); ++y) {
+    const std::uint8_t* m = mask.pixels().data() + y * w;
+    std::uint8_t* any = any_run.data() + (y - roi.y + 1) * rw;
+    std::uint8_t* all = all_run.data() + (y - roi.y + 1) * rw;
+    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+      const bool l = x > 0 && m[x - 1] != 0;
+      const bool c = m[x] != 0;
+      const bool r = x + 1 < w && m[x + 1] != 0;
+      any[x - roi.x] = (l || c || r) ? 1 : 0;
+      all[x - roi.x] = (l && c && r) ? 1 : 0;
+    }
+  }
   double sum = 0.0;
   std::int64_t count = 0;
   for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
-    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
-      bool any = false, all = true;
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        for (std::int64_t dx = -1; dx <= 1; ++dx) {
-          const bool fg = mask.contains(x + dx, y + dy) && mask.at(x + dx, y + dy) != 0;
-          any = any || fg;
-          all = all && fg;
-        }
-      }
+    const std::size_t up = static_cast<std::size_t>((y - roi.y) * rw);
+    const std::size_t mid = up + static_cast<std::size_t>(rw);
+    const std::size_t down = mid + static_cast<std::size_t>(rw);
+    const float* e = edge.pixels().data() + y * edge.width();
+    for (std::int64_t i = 0; i < rw; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      const bool any = (any_run[up + k] | any_run[mid + k] | any_run[down + k]) != 0;
+      const bool all = (all_run[up + k] & all_run[mid + k] & all_run[down + k]) != 0;
       if (!any || all) continue;
-      sum += edge.at(x, y);
+      sum += e[roi.x + i];
       ++count;
     }
   }

@@ -404,6 +404,47 @@ TEST(WarmRestart, SecondProcessSkipsEveryEncodeAndMatchesMasks) {
   }
 }
 
+TEST(WarmRestart, PrehashedEntryHitsRecordsOfTheHashingEntry) {
+  TempDir dir;
+  image::ImageF32 img(40, 32, 1);
+  for (std::int64_t y = 0; y < img.height(); ++y) {
+    for (std::int64_t x = 0; x < img.width(); ++x) {
+      img.at(x, y) = static_cast<float>((7 * x + 3 * y) % 19) / 19.0f;
+    }
+  }
+  const models::SamModel sam;
+  cache::FeatureCacheConfig cfg;
+  cfg.disk_path = dir.str();
+  {
+    cache::FeatureCache writer(cfg);
+    (void)writer.encode(img, sam.backbone());  // hashes the image itself
+    EXPECT_EQ(writer.stats().disk_writes, 1u);
+  }
+  // A fresh cache on the same directory: the caller's hash names the
+  // same record, so the encoder does not run.
+  cache::FeatureCache reader(cfg);
+  const auto enc = reader.encode(img, sam.backbone(), cache::hash_image(img));
+  EXPECT_EQ(reader.stats().disk_hits, 1u);
+  EXPECT_EQ(reader.stats().misses, 0u);
+  EXPECT_EQ(cache::serialize_encoded(*enc), cache::serialize_encoded(sam.encode(img)));
+
+  // The pipeline passes its mask key's image hash; with the mask cache
+  // off it has none and the feature cache hashes the image. Both find
+  // the record.
+  for (const std::size_t mask_capacity : {std::size_t{64}, std::size_t{0}}) {
+    core::PipelineConfig pcfg;
+    pcfg.feature_cache.disk_path = dir.str();
+    pcfg.mask_cache.capacity = mask_capacity;
+    const core::ZenesisPipeline pipe(pcfg);
+    (void)pipe.segment_ready(img, "bright particles");
+    (void)pipe.segment_with_box(img, {4, 4, 30, 24});
+    const auto st = pipe.cache_stats();
+    EXPECT_EQ(st.misses, 0u) << "mask cache capacity " << mask_capacity;
+    EXPECT_EQ(st.disk_hits, 1u) << "mask cache capacity " << mask_capacity;
+    EXPECT_EQ(st.hits, 1u) << "mask cache capacity " << mask_capacity;
+  }
+}
+
 TEST(WarmRestart, UnusableDiskPathDegradesToMemoryOnly) {
   TempDir dir;
   const std::string file_path = (dir.path() / "not_a_dir").string();

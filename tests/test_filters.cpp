@@ -355,3 +355,188 @@ TEST(AbsDiff, ElementwiseMagnitude) {
   EXPECT_NEAR(d.at(1, 0), 0.5f, 1e-6f);
   EXPECT_THROW(zc::abs_diff(a, zi::ImageF32(3, 1, 1)), std::invalid_argument);
 }
+
+namespace {
+
+/// Direct O(r²) reference for the large-window medians: collects each
+/// window's bins (windows clamped to the image, pixels set in `exclude`
+/// left out) and takes the lower median. Masked windows that keep no
+/// pixel, or fewer than a quarter, take the unmasked median.
+zi::ImageF32 reference_median(const zi::ImageF32& img, int r, const zi::Box& roi,
+                              const zi::Mask* exclude) {
+  const std::int64_t w = img.width(), h = img.height();
+  zi::ImageF32 out(roi.w, roi.h, 1);
+  std::vector<int> all, kept;
+  for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
+    for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+      all.clear();
+      kept.clear();
+      for (std::int64_t yy = std::max<std::int64_t>(y - r, 0);
+           yy <= std::min(y + r, h - 1); ++yy) {
+        for (std::int64_t xx = std::max<std::int64_t>(x - r, 0);
+             xx <= std::min(x + r, w - 1); ++xx) {
+          const float v = std::clamp(img.at(xx, yy), 0.0f, 1.0f);
+          const int bin = std::clamp(static_cast<int>(v * 256), 0, 255);
+          all.push_back(bin);
+          if (exclude == nullptr || exclude->at(xx, yy) == 0) kept.push_back(bin);
+        }
+      }
+      std::vector<int>& use =
+          kept.empty() || kept.size() * 4 < all.size() ? all : kept;
+      std::sort(use.begin(), use.end());
+      const int bin = use[(use.size() + 1) / 2 - 1];
+      out.at(x - roi.x, y - roi.y) = (static_cast<float>(bin) + 0.5f) / 256.0f;
+    }
+  }
+  return out;
+}
+
+bool same_pixels(const zi::ImageF32& a, const zi::ImageF32& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.pixels().data(), b.pixels().data(),
+                     a.pixels().size() * sizeof(float)) == 0;
+}
+
+/// The exclusion as a patch over `box` (the decoder passes box-local masks).
+zi::Mask patch_of(const zi::Mask& full, const zi::Box& box) {
+  zi::Mask patch(box.w, box.h);
+  for (std::int64_t y = 0; y < box.h; ++y) {
+    for (std::int64_t x = 0; x < box.w; ++x) {
+      patch.at(x, y) = full.at(box.x + x, box.y + y);
+    }
+  }
+  return patch;
+}
+
+}  // namespace
+
+TEST(MedianPlane, SharedPlaneMediansMatchFiltersAndReference) {
+  zenesis::parallel::Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::int64_t w = 12 + static_cast<std::int64_t>(rng.uniform_index(40));
+    const std::int64_t h = 12 + static_cast<std::int64_t>(rng.uniform_index(40));
+    // Values past [0, 1] exercise the clamp; coarse levels give ties.
+    zi::ImageF32 img(w, h, 1);
+    for (float& v : img.pixels()) {
+      v = rng.uniform() < 0.3 ? static_cast<float>(rng.uniform_index(5)) / 4.0f
+                              : static_cast<float>(rng.uniform(-0.1, 1.1));
+    }
+    // The ROI often touches or overhangs the frame, so windows clip there.
+    const std::int64_t rx = static_cast<std::int64_t>(rng.uniform_index(
+                                static_cast<std::uint64_t>(w))) - 3;
+    const std::int64_t ry = static_cast<std::int64_t>(rng.uniform_index(
+                                static_cast<std::uint64_t>(h))) - 3;
+    const zi::Box roi{rx, ry, 1 + static_cast<std::int64_t>(rng.uniform_index(30)),
+                      1 + static_cast<std::int64_t>(rng.uniform_index(30))};
+    const zi::Box c = roi.clipped(w, h);
+    if (c.empty()) continue;
+    // r_small < r_large, r_small == r_large and r_small > r_large, and
+    // radii past the image size.
+    const int r_large = 1 + static_cast<int>(rng.uniform_index(30));
+    const int r_small = 1 + static_cast<int>(rng.uniform_index(30));
+    const std::string tag = "trial " + std::to_string(trial) + " r " +
+                            std::to_string(r_large) + "/" + std::to_string(r_small);
+
+    const zc::MedianPlane plane(img, std::max(r_large, r_small), roi);
+    zi::ImageF32 large, small;
+    plane.medians(r_large, large, r_small, &small);
+    EXPECT_TRUE(same_pixels(large, zc::median_filter_large(img, r_large, roi))) << tag;
+    EXPECT_TRUE(same_pixels(small, zc::median_filter_large(img, r_small, roi))) << tag;
+    EXPECT_TRUE(same_pixels(large, reference_median(img, r_large, c, nullptr))) << tag;
+    EXPECT_TRUE(same_pixels(small, reference_median(img, r_small, c, nullptr))) << tag;
+
+    // Refit by subtraction: random blobs of masked pixels, given as a
+    // patch over a random box as the decoder does.
+    zi::Mask exclude(w, h);
+    const double density = rng.uniform(0.05, 0.95);
+    const zi::Box mbox = zi::Box{static_cast<std::int64_t>(rng.uniform_index(
+                                     static_cast<std::uint64_t>(w))),
+                                 static_cast<std::int64_t>(rng.uniform_index(
+                                     static_cast<std::uint64_t>(h))),
+                                 w, h}
+                             .clipped(w, h);
+    for (std::int64_t y = mbox.y; y < mbox.bottom(); ++y) {
+      for (std::int64_t x = mbox.x; x < mbox.right(); ++x) {
+        exclude.at(x, y) = rng.uniform() < density ? 1 : 0;
+      }
+    }
+    const zi::Mask patch = patch_of(exclude, mbox);
+    const zi::ImageF32 refit = plane.masked(r_large, patch, {mbox.x, mbox.y}, large);
+    EXPECT_TRUE(same_pixels(
+        refit, zc::median_filter_large_masked(img, r_large, exclude, {0, 0}, roi)))
+        << tag;
+    EXPECT_TRUE(same_pixels(refit, reference_median(img, r_large, c, &exclude))) << tag;
+  }
+}
+
+TEST(MedianPlane, MaskedWindowEdgeCases) {
+  const zi::ImageF32 img = noisy(12, 12, 0.5f, 0.25f, 43);
+  const zi::Box roi{0, 0, 12, 12};
+  const int r = 3;
+  const zc::MedianPlane plane(img, r, roi);
+  zi::ImageF32 context;
+  plane.medians(r, context, 0, nullptr);
+
+  // Every window fully masked: each pixel keeps its unmasked median.
+  zi::Mask all(12, 12);
+  all.fill(1);
+  EXPECT_TRUE(same_pixels(plane.masked(r, all, {0, 0}, context), context));
+
+  // The corner window of (0, 0) is 4×4 = 16 pixels. Keeping exactly a
+  // quarter (4) of them is enough for a masked median; keeping 3 falls
+  // back to the unmasked one.
+  for (const int keep : {4, 3}) {
+    zi::Mask corner(12, 12);
+    for (std::int64_t y = 0; y < 4; ++y) {
+      for (std::int64_t x = 0; x < 4; ++x) corner.at(x, y) = y * 4 + x < keep ? 0 : 1;
+    }
+    const zi::ImageF32 refit = plane.masked(r, corner, {0, 0}, context);
+    EXPECT_TRUE(same_pixels(refit, reference_median(img, r, roi, &corner))) << keep;
+    EXPECT_TRUE(same_pixels(refit, zc::median_filter_large_masked(img, r, corner)))
+        << keep;
+    if (keep == 3) {
+      EXPECT_EQ(refit.at(0, 0), context.at(0, 0));
+    }
+  }
+  // The quarter rule keeps the masked median where it differs from the
+  // unmasked one: four identical kept pixels pull it to their bin.
+  zi::ImageF32 flat = constant(12, 12, 0.9f);
+  for (std::int64_t y = 0; y < 4; ++y) {
+    for (std::int64_t x = 0; x < 4; ++x) flat.at(x, y) = y * 4 + x < 4 ? 0.1f : 0.9f;
+  }
+  zi::Mask quarter(12, 12);
+  for (std::int64_t y = 0; y < 4; ++y) {
+    for (std::int64_t x = 0; x < 4; ++x) quarter.at(x, y) = y * 4 + x < 4 ? 0 : 1;
+  }
+  const zc::MedianPlane flat_plane(flat, r, roi);
+  zi::ImageF32 flat_context;
+  flat_plane.medians(r, flat_context, 0, nullptr);
+  const zi::ImageF32 flat_refit = flat_plane.masked(r, quarter, {0, 0}, flat_context);
+  EXPECT_NEAR(flat_refit.at(0, 0), 0.1f, 1.0f / 256);
+  EXPECT_NEAR(flat_context.at(0, 0), 0.9f, 1.0f / 256);
+
+  // Radii outside (0, reach] and a context of the wrong size are errors.
+  zi::ImageF32 out;
+  EXPECT_THROW(plane.medians(r + 1, out, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(plane.medians(r, out, 0, &out), std::invalid_argument);
+  EXPECT_THROW(plane.masked(r, all, {0, 0}, zi::ImageF32(3, 3, 1)),
+               std::invalid_argument);
+}
+
+TEST(MedianPlane, WindowsOverSixteenBitCounts) {
+  // A 261×260 window holds more than 65535 pixels, so the kernel
+  // histogram needs 32-bit counts.
+  const zi::ImageF32 img = noisy(300, 260, 0.5f, 0.3f, 47);
+  const zi::Box roi{140, 120, 5, 4};
+  const int r = 130;
+  const zc::MedianPlane plane(img, r, roi);
+  zi::ImageF32 context;
+  plane.medians(r, context, 0, nullptr);
+  EXPECT_TRUE(same_pixels(context, reference_median(img, r, roi, nullptr)));
+  zi::Mask exclude(300, 260);
+  for (std::int64_t y = 0; y < 260; ++y) {
+    for (std::int64_t x = 0; x < 300; ++x) exclude.at(x, y) = (x * 7 + y * 3) % 5 == 0;
+  }
+  EXPECT_TRUE(same_pixels(plane.masked(r, exclude, {0, 0}, context),
+                          reference_median(img, r, roi, &exclude)));
+}

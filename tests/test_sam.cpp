@@ -146,3 +146,48 @@ TEST(Sam, EncodeOncePromptMany) {
   const auto p2 = sam.predict_box(enc, {30, 26, 70, 70});
   EXPECT_DOUBLE_EQ(zi::mask_iou(p1.mask, p2.mask), 1.0);
 }
+
+TEST(SamBox, BoundaryAdherenceMatchesDirectGradientScan) {
+  // The mean edge strength over the mask's 3×3 morphological gradient
+  // (outside the frame is background), summed in raster order over the
+  // decode ROI, for ragged masks that also touch the frame border.
+  const Scene s = disk_scene();
+  zm::SamModel sam;
+  const auto enc = sam.encode(s.img);
+  const auto& edge = enc.maps.channels[zm::kEdge];
+  zenesis::parallel::Rng rng(57);
+  for (const zi::Box box : {zi::Box{30, 26, 70, 70}, zi::Box{0, 0, 40, 50},
+                            zi::Box{90, 80, 38, 48}, zi::Box{-5, 60, 60, 80}}) {
+    // The decode ROI: the clipped box grown by 2·morph_radius + 1.
+    const zi::Box roi = box.clipped(128, 128)
+                            .expanded(2 * sam.config().morph_radius + 1)
+                            .clipped(128, 128);
+    zi::Mask mask(128, 128);
+    for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
+      for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+        mask.at(x, y) = rng.uniform() < 0.6 ? 1 : 0;
+      }
+    }
+    double sum = 0.0;
+    std::int64_t count = 0;
+    for (std::int64_t y = roi.y; y < roi.bottom(); ++y) {
+      for (std::int64_t x = roi.x; x < roi.right(); ++x) {
+        bool any = false, all = true;
+        for (std::int64_t dy = -1; dy <= 1; ++dy) {
+          for (std::int64_t dx = -1; dx <= 1; ++dx) {
+            const bool fg =
+                mask.contains(x + dx, y + dy) && mask.at(x + dx, y + dy) != 0;
+            any = any || fg;
+            all = all && fg;
+          }
+        }
+        if (!any || all) continue;
+        sum += edge.at(x, y);
+        ++count;
+      }
+    }
+    const double want = count > 0 ? sum / static_cast<double>(count) : 0.0;
+    EXPECT_EQ(sam.boundary_adherence(enc, mask, box), want)
+        << box.x << "," << box.y << " " << box.w << "x" << box.h;
+  }
+}
