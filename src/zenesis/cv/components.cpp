@@ -33,6 +33,17 @@ class DisjointSet {
   std::vector<std::int32_t> parent_;
 };
 
+/// Mask of a single labeled component.
+image::Mask component_mask(const Labeling& labeling, std::int32_t label) {
+  image::Mask mask(labeling.labels.width(), labeling.labels.height());
+  for (std::int64_t y = 0; y < mask.height(); ++y) {
+    for (std::int64_t x = 0; x < mask.width(); ++x) {
+      mask.at(x, y) = labeling.labels.at(x, y) == label ? 1 : 0;
+    }
+  }
+  return mask;
+}
+
 }  // namespace
 
 Labeling label_components(const image::Mask& mask, bool eight_connected) {
@@ -139,16 +150,6 @@ std::vector<Component> component_stats(const Labeling& labeling) {
     }
   }
   return comps;
-}
-
-image::Mask component_mask(const Labeling& labeling, std::int32_t label) {
-  image::Mask mask(labeling.labels.width(), labeling.labels.height());
-  for (std::int64_t y = 0; y < mask.height(); ++y) {
-    for (std::int64_t x = 0; x < mask.width(); ++x) {
-      mask.at(x, y) = labeling.labels.at(x, y) == label ? 1 : 0;
-    }
-  }
-  return mask;
 }
 
 image::Mask largest_component(const image::Mask& mask) {

@@ -34,9 +34,6 @@ Labeling label_components(const image::Mask& mask, bool eight_connected = true);
 /// Statistics for every component of a labeling, ordered by label id.
 std::vector<Component> component_stats(const Labeling& labeling);
 
-/// Mask of a single labeled component.
-image::Mask component_mask(const Labeling& labeling, std::int32_t label);
-
 /// Largest component (by area) of a mask; empty mask if none.
 image::Mask largest_component(const image::Mask& mask);
 

@@ -1,48 +1,8 @@
 #include "zenesis/cv/distance.hpp"
 
-#include <algorithm>
 #include <limits>
 
 namespace zenesis::cv {
-
-image::ImageF32 distance_to_foreground(const image::Mask& mask) {
-  const std::int64_t w = mask.width(), h = mask.height();
-  constexpr float kInf = 1e30f;
-  image::ImageF32 d(w, h, 1);
-  for (std::int64_t y = 0; y < h; ++y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      d.at(x, y) = mask.at(x, y) != 0 ? 0.0f : kInf;
-    }
-  }
-  constexpr float kOrtho = 3.0f, kDiag = 4.0f;
-  // Forward pass.
-  for (std::int64_t y = 0; y < h; ++y) {
-    for (std::int64_t x = 0; x < w; ++x) {
-      float v = d.at(x, y);
-      if (x > 0) v = std::min(v, d.at(x - 1, y) + kOrtho);
-      if (y > 0) v = std::min(v, d.at(x, y - 1) + kOrtho);
-      if (x > 0 && y > 0) v = std::min(v, d.at(x - 1, y - 1) + kDiag);
-      if (x + 1 < w && y > 0) v = std::min(v, d.at(x + 1, y - 1) + kDiag);
-      d.at(x, y) = v;
-    }
-  }
-  // Backward pass.
-  for (std::int64_t y = h - 1; y >= 0; --y) {
-    for (std::int64_t x = w - 1; x >= 0; --x) {
-      float v = d.at(x, y);
-      if (x + 1 < w) v = std::min(v, d.at(x + 1, y) + kOrtho);
-      if (y + 1 < h) v = std::min(v, d.at(x, y + 1) + kOrtho);
-      if (x + 1 < w && y + 1 < h) v = std::min(v, d.at(x + 1, y + 1) + kDiag);
-      if (x > 0 && y + 1 < h) v = std::min(v, d.at(x - 1, y + 1) + kDiag);
-      d.at(x, y) = v;
-    }
-  }
-  // Normalize the chamfer weights to ~pixel units.
-  for (float& v : d.pixels()) {
-    if (v < kInf) v /= kOrtho;
-  }
-  return d;
-}
 
 bool nearest_foreground(const image::Mask& mask, image::Point p,
                         image::Point* out) {

@@ -1,17 +1,11 @@
 #pragma once
-// Chamfer distance transform (3-4 metric) and nearest-foreground queries.
-// The HITL rectifier uses nearest-segment lookup to map a user's rough box
-// onto the closest detected segment.
+// Nearest-foreground queries. The HITL rectifier uses nearest-segment
+// lookup to map a user's rough box onto the closest detected segment.
 
 #include "zenesis/image/geometry.hpp"
 #include "zenesis/image/image.hpp"
 
 namespace zenesis::cv {
-
-/// Distance of every pixel to the nearest foreground pixel (3-4 chamfer /
-/// 3, so roughly Euclidean pixels). Foreground pixels get 0; an all-
-/// background mask yields a large sentinel everywhere.
-image::ImageF32 distance_to_foreground(const image::Mask& mask);
 
 /// Coordinates of the foreground pixel nearest to `p` (exhaustive chamfer
 /// back-tracking). Returns false when the mask is empty.

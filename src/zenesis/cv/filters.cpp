@@ -129,31 +129,6 @@ ImageF32 box_filter(const ImageF32& img, int radius) {
   return out;
 }
 
-ImageF32 median_filter(const ImageF32& img, int radius) {
-  require_gray(img, "median_filter: single channel required");
-  if (radius <= 0 || img.pixel_count() == 0) return img;
-  if (radius > 7) throw std::invalid_argument("median_filter: radius > 7");
-  const std::int64_t w = img.width(), h = img.height();
-  ImageF32 out(w, h, 1);
-  parallel::parallel_for(0, h, [&](std::int64_t y) {
-    std::vector<float> window;
-    window.reserve(static_cast<std::size_t>((2 * radius + 1) * (2 * radius + 1)));
-    for (std::int64_t x = 0; x < w; ++x) {
-      window.clear();
-      for (int dy = -radius; dy <= radius; ++dy) {
-        for (int dx = -radius; dx <= radius; ++dx) {
-          window.push_back(
-              img.at(clampi(x + dx, 0, w - 1), clampi(y + dy, 0, h - 1)));
-        }
-      }
-      auto mid = window.begin() + static_cast<std::ptrdiff_t>(window.size() / 2);
-      std::nth_element(window.begin(), mid, window.end());
-      out.at(x, y) = *mid;
-    }
-  });
-  return out;
-}
-
 namespace {
 
 constexpr int kMedianBins = 256;
@@ -570,19 +545,6 @@ ImageF32 local_variance(const ImageF32& img, int radius) {
       out.at(x, y) = std::max(0.0f, mean_sq.at(x, y) - mean.at(x, y) * mean.at(x, y));
     }
   }
-  return out;
-}
-
-ImageF32 abs_diff(const ImageF32& a, const ImageF32& b) {
-  if (a.width() != b.width() || a.height() != b.height() ||
-      a.channels() != b.channels()) {
-    throw std::invalid_argument("abs_diff: shape mismatch");
-  }
-  ImageF32 out(a.width(), a.height(), a.channels());
-  auto pa = a.pixels();
-  auto pb = b.pixels();
-  auto po = out.pixels();
-  for (std::size_t i = 0; i < pa.size(); ++i) po[i] = std::fabs(pa[i] - pb[i]);
   return out;
 }
 

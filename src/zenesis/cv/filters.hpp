@@ -25,9 +25,6 @@ image::ImageF32 gaussian_blur(const image::ImageF32& img, float sigma,
 /// pixel via summed-area table.
 image::ImageF32 box_filter(const image::ImageF32& img, int radius);
 
-/// Median filter with square radius (exact, sort-based, radius <= 7).
-image::ImageF32 median_filter(const image::ImageF32& img, int radius);
-
 /// Large-window approximate median filter: 256-bin histogram over values
 /// clamped to [0,1], windows clamped to the image border. Constant time
 /// per pixel in the radius (Perreault–Hébert sliding column histograms
@@ -106,8 +103,5 @@ image::ImageF32 sobel_magnitude(const image::ImageF32& img);
 /// Local variance within a square window of radius `radius` — a texture
 /// descriptor feeding the surrogate backbones' engineered channels.
 image::ImageF32 local_variance(const image::ImageF32& img, int radius);
-
-/// Elementwise absolute difference.
-image::ImageF32 abs_diff(const image::ImageF32& a, const image::ImageF32& b);
 
 }  // namespace zenesis::cv

@@ -1,8 +1,8 @@
 #pragma once
 // Binary morphology of byte masks with square or disk structuring
-// elements. Used by the grounding head's hot-map closing and the
-// boundary metrics. Each call packs the mask, runs the word operations
-// of bitmask.hpp and unpacks the result as 0/1 bytes.
+// elements. Used by the grounding head's hot-map closing. Each call packs
+// the mask, runs the word operations of bitmask.hpp and unpacks the
+// result as 0/1 bytes.
 
 #include "zenesis/cv/bitmask.hpp"
 #include "zenesis/image/image.hpp"

@@ -1,13 +1,22 @@
 #include "zenesis/cv/threshold.hpp"
 
-#include <algorithm>
-#include <array>
 #include <stdexcept>
 
-#include "zenesis/cv/filters.hpp"
 #include "zenesis/image/normalize.hpp"
 
 namespace zenesis::cv {
+namespace {
+
+/// Fixed threshold: pixel > t.
+image::Mask fixed_threshold(const image::ImageF32& img, float t) {
+  image::Mask mask(img.width(), img.height());
+  auto src = img.pixels();
+  auto dst = mask.pixels();
+  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i] > t ? 1 : 0;
+  return mask;
+}
+
+}  // namespace
 
 int otsu_bin(const std::vector<std::int64_t>& hist) {
   const int bins = static_cast<int>(hist.size());
@@ -49,88 +58,6 @@ ThresholdResult otsu_threshold(const image::ImageF32& img) {
   r.threshold = (static_cast<float>(bin) + 0.5f) / kBins;
   r.mask = fixed_threshold(img, r.threshold);
   return r;
-}
-
-std::vector<float> multi_otsu(const image::ImageF32& img, int levels) {
-  if (levels < 2 || levels > 4) {
-    throw std::invalid_argument("multi_otsu: levels must be in [2,4]");
-  }
-  constexpr int kBins = 128;  // exhaustive search → keep the grid modest
-  const auto hist = image::histogram(img, 0.0f, 1.0f, kBins);
-  std::int64_t total = 0;
-  std::array<double, kBins + 1> cum_w{}, cum_s{};
-  for (int b = 0; b < kBins; ++b) {
-    total += hist[static_cast<std::size_t>(b)];
-    cum_w[static_cast<std::size_t>(b + 1)] =
-        cum_w[static_cast<std::size_t>(b)] + static_cast<double>(hist[static_cast<std::size_t>(b)]);
-    cum_s[static_cast<std::size_t>(b + 1)] =
-        cum_s[static_cast<std::size_t>(b)] +
-        static_cast<double>(b) * static_cast<double>(hist[static_cast<std::size_t>(b)]);
-  }
-  if (total == 0) return std::vector<float>(static_cast<std::size_t>(levels - 1), 0.0f);
-
-  // Between-class variance contribution of the bin range [lo, hi).
-  auto cls = [&](int lo, int hi) {
-    const double w = cum_w[static_cast<std::size_t>(hi)] - cum_w[static_cast<std::size_t>(lo)];
-    if (w <= 0.0) return 0.0;
-    const double s = cum_s[static_cast<std::size_t>(hi)] - cum_s[static_cast<std::size_t>(lo)];
-    const double mean = s / w;
-    return w * mean * mean;
-  };
-
-  double best = -1.0;
-  std::vector<int> best_cuts(static_cast<std::size_t>(levels - 1), 0);
-  if (levels == 2) {
-    for (int c1 = 1; c1 < kBins; ++c1) {
-      const double v = cls(0, c1) + cls(c1, kBins);
-      if (v > best) { best = v; best_cuts = {c1}; }
-    }
-  } else if (levels == 3) {
-    for (int c1 = 1; c1 < kBins - 1; ++c1) {
-      const double v1 = cls(0, c1);
-      for (int c2 = c1 + 1; c2 < kBins; ++c2) {
-        const double v = v1 + cls(c1, c2) + cls(c2, kBins);
-        if (v > best) { best = v; best_cuts = {c1, c2}; }
-      }
-    }
-  } else {
-    for (int c1 = 1; c1 < kBins - 2; ++c1) {
-      const double v1 = cls(0, c1);
-      for (int c2 = c1 + 1; c2 < kBins - 1; ++c2) {
-        const double v2 = v1 + cls(c1, c2);
-        for (int c3 = c2 + 1; c3 < kBins; ++c3) {
-          const double v = v2 + cls(c2, c3) + cls(c3, kBins);
-          if (v > best) { best = v; best_cuts = {c1, c2, c3}; }
-        }
-      }
-    }
-  }
-  std::vector<float> cuts;
-  cuts.reserve(best_cuts.size());
-  for (int c : best_cuts) {
-    cuts.push_back(static_cast<float>(c) / kBins);
-  }
-  return cuts;
-}
-
-image::Mask adaptive_mean_threshold(const image::ImageF32& img, int radius,
-                                    float offset) {
-  const image::ImageF32 mean = box_filter(img, radius);
-  image::Mask mask(img.width(), img.height());
-  for (std::int64_t y = 0; y < img.height(); ++y) {
-    for (std::int64_t x = 0; x < img.width(); ++x) {
-      mask.at(x, y) = img.at(x, y) > mean.at(x, y) + offset ? 1 : 0;
-    }
-  }
-  return mask;
-}
-
-image::Mask fixed_threshold(const image::ImageF32& img, float t) {
-  image::Mask mask(img.width(), img.height());
-  auto src = img.pixels();
-  auto dst = mask.pixels();
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i] > t ? 1 : 0;
-  return mask;
 }
 
 }  // namespace zenesis::cv

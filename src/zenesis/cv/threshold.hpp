@@ -1,7 +1,6 @@
 #pragma once
-// Histogram-based thresholding. Otsu is the paper's classical baseline
-// (Table 1); multi-level Otsu and adaptive mean thresholding support the
-// ablations and the volumetric outlier-correction heuristics.
+// Histogram-based thresholding: Otsu, the paper's classical baseline
+// (Table 1).
 
 #include <vector>
 
@@ -21,20 +20,9 @@ struct ThresholdResult {
 /// the paper benchmarks against.
 ThresholdResult otsu_threshold(const image::ImageF32& img);
 
-/// Otsu's cut value for an arbitrary histogram (exposed for tests and for
-/// the multi-level variant). Returns the bin index of the cut.
+/// Otsu's cut value for an arbitrary histogram (the SAM surrogate's box
+/// decoder cuts its own histograms with it). Returns the bin index of
+/// the cut.
 int otsu_bin(const std::vector<std::int64_t>& hist);
-
-/// Multi-level Otsu: exhaustive search for `levels-1` cuts maximizing
-/// between-class variance (levels ∈ {2, 3, 4}). Returns thresholds in
-/// ascending order, values in [0,1].
-std::vector<float> multi_otsu(const image::ImageF32& img, int levels);
-
-/// Mean-offset adaptive threshold: pixel > (local boxcar mean + offset).
-image::Mask adaptive_mean_threshold(const image::ImageF32& img, int radius,
-                                    float offset);
-
-/// Fixed threshold.
-image::Mask fixed_threshold(const image::ImageF32& img, float t);
 
 }  // namespace zenesis::cv

@@ -4,11 +4,10 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "zenesis/cv/distance.hpp"
-#include "zenesis/cv/morphology.hpp"
 #include "zenesis/obs/trace.hpp"
 
 namespace zenesis::eval {
+namespace {
 
 Confusion confusion_counts(const image::Mask& pred, const image::Mask& gt) {
   if (pred.width() != gt.width() || pred.height() != gt.height()) {
@@ -26,6 +25,8 @@ Confusion confusion_counts(const image::Mask& pred, const image::Mask& gt) {
   }
   return c;
 }
+
+}  // namespace
 
 Metrics compute_metrics(const image::Mask& pred, const image::Mask& gt) {
   obs::Span span("eval.metrics");
@@ -45,32 +46,6 @@ Metrics compute_metrics(const image::Mask& pred, const image::Mask& gt) {
   m.recall = r_den > 0.0 ? static_cast<double>(c.tp) / r_den
                          : (c.fp == 0 ? 1.0 : 0.0);
   return m;
-}
-
-double boundary_f1(const image::Mask& pred, const image::Mask& gt,
-                   int tolerance) {
-  const image::Mask pb = cv::boundary_gradient(pred);
-  const image::Mask gb = cv::boundary_gradient(gt);
-  const image::ImageF32 d_to_gt = cv::distance_to_foreground(gb);
-  const image::ImageF32 d_to_pred = cv::distance_to_foreground(pb);
-  std::int64_t p_hit = 0, p_total = 0, g_hit = 0, g_total = 0;
-  for (std::int64_t y = 0; y < pred.height(); ++y) {
-    for (std::int64_t x = 0; x < pred.width(); ++x) {
-      if (pb.at(x, y) != 0) {
-        ++p_total;
-        if (d_to_gt.at(x, y) <= static_cast<float>(tolerance)) ++p_hit;
-      }
-      if (gb.at(x, y) != 0) {
-        ++g_total;
-        if (d_to_pred.at(x, y) <= static_cast<float>(tolerance)) ++g_hit;
-      }
-    }
-  }
-  if (p_total == 0 && g_total == 0) return 1.0;
-  if (p_total == 0 || g_total == 0) return 0.0;
-  const double prec = static_cast<double>(p_hit) / static_cast<double>(p_total);
-  const double rec = static_cast<double>(g_hit) / static_cast<double>(g_total);
-  return prec + rec > 0.0 ? 2.0 * prec * rec / (prec + rec) : 0.0;
 }
 
 Aggregate aggregate(std::span<const double> values) {

@@ -1,7 +1,7 @@
 #pragma once
 // Segmentation metrics — the quantities reported in the paper's Tables
-// 1–3 (accuracy, IoU, Dice) plus precision/recall and boundary-F1 used by
-// the extended dashboard.
+// 1–3 (accuracy, IoU, Dice) plus precision/recall used by the extended
+// dashboard.
 
 #include <cstdint>
 #include <span>
@@ -32,14 +32,9 @@ struct Metrics {
   Confusion confusion;
 };
 
-Confusion confusion_counts(const image::Mask& pred, const image::Mask& gt);
-
+/// Metrics of `pred` against `gt`; throws std::invalid_argument when the
+/// two masks differ in size.
 Metrics compute_metrics(const image::Mask& pred, const image::Mask& gt);
-
-/// Boundary F1: precision/recall of predicted boundary pixels against
-/// ground-truth boundary pixels within a `tolerance`-pixel band.
-double boundary_f1(const image::Mask& pred, const image::Mask& gt,
-                   int tolerance = 2);
 
 /// Mean ± (population) standard deviation — the "a ± b" cells of the
 /// paper's tables.

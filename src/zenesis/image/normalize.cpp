@@ -32,6 +32,24 @@ Image<T> float_to_integer(const ImageF32& img) {
   return out;
 }
 
+/// Luminance reduction for an interleaved multi-channel float image.
+ImageF32 to_gray(const ImageF32& img) {
+  if (img.channels() == 1) return img;
+  ImageF32 out(img.width(), img.height(), 1);
+  // Rec.601 luma for 3+ channels; extra channels (alpha) are ignored.
+  for (std::int64_t y = 0; y < img.height(); ++y) {
+    for (std::int64_t x = 0; x < img.width(); ++x) {
+      if (img.channels() >= 3) {
+        out.at(x, y) = 0.299f * img.at(x, y, 0) + 0.587f * img.at(x, y, 1) +
+                       0.114f * img.at(x, y, 2);
+      } else {
+        out.at(x, y) = img.at(x, y, 0);
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Stats compute_stats(const ImageF32& img) {
@@ -69,23 +87,6 @@ ImageF32 to_float(const AnyImage& img) {
       img);
   if (f.channels() > 1) f = to_gray(f);
   return f;
-}
-
-ImageF32 to_gray(const ImageF32& img) {
-  if (img.channels() == 1) return img;
-  ImageF32 out(img.width(), img.height(), 1);
-  // Rec.601 luma for 3+ channels; extra channels (alpha) are ignored.
-  for (std::int64_t y = 0; y < img.height(); ++y) {
-    for (std::int64_t x = 0; x < img.width(); ++x) {
-      if (img.channels() >= 3) {
-        out.at(x, y) = 0.299f * img.at(x, y, 0) + 0.587f * img.at(x, y, 1) +
-                       0.114f * img.at(x, y, 2);
-      } else {
-        out.at(x, y) = img.at(x, y, 0);
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<std::int64_t> histogram(const ImageF32& img, float lo, float hi,

@@ -32,9 +32,6 @@ Stats compute_stats(const ImageF32& img);
 /// single-phase, and the models consume one channel.
 ImageF32 to_float(const AnyImage& img);
 
-/// Luminance reduction for an interleaved multi-channel float image.
-ImageF32 to_gray(const ImageF32& img);
-
 /// 256-bin histogram of a float image over [lo, hi].
 std::vector<std::int64_t> histogram(const ImageF32& img, float lo, float hi,
                                     int bins = 256);

@@ -4,13 +4,11 @@
 #include <stdexcept>
 
 namespace zenesis::image {
-namespace {
 
-template <typename T>
-Image<T> crop_impl(const Image<T>& img, const Box& roi) {
+ImageF32 crop(const ImageF32& img, const Box& roi) {
   const Box r = roi.clipped(img.width(), img.height());
-  if (r.empty()) return Image<T>(0, 0, img.channels());
-  Image<T> out(r.w, r.h, img.channels());
+  if (r.empty()) return ImageF32(0, 0, img.channels());
+  ImageF32 out(r.w, r.h, img.channels());
   for (std::int64_t y = 0; y < r.h; ++y) {
     for (std::int64_t x = 0; x < r.w; ++x) {
       for (int c = 0; c < img.channels(); ++c) {
@@ -20,12 +18,6 @@ Image<T> crop_impl(const Image<T>& img, const Box& roi) {
   }
   return out;
 }
-
-}  // namespace
-
-ImageF32 crop(const ImageF32& img, const Box& roi) { return crop_impl(img, roi); }
-
-Mask crop_mask(const Mask& mask, const Box& roi) { return crop_impl(mask, roi); }
 
 void paste_mask(Mask& dst, const Mask& patch, const Box& roi) {
   for (std::int64_t y = 0; y < patch.height(); ++y) {

@@ -12,9 +12,6 @@ namespace zenesis::image {
 /// Copies the pixels under `roi` (clipped to the image) into a new image.
 ImageF32 crop(const ImageF32& img, const Box& roi);
 
-/// Copies the mask pixels under `roi` into a new mask.
-Mask crop_mask(const Mask& mask, const Box& roi);
-
 /// Writes `patch` into `dst` with its top-left corner at (roi.x, roi.y);
 /// out-of-bounds parts are discarded. Non-zero patch pixels overwrite.
 void paste_mask(Mask& dst, const Mask& patch, const Box& roi);

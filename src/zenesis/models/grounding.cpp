@@ -53,11 +53,6 @@ GroundingResult GroundingDetector::detect(const FeatureMaps& maps,
 }
 
 GroundingResult GroundingDetector::detect_with_concepts(
-    const FeatureMaps& maps, const tensor::Tensor& concepts) const {
-  return detect_with_concepts(maps, backbone_.encode(maps), concepts);
-}
-
-GroundingResult GroundingDetector::detect_with_concepts(
     const FeatureMaps& maps, const EncodedImage& enc,
     const tensor::Tensor& concepts) const {
   if (concepts.rank() != 2 || concepts.dim(1) != kFeatureChannels ||

@@ -72,14 +72,10 @@ class GroundingDetector {
   GroundingResult detect(const FeatureMaps& maps, const EncodedImage& enc,
                          const std::string& prompt) const;
 
-  /// Runs the detector with explicit concept rows [T, kFeatureChannels]
-  /// instead of parsing a prompt (the fine-tuning module's entry point;
-  /// also useful for programmatic concept engineering). Each row is a
-  /// pre-weighted concept vector.
-  GroundingResult detect_with_concepts(const FeatureMaps& maps,
-                                       const tensor::Tensor& concepts) const;
-
-  /// As above on a precomputed encoding (no encoder run).
+  /// Runs the detector on a precomputed encoding with explicit concept
+  /// rows [T, kFeatureChannels] instead of parsing a prompt; each row is
+  /// a pre-weighted concept vector. detect() ends here after turning the
+  /// prompt's active tokens into those rows.
   GroundingResult detect_with_concepts(const FeatureMaps& maps,
                                        const EncodedImage& enc,
                                        const tensor::Tensor& concepts) const;

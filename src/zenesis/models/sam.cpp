@@ -12,7 +12,6 @@
 #include "zenesis/image/roi.hpp"
 #include "zenesis/obs/trace.hpp"
 #include "zenesis/parallel/parallel_for.hpp"
-#include "zenesis/tensor/conv.hpp"
 #include "zenesis/tensor/init.hpp"
 #include "zenesis/tensor/ops.hpp"
 

@@ -119,37 +119,4 @@ void parallel_for_chunked(std::int64_t begin, std::int64_t end,
   group.wait(pool);
 }
 
-double parallel_reduce(std::int64_t begin, std::int64_t end, double identity,
-                       const std::function<double(std::int64_t, double)>& body,
-                       const std::function<double(double, double)>& join,
-                       ThreadPool& pool) {
-  const std::int64_t n = end - begin;
-  if (n <= 0) return identity;
-  const std::int64_t workers = static_cast<std::int64_t>(pool.size());
-  if (workers <= 1 || n < kSerialCutoff) {
-    double acc = identity;
-    for (std::int64_t i = begin; i < end; ++i) acc = body(i, acc);
-    return acc;
-  }
-  const std::int64_t chunks = std::min<std::int64_t>(workers, n);
-  const std::int64_t per = (n + chunks - 1) / chunks;
-  std::vector<double> partial(static_cast<std::size_t>(chunks), identity);
-  TaskGroup group(static_cast<std::size_t>(chunks));
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t lo = begin + c * per;
-    const std::int64_t hi = std::min(end, lo + per);
-    pool.submit([lo, hi, c, &partial, &body, &group, identity] {
-      group.run([&] {
-        double acc = identity;
-        for (std::int64_t i = lo; i < hi; ++i) acc = body(i, acc);
-        partial[static_cast<std::size_t>(c)] = acc;
-      });
-    });
-  }
-  group.wait(pool);
-  double acc = identity;
-  for (double p : partial) acc = join(acc, p);
-  return acc;
-}
-
 }  // namespace zenesis::parallel

@@ -31,12 +31,4 @@ void parallel_for_chunked(std::int64_t begin, std::int64_t end,
                           const std::function<void(std::int64_t, std::int64_t)>& body,
                           ThreadPool& pool = ThreadPool::global());
 
-/// Parallel reduction: each worker folds its chunk with `body` into a local
-/// accumulator seeded by `identity`, then locals are combined with `join`
-/// in an unspecified order (join must be associative and commutative).
-double parallel_reduce(std::int64_t begin, std::int64_t end, double identity,
-                       const std::function<double(std::int64_t, double)>& body,
-                       const std::function<double(double, double)>& join,
-                       ThreadPool& pool = ThreadPool::global());
-
 }  // namespace zenesis::parallel

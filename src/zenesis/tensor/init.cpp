@@ -18,18 +18,6 @@ Tensor xavier_uniform(std::int64_t out, std::int64_t in, std::uint64_t seed,
   return w;
 }
 
-Tensor he_normal_conv(std::int64_t cout, std::int64_t cin, std::int64_t kh,
-                      std::int64_t kw, std::uint64_t seed,
-                      std::uint64_t layer_id) {
-  Tensor w({cout, cin, kh, kw});
-  parallel::Rng rng(seed, layer_id);
-  const double stddev = std::sqrt(2.0 / static_cast<double>(cin * kh * kw));
-  for (float& v : w.flat()) {
-    v = static_cast<float>(rng.normal(0.0, stddev));
-  }
-  return w;
-}
-
 Tensor zeros(std::int64_t n) { return Tensor({n}); }
 
 Tensor ones(std::int64_t n) {

@@ -3,7 +3,7 @@
 //
 // The paper uses pretrained GroundingDINO/SAM checkpoints; we have no
 // AI-ready weights, so each layer's parameters are generated procedurally
-// from a (seed, layer-id) pair. Xavier/He scaling keeps activations well
+// from a (seed, layer-id) pair. Xavier scaling keeps activations well
 // conditioned so the surrogate transformers behave like initialized (and
 // feature-engineered, see models/) networks rather than noise amplifiers.
 
@@ -15,11 +15,6 @@ namespace zenesis::tensor {
 
 /// Xavier/Glorot-uniform init for a [out, in] linear weight.
 Tensor xavier_uniform(std::int64_t out, std::int64_t in, std::uint64_t seed,
-                      std::uint64_t layer_id);
-
-/// He-normal init for conv weights [cout, cin, kh, kw].
-Tensor he_normal_conv(std::int64_t cout, std::int64_t cin, std::int64_t kh,
-                      std::int64_t kw, std::uint64_t seed,
                       std::uint64_t layer_id);
 
 /// Zero bias of length n.

@@ -60,8 +60,6 @@ struct KernelBackend {
   void (*matmul_nt)(const float* a, const float* b, const float* bias,
                     float* c, std::int64_t m0, std::int64_t m1, std::int64_t k,
                     std::int64_t n);
-  /// Inner product of two length-n vectors.
-  float (*dot)(const float* a, const float* b, std::int64_t n);
   /// y += alpha * x over n elements.
   void (*axpy)(float* y, const float* x, float alpha, std::int64_t n);
   /// a += b over n elements.
@@ -75,8 +73,6 @@ struct KernelBackend {
                         std::int64_t n, float eps);
   /// In-place tanh-approximation GELU over n elements.
   void (*gelu)(float* p, std::int64_t n);
-  /// In-place ReLU over n elements.
-  void (*relu)(float* p, std::int64_t n);
   /// out[j] = max over i in [0, m) of a[i*n + j] (column-wise max).
   void (*colwise_max)(const float* a, float* out, std::int64_t m,
                       std::int64_t n);

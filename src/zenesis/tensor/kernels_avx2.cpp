@@ -47,7 +47,10 @@ inline float hsum8(__m256 v) {
 }
 
 /// Canonical dot order shared by every matmul_nt edge path: 8-lane FMA
-/// over whole octets, hsum8, then an ascending scalar tail.
+/// over whole octets, hsum8, then an ascending scalar tail. The tail is
+/// written as std::fma so the bytes do not depend on whether the
+/// optimizer would have contracted `sum += x * y` (GCC 12 does at -O3
+/// but not at -O2).
 inline float dot_avx(const float* x, const float* y, std::int64_t k) {
   __m256 acc = _mm256_setzero_ps();
   std::int64_t kk = 0;
@@ -56,7 +59,7 @@ inline float dot_avx(const float* x, const float* y, std::int64_t k) {
                           acc);
   }
   float sum = hsum8(acc);
-  for (; kk < k; ++kk) sum += x[kk] * y[kk];
+  for (; kk < k; ++kk) sum = std::fma(x[kk], y[kk], sum);
   return sum;
 }
 
@@ -88,8 +91,8 @@ inline void nt_tile_2x4(const float* a0, const float* a1, const float* b,
     const float x0 = a0[kk], x1 = a1[kk];
     for (int s = 0; s < 4; ++s) {
       const float bv = b[s * ldb + kk];
-      sum[0][s] += x0 * bv;
-      sum[1][s] += x1 * bv;
+      sum[0][s] = std::fma(x0, bv, sum[0][s]);
+      sum[1][s] = std::fma(x1, bv, sum[1][s]);
     }
   }
   for (int s = 0; s < 4; ++s) {
@@ -282,10 +285,6 @@ void v_matmul_nn(const float* a, const float* b, float* c, std::int64_t m0,
   }
 }
 
-float v_dot(const float* a, const float* b, std::int64_t n) {
-  return dot_avx(a, b, n);
-}
-
 void v_axpy(float* y, const float* x, float alpha, std::int64_t n) {
   const __m256 av = _mm256_set1_ps(alpha);
   std::int64_t i = 0;
@@ -399,15 +398,6 @@ void v_gelu(float* p, std::int64_t n) {
     const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
     p[i] = 0.5f * v * (1.0f + std::tanh(inner));
   }
-}
-
-void v_relu(float* p, std::int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(p + i, _mm256_max_ps(_mm256_loadu_ps(p + i), zero));
-  }
-  for (; i < n; ++i) p[i] = std::max(0.0f, p[i]);
 }
 
 void v_colwise_max(const float* a, float* out, std::int64_t m,
@@ -602,9 +592,9 @@ void vq_matmul_nt_i8(const std::int8_t* a, const float* a_scales,
 }
 
 constexpr KernelBackend kAvx2Backend = {
-    "avx2",         v_matmul_nn, v_matmul_nt,   v_dot,           v_axpy,
+    "avx2",         v_matmul_nn, v_matmul_nt,   v_axpy,
     v_add,          v_scale,     v_softmax_row, v_layernorm_row, v_gelu,
-    v_relu,         v_colwise_max,
+    v_colwise_max,
     vq_quantize_row, vq_dequantize_row, vq_matmul_nt_i8,
     v_attention_scores,
 };

@@ -117,10 +117,6 @@ void b_matmul_nt(const float* a, const float* b, const float* bias, float* c,
   }
 }
 
-float b_dot(const float* a, const float* b, std::int64_t n) {
-  return dot4(a, b, n);
-}
-
 void b_axpy(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -204,10 +200,6 @@ void b_gelu(float* p, std::int64_t n) {
   }
 }
 
-void b_relu(float* p, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) p[i] = std::max(0.0f, p[i]);
-}
-
 void b_colwise_max(const float* a, float* out, std::int64_t m,
                    std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) out[j] = a[j];
@@ -286,9 +278,9 @@ void q_matmul_nt_i8(const std::int8_t* a, const float* a_scales,
 }
 
 constexpr KernelBackend kBlockedBackend = {
-    "blocked",      b_matmul_nn, b_matmul_nt,   b_dot,           b_axpy,
+    "blocked",      b_matmul_nn, b_matmul_nt,   b_axpy,
     b_add,          b_scale,     b_softmax_row, b_layernorm_row, b_gelu,
-    b_relu,         b_colwise_max,
+    b_colwise_max,
     q_quantize_row, q_dequantize_row, q_matmul_nt_i8,
     nullptr,  // attention_scores: matmul_nt + scale
 };

@@ -46,12 +46,6 @@ void s_matmul_nt(const float* a, const float* b, const float* bias, float* c,
   }
 }
 
-float s_dot(const float* a, const float* b, std::int64_t n) {
-  float acc = 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 void s_axpy(float* y, const float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -100,10 +94,6 @@ void s_gelu(float* p, std::int64_t n) {
     const float inner = kSqrt2OverPi * (v + 0.044715f * v * v * v);
     p[i] = 0.5f * v * (1.0f + std::tanh(inner));
   }
-}
-
-void s_relu(float* p, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) p[i] = std::max(0.0f, p[i]);
 }
 
 void s_colwise_max(const float* a, float* out, std::int64_t m,
@@ -169,9 +159,9 @@ void s_matmul_nt_i8(const std::int8_t* a, const float* a_scales,
 }
 
 constexpr KernelBackend kScalarBackend = {
-    "scalar",       s_matmul_nn, s_matmul_nt, s_dot,  s_axpy,
+    "scalar",       s_matmul_nn, s_matmul_nt,   s_axpy,
     s_add,          s_scale,     s_softmax_row, s_layernorm_row,
-    s_gelu,         s_relu,      s_colwise_max,
+    s_gelu,         s_colwise_max,
     s_quantize_row, s_dequantize_row, s_matmul_nt_i8,
     nullptr,  // attention_scores: matmul_nt + scale
 };

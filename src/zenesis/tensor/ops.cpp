@@ -216,12 +216,6 @@ void gelu_inplace(Tensor& a) {
                   [&](float* p, std::int64_t n) { backend.gelu(p, n); });
 }
 
-void relu_inplace(Tensor& a) {
-  const kernels::KernelBackend& backend = be();
-  for_flat_chunks(a.data(), a.numel(),
-                  [&](float* p, std::int64_t n) { backend.relu(p, n); });
-}
-
 namespace {
 
 // Keys per panel of KernelBackend::attention_scores.
@@ -368,25 +362,6 @@ Tensor multihead_attention(const Tensor& q, const Tensor& k, const Tensor& v,
   return out;
 }
 
-void l2_normalize_rows(Tensor& a, float eps) {
-  require_rank2(a, "l2_normalize_rows: rank 2 required");
-  const std::int64_t m = a.dim(0), n = a.dim(1);
-  const kernels::KernelBackend& backend = be();
-  parallel::parallel_for(0, m, [&](std::int64_t i) {
-    float* r = a.row(i);
-    const float ss = backend.dot(r, r, n);
-    if (ss <= eps) return;
-    backend.scale(r, 1.0f / std::sqrt(ss), n);
-  });
-}
-
-Tensor cosine_similarity(const Tensor& a, const Tensor& b) {
-  Tensor an = a, bn = b;
-  l2_normalize_rows(an);
-  l2_normalize_rows(bn);
-  return matmul_nt(an, bn);
-}
-
 Tensor mean_rows(const Tensor& a) {
   require_rank2(a, "mean_rows: rank 2 required");
   const std::int64_t m = a.dim(0), n = a.dim(1);
@@ -419,6 +394,36 @@ void subtract_row_inplace(Tensor& a, const Tensor& row) {
   const float* r = row.data();
   parallel::parallel_for(
       0, m, [&](std::int64_t i) { backend.axpy(a.row(i), r, -1.0f, n); });
+}
+
+Tensor resize_bilinear(const Tensor& input, std::int64_t out_h,
+                       std::int64_t out_w) {
+  require(input.rank() == 3, "resize_bilinear: input must be [C,H,W]");
+  require(out_h > 0 && out_w > 0, "resize_bilinear: output dims must be > 0");
+  const std::int64_t c = input.dim(0), h = input.dim(1), w = input.dim(2);
+  Tensor out({c, out_h, out_w});
+  const float sy = static_cast<float>(h) / static_cast<float>(out_h);
+  const float sx = static_cast<float>(w) / static_cast<float>(out_w);
+  parallel::parallel_for(0, c * out_h, [&](std::int64_t idx) {
+    const std::int64_t ic = idx / out_h;
+    const std::int64_t oy = idx % out_h;
+    const float fy = (static_cast<float>(oy) + 0.5f) * sy - 0.5f;
+    const std::int64_t y0 =
+        std::clamp<std::int64_t>(static_cast<std::int64_t>(std::floor(fy)), 0, h - 1);
+    const std::int64_t y1 = std::min<std::int64_t>(y0 + 1, h - 1);
+    const float wy = std::clamp(fy - static_cast<float>(y0), 0.0f, 1.0f);
+    for (std::int64_t ox = 0; ox < out_w; ++ox) {
+      const float fx = (static_cast<float>(ox) + 0.5f) * sx - 0.5f;
+      const std::int64_t x0 = std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(std::floor(fx)), 0, w - 1);
+      const std::int64_t x1 = std::min<std::int64_t>(x0 + 1, w - 1);
+      const float wx = std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+      const float top = input.at(ic, y0, x0) * (1.0f - wx) + input.at(ic, y0, x1) * wx;
+      const float bot = input.at(ic, y1, x0) * (1.0f - wx) + input.at(ic, y1, x1) * wx;
+      out.at(ic, oy, ox) = top * (1.0f - wy) + bot * wy;
+    }
+  });
+  return out;
 }
 
 }  // namespace zenesis::tensor

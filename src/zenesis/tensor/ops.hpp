@@ -69,9 +69,6 @@ void layernorm_rows(Tensor& a, const Tensor& gain, const Tensor& bias,
 /// In-place GELU (tanh approximation, as used by ViT/Swin blocks).
 void gelu_inplace(Tensor& a);
 
-/// In-place ReLU.
-void relu_inplace(Tensor& a);
-
 // ---- Attention ----
 
 /// Scaled dot-product attention: softmax(Q Kᵀ / sqrt(d)) V.
@@ -89,12 +86,6 @@ Tensor multihead_attention(const Tensor& q, const Tensor& k, const Tensor& v,
 
 // ---- Reductions / stats ----
 
-/// L2-normalizes each row in place (zero rows are left untouched).
-void l2_normalize_rows(Tensor& a, float eps = 1e-12f);
-
-/// Cosine similarity matrix between rows of a [Ma, d] and rows of b [Mb, d].
-Tensor cosine_similarity(const Tensor& a, const Tensor& b);
-
 /// Mean over rows → [features].
 Tensor mean_rows(const Tensor& a);
 
@@ -103,5 +94,12 @@ Tensor colwise_max(const Tensor& a);
 
 /// Subtracts a rank-1 row vector [features] from every row of a.
 void subtract_row_inplace(Tensor& a, const Tensor& row);
+
+// ---- Spatial ([C, H, W]) ----
+
+/// Bilinear resize of [C, H, W] to [C, out_h, out_w] (align_corners=false
+/// convention) — the SAM mask decoder's coarse-logit upsampling.
+Tensor resize_bilinear(const Tensor& input, std::int64_t out_h,
+                       std::int64_t out_w);
 
 }  // namespace zenesis::tensor

@@ -5,8 +5,8 @@
 // broadcasting views. The surrogate foundation models (GroundingDetector,
 // SamModel) are small enough that explicit loops over a simple container
 // are clearer and faster to maintain than a general strided tensor, and
-// every kernel that matters for throughput (matmul, attention, conv) has a
-// dedicated blocked implementation in ops.hpp / conv.hpp.
+// every kernel that matters for throughput (matmul, attention) has a
+// dedicated blocked implementation in ops.hpp.
 
 #include <cassert>
 #include <cstddef>

@@ -76,15 +76,20 @@ TEST(ComponentStats, AreaCentroidBounds) {
   EXPECT_EQ(stats[0].bounds, (zi::Box{1, 1, 2, 2}));
 }
 
-TEST(ComponentMask, ExtractsSingleRegion) {
+TEST(LargestComponent, ExtractsByLabelNotByBox) {
+  // The isolated centre pixel lies inside the ring's bounding box but is
+  // a component of its own, so it must not appear in the result.
   const zi::Mask m = from_rows({
-      "#..#",
+      "#####",
+      "#...#",
+      "#.#.#",
+      "#...#",
+      "#####",
   });
-  const zc::Labeling lab = zc::label_components(m);
-  ASSERT_EQ(lab.count, 2);
-  const zi::Mask first = zc::component_mask(lab, 1);
-  EXPECT_EQ(zi::mask_area(first), 1);
-  EXPECT_EQ(first.at(0, 0), 1);
+  const zi::Mask ring = zc::largest_component(m);
+  EXPECT_EQ(zi::mask_area(ring), 16);
+  EXPECT_EQ(ring.at(0, 0), 1);
+  EXPECT_EQ(ring.at(2, 2), 0);
 }
 
 TEST(LargestComponent, PicksByArea) {

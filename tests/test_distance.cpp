@@ -1,32 +1,10 @@
-// Chamfer distance transform and nearest-foreground tests.
+// Nearest-foreground tests.
 #include <gtest/gtest.h>
 
 #include "zenesis/cv/distance.hpp"
 
 namespace zc = zenesis::cv;
 namespace zi = zenesis::image;
-
-TEST(Distance, ZeroOnForeground) {
-  zi::Mask m(5, 5);
-  m.at(2, 2) = 1;
-  const zi::ImageF32 d = zc::distance_to_foreground(m);
-  EXPECT_FLOAT_EQ(d.at(2, 2), 0.0f);
-}
-
-TEST(Distance, GrowsWithSeparation) {
-  zi::Mask m(9, 9);
-  m.at(0, 0) = 1;
-  const zi::ImageF32 d = zc::distance_to_foreground(m);
-  EXPECT_GT(d.at(8, 0), d.at(4, 0));
-  EXPECT_NEAR(d.at(4, 0), 4.0f, 0.5f);
-  // Diagonal uses the 4/3 chamfer weight ≈ 1.33 per step.
-  EXPECT_NEAR(d.at(3, 3), 4.0f, 0.6f);
-}
-
-TEST(Distance, AllBackgroundIsLarge) {
-  const zi::ImageF32 d = zc::distance_to_foreground(zi::Mask(4, 4));
-  for (float v : d.pixels()) EXPECT_GT(v, 1e6f);
-}
 
 TEST(NearestForeground, FindsClosestPixel) {
   zi::Mask m(10, 10);

@@ -85,29 +85,23 @@ TEST(BoxFilter, WindowMeanExact) {
   EXPECT_NEAR(out.at(0, 0), (1 + 2 + 4 + 5) / 4.0f, 1e-5f);  // corner window
 }
 
-TEST(MedianFilter, RemovesSaltAndPepper) {
-  zi::ImageF32 img = constant(16, 16, 0.5f);
-  img.at(8, 8) = 1.0f;
-  img.at(3, 3) = 0.0f;
-  const zi::ImageF32 out = zc::median_filter(img, 1);
-  EXPECT_NEAR(out.at(8, 8), 0.5f, 1e-6f);
-  EXPECT_NEAR(out.at(3, 3), 0.5f, 1e-6f);
-}
-
-TEST(MedianFilter, RadiusValidated) {
-  EXPECT_THROW(zc::median_filter(constant(4, 4, 0.0f), 8),
-               std::invalid_argument);
-}
-
 TEST(MedianFilterLarge, AgreesWithExactMedianWithinQuantization) {
   const zi::ImageF32 img = noisy(48, 48, 0.5f, 0.1f, 9);
-  const zi::ImageF32 exact = zc::median_filter(img, 4);
   const zi::ImageF32 fast = zc::median_filter_large(img, 4);
-  // Interior only: the exact filter replicates edge pixels while the
-  // histogram filter truncates its window at the border.
+  // Interior only, where the 9x9 window lies inside the image: the exact
+  // median of the window's 81 float values.
+  std::vector<float> window;
   for (std::int64_t y = 4; y < 44; ++y) {
     for (std::int64_t x = 4; x < 44; ++x) {
-      ASSERT_NEAR(fast.at(x, y), exact.at(x, y), 1.0f / 256.0f + 1e-4f);
+      window.clear();
+      for (std::int64_t yy = y - 4; yy <= y + 4; ++yy) {
+        for (std::int64_t xx = x - 4; xx <= x + 4; ++xx) {
+          window.push_back(img.at(xx, yy));
+        }
+      }
+      const auto mid = window.begin() + 40;
+      std::nth_element(window.begin(), mid, window.end());
+      ASSERT_NEAR(fast.at(x, y), *mid, 1.0f / 256.0f + 1e-4f);
     }
   }
 }
@@ -342,18 +336,6 @@ TEST(LocalVariance, HighInTexturedRegion) {
   const zi::ImageF32 v = zc::local_variance(img, 3);
   EXPECT_LT(v.at(4, 16), 1e-6f);
   EXPECT_GT(v.at(28, 16), 0.005f);
-}
-
-TEST(AbsDiff, ElementwiseMagnitude) {
-  zi::ImageF32 a(2, 1, 1), b(2, 1, 1);
-  a.at(0, 0) = 0.2f;
-  b.at(0, 0) = 0.5f;
-  a.at(1, 0) = 0.9f;
-  b.at(1, 0) = 0.4f;
-  const zi::ImageF32 d = zc::abs_diff(a, b);
-  EXPECT_NEAR(d.at(0, 0), 0.3f, 1e-6f);
-  EXPECT_NEAR(d.at(1, 0), 0.5f, 1e-6f);
-  EXPECT_THROW(zc::abs_diff(a, zi::ImageF32(3, 1, 1)), std::invalid_argument);
 }
 
 namespace {

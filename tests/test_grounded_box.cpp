@@ -66,10 +66,13 @@ TEST(DetectWithConcepts, ValidatesShape) {
   const auto s = crystalline_slice();
   const auto maps =
       zm::compute_features(pipe.make_ready(zi::AnyImage(s.raw)));
-  EXPECT_THROW(pipe.detector().detect_with_concepts(maps, zt::Tensor({0, 5})),
-               std::invalid_argument);
-  EXPECT_THROW(pipe.detector().detect_with_concepts(maps, zt::Tensor({1, 3})),
-               std::invalid_argument);
+  const zm::EncodedImage enc = pipe.detector().backbone().encode(maps);
+  EXPECT_THROW(
+      pipe.detector().detect_with_concepts(maps, enc, zt::Tensor({0, 5})),
+      std::invalid_argument);
+  EXPECT_THROW(
+      pipe.detector().detect_with_concepts(maps, enc, zt::Tensor({1, 3})),
+      std::invalid_argument);
 }
 
 TEST(DetectWithConcepts, MatchesPromptPathForSameConcepts) {
@@ -100,7 +103,8 @@ TEST(DetectWithConcepts, MatchesPromptPathForSameConcepts) {
   }
   const zm::GroundingResult via_prompt = pipe.detector().detect(maps, prompt);
   const zm::GroundingResult via_concepts =
-      pipe.detector().detect_with_concepts(maps, concepts);
+      pipe.detector().detect_with_concepts(
+          maps, pipe.detector().backbone().encode(maps), concepts);
   ASSERT_EQ(via_prompt.boxes.size(), via_concepts.boxes.size());
   for (std::size_t i = 0; i < via_prompt.boxes.size(); ++i) {
     EXPECT_EQ(via_prompt.boxes[i].box, via_concepts.boxes[i].box);

@@ -180,11 +180,10 @@ TEST_F(KernelBackendTest, RowwiseAndElementwiseEquivalence) {
 
       ASSERT_TRUE(tensor::set_backend("scalar"));
       tensor::Tensor sm_ref = base, ln_ref = base, ge_ref = base;
-      tensor::Tensor l2_ref = base, sub_ref = base;
+      tensor::Tensor sub_ref = base;
       tensor::softmax_rows(sm_ref);
       tensor::layernorm_rows(ln_ref, gain1, bias1);
       tensor::gelu_inplace(ge_ref);
-      tensor::l2_normalize_rows(l2_ref);
       tensor::subtract_row_inplace(sub_ref, bias1);
       const tensor::Tensor cm_ref = tensor::colwise_max(base);
       const tensor::Tensor mr_ref = tensor::mean_rows(base);
@@ -192,16 +191,14 @@ TEST_F(KernelBackendTest, RowwiseAndElementwiseEquivalence) {
 
       ASSERT_TRUE(tensor::set_backend(backend));
       const std::string tag = backend + " n=" + std::to_string(n);
-      tensor::Tensor sm = base, ln = base, ge = base, l2 = base, sub = base;
+      tensor::Tensor sm = base, ln = base, ge = base, sub = base;
       tensor::softmax_rows(sm);
       tensor::layernorm_rows(ln, gain1, bias1);
       tensor::gelu_inplace(ge);
-      tensor::l2_normalize_rows(l2);
       tensor::subtract_row_inplace(sub, bias1);
       expect_close(sm, sm_ref, "softmax_rows " + tag);
       expect_close(ln, ln_ref, "layernorm_rows " + tag);
       expect_close(ge, ge_ref, "gelu " + tag);
-      expect_close(l2, l2_ref, "l2_normalize_rows " + tag);
       expect_close(sub, sub_ref, "subtract_row " + tag);
       expect_close(tensor::colwise_max(base), cm_ref, "colwise_max " + tag);
       expect_close(tensor::mean_rows(base), mr_ref, "mean_rows " + tag);

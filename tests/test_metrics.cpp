@@ -22,7 +22,7 @@ zi::Mask make_mask(std::int64_t w, std::int64_t h,
 TEST(Confusion, CountsAllFourCells) {
   const zi::Mask pred = make_mask(2, 2, {{0, 0}, {1, 0}});
   const zi::Mask gt = make_mask(2, 2, {{0, 0}, {0, 1}});
-  const ze::Confusion c = ze::confusion_counts(pred, gt);
+  const ze::Confusion c = ze::compute_metrics(pred, gt).confusion;
   EXPECT_EQ(c.tp, 1);
   EXPECT_EQ(c.fp, 1);
   EXPECT_EQ(c.fn, 1);
@@ -31,7 +31,7 @@ TEST(Confusion, CountsAllFourCells) {
 }
 
 TEST(Confusion, SizeMismatchThrows) {
-  EXPECT_THROW(ze::confusion_counts(zi::Mask(2, 2), zi::Mask(3, 2)),
+  EXPECT_THROW(ze::compute_metrics(zi::Mask(2, 2), zi::Mask(3, 2)),
                std::invalid_argument);
 }
 
@@ -106,31 +106,4 @@ TEST(Summarize, RollsUpPerSlice) {
 TEST(FormatAggregate, PaperStyle) {
   ze::Aggregate a{0.947, 0.005, 10};
   EXPECT_EQ(ze::format_aggregate(a), "0.947±0.005");
-}
-
-TEST(BoundaryF1, PerfectBoundaryIsOne) {
-  zi::Mask m(16, 16);
-  for (std::int64_t y = 4; y < 12; ++y) {
-    for (std::int64_t x = 4; x < 12; ++x) m.at(x, y) = 1;
-  }
-  EXPECT_DOUBLE_EQ(ze::boundary_f1(m, m), 1.0);
-}
-
-TEST(BoundaryF1, ShiftWithinToleranceStaysHigh) {
-  zi::Mask a(32, 32), b(32, 32);
-  for (std::int64_t y = 8; y < 20; ++y) {
-    for (std::int64_t x = 8; x < 20; ++x) a.at(x, y) = 1;
-  }
-  for (std::int64_t y = 9; y < 21; ++y) {
-    for (std::int64_t x = 9; x < 21; ++x) b.at(x, y) = 1;
-  }
-  EXPECT_GT(ze::boundary_f1(a, b, 2), 0.9);
-  EXPECT_LT(ze::boundary_f1(a, b, 0), 0.7);
-}
-
-TEST(BoundaryF1, DegenerateCases) {
-  EXPECT_DOUBLE_EQ(ze::boundary_f1(zi::Mask(8, 8), zi::Mask(8, 8)), 1.0);
-  zi::Mask one(8, 8);
-  one.at(4, 4) = 1;
-  EXPECT_DOUBLE_EQ(ze::boundary_f1(one, zi::Mask(8, 8)), 0.0);
 }

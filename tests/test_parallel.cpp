@@ -80,22 +80,6 @@ TEST(ParallelForChunked, RespectsNonZeroBegin) {
   EXPECT_EQ(sum.load(), expected);
 }
 
-TEST(ParallelReduce, MatchesSerialSum) {
-  constexpr std::int64_t kN = 20000;
-  const double got = zp::parallel_reduce(
-      0, kN, 0.0,
-      [](std::int64_t i, double acc) { return acc + static_cast<double>(i); },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(got, static_cast<double>(kN) * (kN - 1) / 2.0);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  const double got = zp::parallel_reduce(
-      3, 3, 42.0, [](std::int64_t, double acc) { return acc + 1.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(got, 42.0);
-}
-
 TEST(ThreadPool, ManyProducersStress) {
   // Several threads hammer submit() concurrently while workers drain —
   // the Mode-B pattern of slice tasks forking nested kernel work.
@@ -236,21 +220,6 @@ TEST(ParallelFor, NestedOnSamePoolCompletes) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ParallelReduce, BodyExceptionPropagatesToCaller) {
-  zp::ThreadPool pool(4);
-  const auto launch = [&] {
-    (void)zp::parallel_reduce(
-        0, 1000, 0.0,
-        [](std::int64_t i, double acc) {
-          if (i == 700) throw std::logic_error("reduce failed");
-          return acc + 1.0;
-        },
-        [](double a, double b) { return a + b; }, pool);
-  };
-  EXPECT_THROW(launch(), std::logic_error);
-  pool.wait_idle();
 }
 
 TEST(ParallelFor, ResultIndependentOfPoolSize) {

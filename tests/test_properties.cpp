@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "zenesis/cv/distance.hpp"
 #include "zenesis/cv/morphology.hpp"
 #include "zenesis/cv/threshold.hpp"
 #include "zenesis/eval/metrics.hpp"
@@ -232,35 +231,6 @@ TEST_P(MetricSweep, DisjointAndDegenerateMasks) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricSweep,
                          ::testing::Values(1u, 2u, 3u, 17u, 99u, 2026u));
-
-// ----------------------------------------------------- distance bounds
-
-class DistanceSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DistanceSweep, ChamferApproximatesEuclidean) {
-  const zi::Mask m = random_mask(24, 24, GetParam() + 31, 0.05);
-  if (zi::mask_area(m) == 0) GTEST_SKIP();
-  const zi::ImageF32 d = zc::distance_to_foreground(m);
-  for (std::int64_t y = 0; y < 24; ++y) {
-    for (std::int64_t x = 0; x < 24; ++x) {
-      // Brute-force Euclidean distance.
-      double best = 1e18;
-      for (std::int64_t v = 0; v < 24; ++v) {
-        for (std::int64_t u = 0; u < 24; ++u) {
-          if (m.at(u, v) == 0) continue;
-          const double dd = std::hypot(static_cast<double>(u - x),
-                                       static_cast<double>(v - y));
-          best = std::min(best, dd);
-        }
-      }
-      // 3-4 chamfer error bound is ~8% of the true distance.
-      ASSERT_NEAR(d.at(x, y), best, 0.09 * best + 0.34)
-          << "at " << x << "," << y;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DistanceSweep, ::testing::Values(1u, 7u, 13u));
 
 // -------------------------------------------------------- Otsu contrast
 

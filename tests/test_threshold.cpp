@@ -1,6 +1,8 @@
 // Otsu and thresholding tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "zenesis/cv/threshold.hpp"
 #include "zenesis/parallel/rng.hpp"
 
@@ -80,62 +82,24 @@ TEST(OtsuThreshold, DominatedByLargestContrast) {
   EXPECT_GT(fg, 50 * 100);
 }
 
-TEST(MultiOtsu, ThreeLevelsFindTwoCuts) {
-  zenesis::parallel::Rng rng(3);
-  zi::ImageF32 img(60, 60, 1);
-  for (std::int64_t y = 0; y < 60; ++y) {
-    for (std::int64_t x = 0; x < 60; ++x) {
-      const float base = x < 20 ? 0.1f : (x < 40 ? 0.5f : 0.9f);
-      img.at(x, y) = base + static_cast<float>(rng.normal(0.0, 0.02));
+
+TEST(OtsuThreshold, MaskIsStrictlyAboveCut) {
+  // Spikes in bins 40 and 200 put Otsu's cut at bin 40, so the threshold
+  // is 40.5/256. A pixel exactly at the threshold stays background; the
+  // next float above it is foreground. Neither leaves bin 40.
+  const float cut = 40.5f / 256.0f;
+  zi::ImageF32 img(16, 16, 1);
+  for (std::int64_t y = 0; y < 16; ++y) {
+    for (std::int64_t x = 0; x < 16; ++x) {
+      img.at(x, y) = x < 8 ? 40.25f / 256.0f : 200.5f / 256.0f;
     }
   }
-  const auto cuts = zc::multi_otsu(img, 3);
-  ASSERT_EQ(cuts.size(), 2u);
-  EXPECT_GT(cuts[0], 0.1f);
-  EXPECT_LT(cuts[0], 0.5f);
-  EXPECT_GT(cuts[1], 0.5f);
-  EXPECT_LT(cuts[1], 0.9f);
-}
-
-TEST(MultiOtsu, LevelsValidated) {
-  zi::ImageF32 img(4, 4, 1);
-  EXPECT_THROW(zc::multi_otsu(img, 1), std::invalid_argument);
-  EXPECT_THROW(zc::multi_otsu(img, 5), std::invalid_argument);
-}
-
-TEST(MultiOtsu, TwoLevelsAgreesWithOtsuRoughly) {
-  const zi::ImageF32 img = bimodal(64, 64, 0.2f, 0.8f, 0.03f, 4);
-  const auto cuts = zc::multi_otsu(img, 2);
-  ASSERT_EQ(cuts.size(), 1u);
+  img.at(0, 0) = cut;
+  img.at(1, 0) = std::nextafter(cut, 1.0f);
   const zc::ThresholdResult r = zc::otsu_threshold(img);
-  EXPECT_NEAR(cuts[0], r.threshold, 0.06f);
-}
-
-TEST(FixedThreshold, StrictlyGreater) {
-  zi::ImageF32 img(2, 1, 1);
-  img.at(0, 0) = 0.5f;
-  img.at(1, 0) = 0.51f;
-  const zi::Mask m = zc::fixed_threshold(img, 0.5f);
-  EXPECT_EQ(m.at(0, 0), 0);
-  EXPECT_EQ(m.at(1, 0), 1);
-}
-
-TEST(AdaptiveMeanThreshold, TracksLocalShading) {
-  // A bright blob on a linear shading ramp: a global threshold fails on
-  // one side, the adaptive threshold does not.
-  zi::ImageF32 img(80, 40, 1);
-  for (std::int64_t y = 0; y < 40; ++y) {
-    for (std::int64_t x = 0; x < 80; ++x) {
-      img.at(x, y) = 0.2f + 0.5f * static_cast<float>(x) / 80.0f;
-    }
-  }
-  // Two identical bumps at the dark and bright ends.
-  for (std::int64_t y = 18; y < 22; ++y) {
-    for (std::int64_t x = 8; x < 12; ++x) img.at(x, y) += 0.2f;
-    for (std::int64_t x = 68; x < 72; ++x) img.at(x, y) += 0.2f;
-  }
-  const zi::Mask m = zc::adaptive_mean_threshold(img, 6, 0.05f);
-  EXPECT_EQ(m.at(10, 20), 1);  // dark-end bump found
-  EXPECT_EQ(m.at(70, 20), 1);  // bright-end bump found
-  EXPECT_EQ(m.at(40, 5), 0);   // plain ramp is background
+  ASSERT_EQ(r.threshold, cut);
+  EXPECT_EQ(r.mask.at(0, 0), 0);
+  EXPECT_EQ(r.mask.at(1, 0), 1);
+  EXPECT_EQ(r.mask.at(2, 0), 0);
+  EXPECT_EQ(r.mask.at(15, 15), 1);
 }

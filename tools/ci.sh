@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: build + test the repo in eight stages — a default
+# CI entry point: build + test the repo in nine stages — a default
 # RelWithDebInfo build with warnings as errors (ZENESIS_WERROR=ON)
 # running the full tier-1 suite plus a zen_load wire smoke run (after a
 # guard that the library reads exactly the four ZENESIS_* environment
@@ -21,10 +21,12 @@
 # path (saturating requantize, SIMD tails, accuracy gate) is
 # sanitizer-checked every run, and a short traced perfbench run of every
 # workload whose correctness gates (stage attribution, dropped spans,
-# wire byte-compare, metric set) fail CI — its timings never do.
+# wire byte-compare, metric set) fail CI — its timings never do — and
+# a Release build (the -O3 build perfbench measures) replaying the byte
+# goldens: encoder tokens, decoder masks and kernel parity.
 #
 # Usage:
-#   tools/ci.sh                # default + TSAN + ASAN + UBSAN + traced + scalar + int8 + perfbench
+#   tools/ci.sh                # default + TSAN + ASAN + UBSAN + traced + scalar + int8 + perfbench + Release goldens
 #   CI_TSAN_ALL=1 tools/ci.sh  # run the ENTIRE suite under TSAN (slow)
 #   CI_ASAN_ALL=1 tools/ci.sh  # run the ENTIRE suite under ASAN (slow)
 #   CI_JOBS=8 tools/ci.sh      # override build/test parallelism
@@ -61,7 +63,7 @@ JOBS="${CI_JOBS:-$(nproc)}"
 # cross-word shifts, the SWAR pack/unpack and the run union-find.
 SAN_FILTER="${CI_SAN_FILTER:-test_parallel|test_volume_parallel|test_batch_images|test_serve|test_obs|test_pipeline|test_session|test_integration|test_tiff|test_cache|test_kernels|test_net|test_sam|test_filters|test_morphology|test_components|test_bitmask|test_grounded_box}"
 
-echo "=== [1/8] default build (-Werror) + full tier-1 suite ==="
+echo "=== [1/9] default build (-Werror) + full tier-1 suite ==="
 # Env guard: every decision has one selector. The library reads exactly
 # these environment variables; a new getenv("ZENESIS_...") under src/
 # fails here until this list (and README) say why it is needed.
@@ -79,7 +81,7 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 # exits non-zero if any request is rejected or errored.
 build/tools/zen_load --clients 64 --requests 2 >/dev/null
 
-echo "=== [2/8] ThreadSanitizer build + concurrency suite ==="
+echo "=== [2/9] ThreadSanitizer build + concurrency suite ==="
 cmake -B build-tsan -S . -DZENESIS_SANITIZE=thread \
       -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
@@ -89,7 +91,7 @@ else
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R "$SAN_FILTER"
 fi
 
-echo "=== [3/8] AddressSanitizer build + concurrency suite ==="
+echo "=== [3/9] AddressSanitizer build + concurrency suite ==="
 cmake -B build-asan -S . -DZENESIS_SANITIZE=address \
       -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS"
@@ -99,7 +101,7 @@ else
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" -R "$SAN_FILTER"
 fi
 
-echo "=== [4/8] UndefinedBehaviorSanitizer build + fuzz/corruption/kernel corpora ==="
+echo "=== [4/9] UndefinedBehaviorSanitizer build + fuzz/corruption/kernel corpora ==="
 cmake -B build-ubsan -S . -DZENESIS_SANITIZE=undefined \
       -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j "$JOBS"
@@ -113,13 +115,13 @@ cmake --build build-ubsan -j "$JOBS"
 # run or tap ending on a word edge) is UB that x86 silently wraps.
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "test_tiff|test_cache|test_kernels|test_net_fuzz|test_sam|test_filters|test_bitmask"
 
-echo "=== [5/8] tracing-enabled rerun of the default suite (ZENESIS_TRACE=1) ==="
+echo "=== [5/9] tracing-enabled rerun of the default suite (ZENESIS_TRACE=1) ==="
 ZENESIS_TRACE=1 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [6/8] scalar-backend rerun of the default suite (ZENESIS_KERNEL=scalar) ==="
+echo "=== [6/9] scalar-backend rerun of the default suite (ZENESIS_KERNEL=scalar) ==="
 ZENESIS_KERNEL=scalar ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "=== [7/8] int8-precision kernel suite under ASAN + UBSan (ZENESIS_PRECISION=int8) ==="
+echo "=== [7/9] int8-precision kernel suite under ASAN + UBSan (ZENESIS_PRECISION=int8) ==="
 # Every test in test_kernels — the int8 accuracy gate included — with
 # the process-wide precision forced to int8, under both memory and UB
 # sanitizers: overflow in the saturating requantize, out-of-bounds in
@@ -128,7 +130,7 @@ echo "=== [7/8] int8-precision kernel suite under ASAN + UBSan (ZENESIS_PRECISIO
 ZENESIS_PRECISION=int8 ctest --test-dir build-asan --output-on-failure -j "$JOBS" -R "test_kernels"
 ZENESIS_PRECISION=int8 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -R "test_kernels"
 
-echo "=== [8/8] perfbench correctness gates (traced, every workload) ==="
+echo "=== [8/9] perfbench correctness gates (traced, every workload) ==="
 # Builds Release into .bench_build/ and runs each workload for 4 s with
 # spans on. run.py exits non-zero when a correctness gate fails — among
 # them unattributed stage time above 10 %, a dropped span, a wire
@@ -136,5 +138,15 @@ echo "=== [8/8] perfbench correctness gates (traced, every workload) ==="
 # floor — or when the metric set differs from BENCHMARK.json. Timings
 # are reported but never fail the stage.
 python3 perfbench/run.py --workload all --seed 7 --seconds 4 --trace 1
+
+echo "=== [9/9] Release build + golden suites ==="
+# The goldens pin bytes, so they must hold in the build that perfbench
+# times (-O3), not only in the default -O2 one: an FMA the optimizer
+# contracts at one level and not the other moves the recorded hashes.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+      -DZENESIS_BUILD_BENCH=OFF -DZENESIS_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-release -j "$JOBS"
+ctest --test-dir build-release --output-on-failure -j "$JOBS" \
+      -R "test_encoder_golden|test_sam_decode|test_kernels"
 
 echo "CI OK"
