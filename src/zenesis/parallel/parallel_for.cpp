@@ -1,65 +1,71 @@
 #include "zenesis/parallel/parallel_for.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 
 namespace zenesis::parallel {
 namespace {
 
-/// Fork/join bookkeeping for one batch of submitted chunks: a countdown
-/// latch that (a) records the first exception thrown by a chunk so the
-/// caller can rethrow it, and (b) *helps* — while waiting, the caller
-/// drains tasks from the pool's queue. Helping is what makes nested
-/// parallelism safe: a chunk running on a worker can itself fork and join
-/// on the same pool without parking the worker.
-class TaskGroup {
- public:
-  explicit TaskGroup(std::size_t count) : count_(count) {}
+using ChunkBody = std::function<void(std::int64_t, std::int64_t)>;
 
-  /// Marks one chunk finished, recording its exception (if any).
-  void finish(std::exception_ptr error) {
-    std::lock_guard lock(mutex_);
-    if (error && !error_) error_ = error;
-    if (--count_ == 0) cv_.notify_all();
-  }
+/// One fork/join loop over `chunks` chunks of `grain` iterations. The
+/// caller and its helper tasks claim chunk indices from `next` and run
+/// them; the caller then sleeps until every claimed chunk has finished.
+/// Helpers co-own the loop, so a helper that starts after the caller has
+/// returned finds the cursor exhausted and leaves without touching `body`.
+struct Loop {
+  Loop(std::int64_t lo, std::int64_t hi, std::int64_t step, const ChunkBody& fn)
+      : begin(lo), end(hi), grain(step), chunks((hi - lo + step - 1) / step),
+        body(&fn) {}
 
-  /// Runs `body` for one chunk, routing any exception into the group.
-  template <typename Fn>
-  void run(Fn&& body) {
-    std::exception_ptr error;
-    try {
-      body();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    finish(error);
-  }
-
-  /// Blocks until every chunk has finished, executing queued pool tasks
-  /// while waiting. Rethrows the first chunk exception.
-  void wait(ThreadPool& pool) {
-    for (;;) {
-      {
-        std::lock_guard lock(mutex_);
-        if (count_ == 0) break;
+  /// Claims and runs chunks until none are left, then reports how many
+  /// this thread ran and the first exception among them.
+  void drain() {
+    std::int64_t ran = 0;
+    std::exception_ptr first;
+    for (std::int64_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) < chunks;
+         ++ran) {
+      const std::int64_t lo = begin + c * grain;
+      try {
+        (*body)(lo, std::min(end, lo + grain));
+      } catch (...) {
+        if (!first) first = std::current_exception();
       }
-      if (pool.try_run_one()) continue;
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return count_ == 0; });
-      break;
     }
-    std::lock_guard lock(mutex_);
-    if (error_) std::rethrow_exception(error_);
+    if (ran == 0) return;
+    std::lock_guard lock(mutex);
+    if (first && !error) error = first;
+    finished += ran;
+    if (finished == chunks) cv.notify_all();
   }
 
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t count_;
-  std::exception_ptr error_;
+  const std::int64_t begin, end, grain, chunks;
+  const ChunkBody* body;
+  std::atomic<std::int64_t> next{0};
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::int64_t finished = 0;
+  std::exception_ptr error;
 };
+
+/// Runs the loop on the caller plus `min(workers, chunks) - 1` helpers.
+void run_loop(std::int64_t begin, std::int64_t end, std::int64_t grain,
+              const ChunkBody& body, ThreadPool& pool) {
+  auto loop = std::make_shared<Loop>(begin, end, grain, body);
+  const std::int64_t helpers =
+      std::min<std::int64_t>(static_cast<std::int64_t>(pool.size()), loop->chunks) - 1;
+  for (std::int64_t h = 0; h < helpers; ++h) {
+    pool.submit([loop] { loop->drain(); });
+  }
+  loop->drain();
+  std::unique_lock lock(loop->mutex);
+  loop->cv.wait(lock, [&] { return loop->finished == loop->chunks; });
+  if (loop->error) std::rethrow_exception(loop->error);
+}
 
 constexpr std::int64_t kSerialCutoff = 256;
 
@@ -75,48 +81,25 @@ void parallel_for(std::int64_t begin, std::int64_t end,
     for (std::int64_t i = begin; i < end; ++i) body(i);
     return;
   }
-  const std::int64_t chunks = std::min<std::int64_t>(workers, n);
-  const std::int64_t per = (n + chunks - 1) / chunks;
-  TaskGroup group(static_cast<std::size_t>(chunks));
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    const std::int64_t lo = begin + c * per;
-    const std::int64_t hi = std::min(end, lo + per);
-    pool.submit([lo, hi, &body, &group] {
-      group.run([&] {
-        for (std::int64_t i = lo; i < hi; ++i) body(i);
-      });
-    });
-  }
-  group.wait(pool);
+  const std::int64_t chunks = std::min(workers, n);
+  run_loop(begin, end, (n + chunks - 1) / chunks,
+           [&body](std::int64_t lo, std::int64_t hi) {
+             for (std::int64_t i = lo; i < hi; ++i) body(i);
+           },
+           pool);
 }
 
 void parallel_for_chunked(std::int64_t begin, std::int64_t end,
-                          std::int64_t grain,
-                          const std::function<void(std::int64_t, std::int64_t)>& body,
+                          std::int64_t grain, const ChunkBody& body,
                           ThreadPool& pool) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   grain = std::max<std::int64_t>(1, grain);
-  const std::int64_t workers = static_cast<std::int64_t>(pool.size());
-  if (workers <= 1 || n <= grain) {
+  if (pool.size() <= 1 || n <= grain) {
     body(begin, end);
     return;
   }
-  auto next = std::make_shared<std::atomic<std::int64_t>>(begin);
-  const std::int64_t tasks = std::min<std::int64_t>(workers, (n + grain - 1) / grain);
-  TaskGroup group(static_cast<std::size_t>(tasks));
-  for (std::int64_t t = 0; t < tasks; ++t) {
-    pool.submit([next, end, grain, &body, &group] {
-      group.run([&] {
-        for (;;) {
-          const std::int64_t lo = next->fetch_add(grain);
-          if (lo >= end) break;
-          body(lo, std::min(end, lo + grain));
-        }
-      });
-    });
-  }
-  group.wait(pool);
+  run_loop(begin, end, grain, body, pool);
 }
 
 }  // namespace zenesis::parallel

@@ -44,43 +44,9 @@ void ThreadPool::wait_idle() {
   if (error) std::rethrow_exception(error);
 }
 
-bool ThreadPool::try_run_one() {
-  Task task;
-  {
-    std::lock_guard lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop();
-    ++in_flight_;
-  }
-  // "pool.steal": the task ran on a helping (blocked-waiter) thread, not
-  // a pool worker — the span name makes work-stealing visible in traces.
-  run_task(std::move(task), "pool.steal");
-  return true;
-}
-
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-void ThreadPool::run_task(Task task, const char* span_name) {
-  std::exception_ptr error;
-  try {
-    // Reinstate the submitter's trace id for the task's duration so spans
-    // recorded inside it carry the originating request's id.
-    obs::TraceScope trace(task.trace_id);
-    obs::Span span(span_name);
-    task.fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  {
-    std::lock_guard lock(mutex_);
-    if (error && !first_error_) first_error_ = error;
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-  }
 }
 
 void ThreadPool::worker_loop() {
@@ -94,7 +60,20 @@ void ThreadPool::worker_loop() {
       queue_.pop();
       ++in_flight_;
     }
-    run_task(std::move(task), "pool.run");
+    std::exception_ptr error;
+    try {
+      // Reinstate the submitter's trace id for the task's duration so
+      // spans recorded inside it carry the originating request's id.
+      obs::TraceScope trace(task.trace_id);
+      obs::Span span("pool.run");
+      task.fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard lock(mutex_);
+    if (error && !first_error_) first_error_ = error;
+    --in_flight_;
+    if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
   }
 }
 

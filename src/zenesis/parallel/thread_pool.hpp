@@ -5,12 +5,12 @@
 // kernels, the synthetic FIB-SEM generator, and Mode-B batch processing all
 // schedule through it, so thread counts are controlled in one place.
 //
-// Re-entrancy: a task running on a pool worker may itself submit to the
-// same pool and wait on the nested work, provided the wait loop helps via
-// `try_run_one()` (the data-parallel helpers in parallel_for.hpp do this).
-// Blocked waiters drain the shared queue instead of idling, so nested
-// fork/join — e.g. a Mode-B slice task whose filters call parallel_for —
-// cannot deadlock the pool.
+// Re-entrancy: a task running on a pool worker may itself fork and join
+// on the same pool through the helpers in parallel_for.hpp — e.g. a
+// Mode-B slice task whose filters call parallel_for. The joining thread
+// runs only its own loop's chunks and then waits for chunks other threads
+// are already running, so nested fork/join cannot deadlock the pool and a
+// waiter never runs an unrelated queued task on its stack.
 //
 // Exceptions: a throwing task no longer terminates the process. The first
 // exception is captured and rethrown from the next `wait_idle()` call;
@@ -55,12 +55,6 @@ class ThreadPool {
   /// wait_idle (the capture slot is cleared on rethrow).
   void wait_idle();
 
-  /// Runs one queued task on the calling thread, if any is available.
-  /// Returns false when the queue is empty. This is the helping primitive
-  /// that makes the pool safely re-entrant: callers blocked on nested
-  /// work keep the queue moving instead of parking a worker.
-  bool try_run_one();
-
   /// Process-wide default pool, created on first use with one worker per
   /// hardware thread.
   static ThreadPool& global();
@@ -73,7 +67,6 @@ class ThreadPool {
   };
 
   void worker_loop();
-  void run_task(Task task, const char* span_name);
 
   std::vector<std::thread> workers_;
   std::queue<Task> queue_;

@@ -121,8 +121,7 @@ SegmentService::SegmentService(const ServiceConfig& cfg)
       pipeline_(cfg.pipeline),
       pool_(cfg.fanout_threads > 0
                 ? std::make_unique<parallel::ThreadPool>(cfg.fanout_threads)
-                : nullptr),
-      paused_(cfg.start_paused) {
+                : nullptr) {
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 

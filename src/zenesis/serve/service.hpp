@@ -22,10 +22,12 @@
 //   pipeline call, then the completion, and frees its slot; the dispatcher
 //   keeps sweeping meanwhile. A request waits in one place only, the
 //   admission queue; it never waits for an unrelated request to finish,
-//   only for a free slot. The pipeline owns every encoding lookup: a request
-//   whose mask is cached completes without an encode, and requests with
-//   the same image share one FeatureCache entry — SAM's
-//   embed-once/prompt-many amortization applied across requests.
+//   only for a free slot. Once running, it never runs another request
+//   either: its parallel loops join by running only their own chunks.
+//   The pipeline owns every encoding lookup: a request whose mask is
+//   cached completes without an encode, and requests with the same image
+//   share one FeatureCache entry — SAM's embed-once/prompt-many
+//   amortization applied across requests.
 //
 // Tenant fairness: every Request names a tenant (in-process callers use
 // tenant 0). Each tenant has a TenantPolicy: `max_queued` bounds its
@@ -230,9 +232,6 @@ struct ServiceConfig {
   /// process-global pool, N >= 1 = a dedicated pool of N workers (1 = one
   /// request at a time).
   std::size_t fanout_threads = 0;
-  /// Start with dispatch paused (admission still runs) — deterministic
-  /// queue buildup for tests and staged warm-up; call resume() to serve.
-  bool start_paused = false;
   /// Per-tenant overrides; tenants not listed use `default_tenant`.
   std::map<std::uint32_t, TenantPolicy> tenants;
   TenantPolicy default_tenant;
@@ -309,7 +308,8 @@ class SegmentService {
   /// Pause/resume dispatch (admission unaffected). While paused the
   /// dispatcher still sweeps: queued requests whose deadline passes or
   /// whose CancelToken fires complete at once with DeadlineExpired /
-  /// Cancelled. Requests already running finish normally.
+  /// Cancelled. Requests already running finish normally. pause() right
+  /// after construction holds every request for deterministic buildup.
   void pause();
   void resume();
 

@@ -376,8 +376,8 @@ TEST(Net, ServiceAdmissionShedsAsWireRejects) {
   zs::ServiceConfig scfg;
   scfg.queue_capacity = 3;
   scfg.tenants[1] = {1, 2};  // quota: 2 queued requests
-  scfg.start_paused = true;
   zs::SegmentService service(scfg);
+  service.pause();
   zn::Server server(service);
 
   auto [c1, fd1] = zn::Client::loopback_pair();

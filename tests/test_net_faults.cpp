@@ -101,8 +101,8 @@ TEST(NetFaults, SlowLorisTimesOutWithoutHurtingHealthyClients) {
 
 TEST(NetFaults, AbruptDisconnectFreesQueuedAndInflightSlots) {
   zs::ServiceConfig scfg;
-  scfg.start_paused = true;
   zs::SegmentService service(scfg);
+  service.pause();
   zn::Server server(service);
 
   {
@@ -185,8 +185,8 @@ TEST(NetFaults, ZeroLengthPayloadOnRequestFrameIsACleanError) {
 
 TEST(NetFaults, CancelOfQueuedRequestYieldsExactlyOneRejectedFrame) {
   zs::ServiceConfig scfg;
-  scfg.start_paused = true;
   zs::SegmentService service(scfg);
+  service.pause();
   zn::Server server(service);
 
   auto [client, server_fd] = zn::Client::loopback_pair();
@@ -266,8 +266,8 @@ TEST(NetFaults, HalfClosedSocketStillReceivesItsResponses) {
 
 TEST(NetFaults, ExpiredDeadlineComesBackAsRejectedFrame) {
   zs::ServiceConfig scfg;
-  scfg.start_paused = true;  // deadlines expire while dispatch is held
   zs::SegmentService service(scfg);
+  service.pause();  // deadlines expire while dispatch is held
   zn::Server server(service, {});
 
   auto [client, server_fd] = zn::Client::loopback_pair();
@@ -291,8 +291,8 @@ TEST(NetFaults, ExpiredDeadlineComesBackAsRejectedFrame) {
 TEST(NetFaults, TenantQuotaExhaustsAndRecovers) {
   zs::ServiceConfig scfg;
   scfg.tenants[7] = {/*weight=*/1, /*max_queued=*/2};
-  scfg.start_paused = true;
   zs::SegmentService service(scfg);
+  service.pause();
   zn::Server server(service);
 
   auto [client, server_fd] = zn::Client::loopback_pair();
@@ -335,8 +335,8 @@ TEST(NetFaults, TenantQuotaExhaustsAndRecovers) {
 
 TEST(NetFaults, StopRejectsQueuedWorkWithShuttingDown) {
   zs::ServiceConfig scfg;
-  scfg.start_paused = true;  // the three requests stay queued
   zs::SegmentService service(scfg);
+  service.pause();  // the three requests stay queued
   zn::Server server(service);
 
   auto [client, server_fd] = zn::Client::loopback_pair();

@@ -158,7 +158,7 @@ TEST(Obs, ThreadPoolStitchesSubmitterTraceIdAcrossThreads) {
     // The submitter's trace id travels with each task even though the
     // span records on a worker thread.
     EXPECT_EQ(ev->trace_id, id);
-    // Every task runs nested inside the pool's own run/steal span.
+    // Every task runs nested inside the pool's own pool.run span.
     EXPECT_GE(ev->depth, 1u);
     if (ev->tid != main_tid) off_main = true;
   }
@@ -168,7 +168,7 @@ TEST(Obs, ThreadPoolStitchesSubmitterTraceIdAcrossThreads) {
   for (const auto& ev : events) {
     if (ev.name == nullptr) continue;
     const std::string name = ev.name;
-    if (name == "pool.run" || name == "pool.steal") {
+    if (name == "pool.run") {
       pool_span_seen = true;
       EXPECT_EQ(ev.trace_id, id);
     }

@@ -150,30 +150,6 @@ TEST(ThreadPool, ThrowingTaskIsCapturedAndRethrownOnWaitIdle) {
   EXPECT_EQ(counter.load(), 11);
 }
 
-TEST(ThreadPool, TryRunOneExecutesQueuedWorkOnCaller) {
-  zp::ThreadPool pool(1);
-  // Park the single worker so queued tasks stay queued. Wait until the
-  // worker has actually dequeued the parker before submitting more work;
-  // otherwise try_run_one() below could pop the parker onto this thread
-  // and block forever.
-  std::atomic<bool> parked{false};
-  std::atomic<bool> release{false};
-  pool.submit([&parked, &release] {
-    parked = true;
-    parked.notify_one();
-    release.wait(false);
-  });
-  parked.wait(false);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  while (!pool.try_run_one()) std::this_thread::yield();
-  EXPECT_EQ(counter.load(), 1);
-  EXPECT_FALSE(pool.try_run_one());
-  release = true;
-  release.notify_one();
-  pool.wait_idle();
-}
-
 TEST(ParallelFor, BodyExceptionPropagatesToCaller) {
   zp::ThreadPool pool(4);
   std::atomic<int> ran{0};
@@ -220,6 +196,47 @@ TEST(ParallelFor, NestedOnSamePoolCompletes) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(ParallelFor, WaiterRunsOnlyItsOwnChunks) {
+  // A thread joining a loop runs that loop's chunks and nothing else: a
+  // foreign task queued ahead of the loop's helpers stays queued while
+  // the loop runs, even though the loop's caller is a pool worker whose
+  // only peer is busy.
+  zp::ThreadPool pool(2);
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  pool.submit([&parked, &release] {
+    parked = true;
+    parked.notify_one();
+    release.wait(false);
+  });
+  parked.wait(false);
+
+  constexpr std::int64_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<bool> foreign_ran{false};
+  std::atomic<bool> foreign_ran_during_loop{true};
+  std::atomic<bool> loop_done{false};
+  pool.submit([&] {
+    pool.submit([&foreign_ran] { foreign_ran = true; });
+    zp::parallel_for_chunked(0, kN, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<std::size_t>(i)];
+    }, pool);
+    foreign_ran_during_loop = foreign_ran.load();
+    loop_done = true;
+    loop_done.notify_one();
+  });
+  loop_done.wait(false);
+  EXPECT_FALSE(foreign_ran_during_loop.load());
+  for (std::int64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
+  }
+
+  release = true;
+  release.notify_one();
+  pool.wait_idle();
+  EXPECT_TRUE(foreign_ran.load());
 }
 
 TEST(ParallelFor, ResultIndependentOfPoolSize) {

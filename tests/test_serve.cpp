@@ -119,9 +119,9 @@ TEST(Serve, SliceResponsesMatchBlockingPipeline) {
        {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
     zs::ServiceConfig cfg;
     cfg.fanout_threads = fanout;
-    cfg.start_paused = true;  // admit everything, then one resume —
-                              // every slot fills at once
     zs::SegmentService service(cfg);
+    service.pause();  // admit everything, then one resume —
+                      // every slot fills at once
     std::vector<std::future<zs::Response>> futures;
     for (const std::size_t idx : traffic) {
       futures.push_back(service.submit(
@@ -191,8 +191,8 @@ TEST(Serve, FullQueueRejectsInsteadOfBlocking) {
   const auto s = make_slice(48, 5);
   zs::ServiceConfig cfg;
   cfg.queue_capacity = 3;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   std::vector<std::future<zs::Response>> admitted;
   for (int i = 0; i < 3; ++i) {
@@ -222,8 +222,8 @@ TEST(Serve, FullQueueRejectsInsteadOfBlocking) {
 TEST(Serve, ExpiredDeadlineCompletesWithoutRunningPipeline) {
   const auto s = make_slice(48, 6);
   zs::ServiceConfig cfg;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   // Already expired at submit.
   auto pre = service.submit(
@@ -251,8 +251,8 @@ TEST(Serve, ExpiredDeadlineCompletesWithoutRunningPipeline) {
 TEST(Serve, ShutdownDrainsInFlightAndRejectsNew) {
   const auto s = make_slice(48, 8);
   zs::ServiceConfig cfg;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   std::vector<std::future<zs::Response>> admitted;
   for (int i = 0; i < 4; ++i) {
@@ -306,8 +306,8 @@ TEST(Serve, ShutdownWaitsOutRunningWork) {
 TEST(Serve, CancelTokenRejectsBeforeDispatch) {
   const auto s = make_slice(48, 9);
   zs::ServiceConfig cfg;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   auto token = std::make_shared<zs::CancelToken>();
   auto cancelled = service.submit(
@@ -326,8 +326,8 @@ TEST(Serve, PriorityJumpsTheQueue) {
   const auto s = make_slice(48, 10);
   zs::ServiceConfig cfg;
   cfg.fanout_threads = 1;  // one at a time → completion order observable
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   auto low = service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt));
   auto high = service.submit(
@@ -461,8 +461,8 @@ TEST(Serve, SliceRequestLooksUpItsEncodingOnce) {
 TEST(Serve, MalformedSliceRequestFailsWithoutKillingTheDispatcher) {
   const auto s = make_slice(48, 14);
   zs::ServiceConfig cfg;
-  cfg.start_paused = true;  // both requests dispatch on one resume
   zs::SegmentService service(cfg);
+  service.pause();  // both requests dispatch on one resume
 
   auto bad = service.submit(zs::Request::slice(zi::AnyImage(), kPrompt));
   auto good = service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt));
@@ -492,8 +492,8 @@ TEST(Serve, CancellationRelievesQueueFullBackpressure) {
   const auto s = make_slice(48, 15);
   zs::ServiceConfig cfg;
   cfg.queue_capacity = 2;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
 
   auto token = std::make_shared<zs::CancelToken>();
   auto doomed = service.submit(
@@ -509,7 +509,10 @@ TEST(Serve, CancellationRelievesQueueFullBackpressure) {
   // Admission purges the cancelled entry, so this submission is admitted
   // even though dispatch is still paused.
   auto after = service.submit(zs::Request::slice(zi::AnyImage(s.raw), kPrompt));
-  EXPECT_EQ(doomed.wait_for(std::chrono::seconds(0)),
+  // The paused dispatcher's periodic sweep may have removed `doomed`
+  // under the lock and not yet completed it, so its future can become
+  // ready just after this admission: wait for it, bounded.
+  EXPECT_EQ(doomed.wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
   EXPECT_EQ(doomed.get().reject, zs::RejectReason::kCancelled);
 
@@ -556,8 +559,8 @@ TEST(ServeCompletion, RunsExactlyOnceOnEveryPath) {
   const auto good = zi::AnyImage(make_slice(48, 16).raw);
   zs::ServiceConfig cfg;
   cfg.queue_capacity = 4;
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
   CompletionLog log;
 
   auto token3 = std::make_shared<zs::CancelToken>();
@@ -649,8 +652,8 @@ TEST(ServeCompletion, MayReenterTheService) {
 TEST(ServeTenants, QuotaExhaustsAndRecovers) {
   zs::ServiceConfig cfg;
   cfg.tenants[7] = {/*weight=*/1, /*max_queued=*/2};
-  cfg.start_paused = true;
   zs::SegmentService service(cfg);
+  service.pause();
   const auto img = zi::AnyImage(make_slice(24, 19).raw);
 
   auto r1 = service.submit(tenant_slice(img, 7));
@@ -686,10 +689,10 @@ TEST(ServeTenants, WeightedFairnessUnderSaturation) {
   // completes them in dispatch order.
   zs::ServiceConfig cfg;
   cfg.fanout_threads = 1;
-  cfg.start_paused = true;
   cfg.tenants[1] = {1, 256};
   cfg.tenants[2] = {3, 256};
   zs::SegmentService service(cfg);
+  service.pause();
   std::mutex mu;
   std::vector<std::uint32_t> order;
   const auto img = zi::AnyImage(make_slice(24, 8).raw);

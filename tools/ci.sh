@@ -7,7 +7,9 @@
 # ThreadSanitizer
 # build race-checking the concurrency surface (thread pool, parallel
 # Mode-B pipelines, feature cache, segmentation service, streaming TIFF
-# reader, the zen_net event loop with its fuzz/fault/soak suites), an
+# reader, the zen_net event loop with its fuzz/fault/soak suites) and
+# repeating the thread-pool suite 20 times so the fork/join protocol
+# meets many interleavings, an
 # AddressSanitizer(+UBSan) build memory-checking the same surface plus
 # the TIFF fuzz corpus and the SIMD kernel backends, a standalone UBSan
 # build replaying the TIFF and zen_net protocol fuzz corpora with
@@ -90,6 +92,10 @@ if [[ "${CI_TSAN_ALL:-0}" == "1" ]]; then
 else
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R "$SAN_FILTER"
 fi
+# The fork/join protocol (claimed chunks, the caller's sleep, late helper
+# tasks) races on timing: repeat its suite until a run fails, 20 at most.
+ctest --test-dir build-tsan --output-on-failure -R '^test_parallel$' \
+      --repeat until-fail:20
 
 echo "=== [3/9] AddressSanitizer build + concurrency suite ==="
 cmake -B build-asan -S . -DZENESIS_SANITIZE=address \
